@@ -156,21 +156,37 @@ class StationaryPoint:
     grad_norm: float          # norm of the stacked gradient at the solution
 
 
+def stationary_oracle_unmet(objectives: ObjectiveSet, topology):
+    """Say why :func:`stationary_quadratic` does not apply, or None if it does.
+
+    The oracle needs a fixed topology with symmetric weights on a
+    bidirectional arc set, and all-quadratic objectives.  The reason is a
+    pair ``(part, need)``: the input at fault (``"topology"`` or
+    ``"objectives"``) and what it would have to be.
+    """
+    if not isinstance(topology, WeightedDigraph):
+        return "topology", "a fixed topology"
+    if not topology.has_symmetric_weights(tol=0.0):
+        return "topology", "a bidirectional topology with symmetric weights"
+    if not all(isinstance(c, Quadratic) for c in objectives.components):
+        return "objectives", "all-quadratic objectives"
+    return None
+
+
 def stationary_quadratic(objectives: ObjectiveSet, graph: WeightedDigraph,
                          gain) -> StationaryPoint:
     """Solve ``(K (L kron I_m) + blockdiag(Q_i)) x = blockdiag(Q_i) c``.
 
-    Valid for all-quadratic objectives on a bidirectional graph with
-    symmetric weights; these are exactly the stationary states of the
-    gain-weighted penalized objective.  ``gain`` may be zero (decoupled
-    minimizers) as long as the system stays nonsingular.
+    Valid where :func:`stationary_oracle_unmet` finds nothing missing; the
+    solutions are exactly the stationary states of the gain-weighted
+    penalized objective.  ``gain`` may be zero (decoupled minimizers) as long
+    as the system stays nonsingular; a singular system raises
+    ``numpy.linalg.LinAlgError``.
     """
+    unmet = stationary_oracle_unmet(objectives, graph)
+    if unmet is not None:
+        raise ValueError(f"stationary oracle requires {unmet[1]}")
     comps = objectives.components
-    if not all(isinstance(c, Quadratic) for c in comps):
-        raise ValueError("stationary oracle requires all-quadratic objectives")
-    if not graph.has_symmetric_weights(tol=0.0):
-        raise ValueError("stationary oracle requires a bidirectional graph "
-                         "with symmetric weights")
     if graph.n_nodes != objectives.n_nodes:
         raise ValueError("graph and objectives disagree on the node count")
     gain = float(gain)
@@ -191,7 +207,7 @@ def stationary_quadratic(objectives: ObjectiveSet, graph: WeightedDigraph,
         flat = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         rank = np.linalg.matrix_rank(system)
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             f"stationary system is singular (rank {rank} of {n * m}); "
             "no isolated stationary point"
         ) from None
@@ -344,12 +360,7 @@ def audit_assumptions(objectives: ObjectiveSet, topology=None,
     grid_bounded = None
     gain_grid = list(gain_grid)
     if gain_grid:
-        applicable = (
-            isinstance(topology, WeightedDigraph)
-            and topology.has_symmetric_weights(tol=0.0)
-            and all(isinstance(c, Quadratic) for c in comps)
-        )
-        if not applicable:
+        if stationary_oracle_unmet(objectives, topology) is not None:
             notes.append("stationary grid skipped: needs a fixed symmetric "
                          "graph and all-quadratic objectives")
         else:

@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 
+# integrate and write_trace are not called here, but perfbench's tracer
+# replaces them in this module's namespace, so they must stay importable.
 from .dynamics import DivergenceError, integrate
 from .graphs import SwitchingSignal, WeightedDigraph
 from .harness import SUITES, ConfigError, load_config, run, sweep_k, write_trace
@@ -31,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the integrator step")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    common(sub.add_parser("sim", help="integrate the scenario and write its trace"))
+    sim = sub.add_parser("sim", help="integrate the scenario and write its trace")
+    sim.set_defaults(suite="simulate")
+    common(sim)
     common(sub.add_parser("sweep-k", help="simulate and solve the stationary oracle "
                                           "over the configured gain grid"))
     common(sub.add_parser("check-graph", help="report topology connectivity properties"))
@@ -55,12 +59,6 @@ def _print_report(args, report):
     _emit(args, f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
                 f"({len(report.claims)} claims, {report.wall_seconds:.2f}s)")
     return 0 if report.passed else 3
-
-
-def _cmd_sim(args, config):
-    report = run(config, "simulate", out_dir=args.out_dir, seed=args.seed,
-                 step=args.step)
-    return _print_report(args, report)
 
 
 def _cmd_verify(args, config):
@@ -92,9 +90,7 @@ def _cmd_check_graph(args, config):
             info["lambda2"] = topo.lambda2()
     else:
         assert isinstance(topo, SwitchingSignal)
-        window = config.analysis.get(
-            "ujsc_window",
-            topo.period if topo.is_periodic else (topo.horizon - topo.start_time))
+        window = config.ujsc_window
         if topo.is_periodic:
             union = topo.joint_graph(topo.start_time, topo.start_time + topo.period)
         else:
@@ -117,11 +113,10 @@ def _cmd_oracle(args, config):
     grid = config.analysis.get("k_grid")
     if not grid:
         raise ConfigError("the oracle command needs analysis.k_grid", "analysis")
-    if not isinstance(topo := config.topology, WeightedDigraph):
-        raise ConfigError("the oracle command needs a fixed topology", "topology")
+    config.require_oracle("the oracle command")
     rows = []
     for k in grid:
-        sp = stationary_quadratic(config.objectives, topo, k)
+        sp = stationary_quadratic(config.objectives, config.topology, k)
         rows.append({"gain": sp.gain, "disagreement": sp.disagreement,
                      "residual": sp.residual, "grad_norm": sp.grad_norm,
                      "max_abs": float(np.abs(sp.states).max()),
@@ -133,7 +128,7 @@ def _cmd_oracle(args, config):
 
 
 _COMMANDS = {
-    "sim": _cmd_sim,
+    "sim": _cmd_verify,
     "verify": _cmd_verify,
     "sweep-k": _cmd_sweep,
     "check-graph": _cmd_check_graph,

@@ -216,19 +216,30 @@ class Trajectory:
         return self.states[-1]
 
 
-def neighbor_info(graph: WeightedDigraph, x) -> np.ndarray:
-    """Weighted in-neighbor disagreement ``n_i = sum_j a_ij (x_j - x_i)``.
+def _coupling(graph: WeightedDigraph):
+    """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
 
     Differences are formed per arc, so exact consensus states give exactly
     zero (no cancellation error).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != graph.n_nodes:
-        raise ValueError(f"x must be shaped ({graph.n_nodes}, m)")
     src, dst, w = graph.arc_arrays()
     if src.size == 0:
-        return np.zeros_like(x)
-    return graph.aggregation_matrix() @ (w[:, None] * (x[src] - x[dst]))
+        return np.zeros_like
+    agg = graph.aggregation_matrix()
+    wcol = w[:, None]
+    return lambda x: agg @ (wcol * (x[src] - x[dst]))
+
+
+def _as_state(x, n_nodes) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n_nodes:
+        raise ValueError(f"x must be shaped ({n_nodes}, m)")
+    return x
+
+
+def neighbor_info(graph: WeightedDigraph, x) -> np.ndarray:
+    """Weighted in-neighbor disagreement ``n_i = sum_j a_ij (x_j - x_i)``."""
+    return _coupling(graph)(_as_state(x, graph.n_nodes))
 
 
 def rhs(scenario: Scenario, t, x) -> np.ndarray:
@@ -236,29 +247,17 @@ def rhs(scenario: Scenario, t, x) -> np.ndarray:
     t = float(t)
     if not scenario.t0 <= t <= scenario.tf:
         raise ValueError(f"time {t} outside [{scenario.t0}, {scenario.tf}]")
-    x = np.asarray(x, dtype=float)
-    graph = scenario.graph_at(t)
-    u = scenario.law.apply(neighbor_info(graph, x), scenario.objectives.stacked_grad(x))
-    if scenario.disturbance is not None:
-        u = u + np.asarray(scenario.disturbance(t), dtype=float)
-    return u
+    return _segment_field(scenario, scenario.graph_at(t))(t, _as_state(x, scenario.n_nodes))
 
 
 def _segment_field(scenario: Scenario, graph: WeightedDigraph):
-    src, dst, w = graph.arc_arrays()
-    agg = graph.aggregation_matrix()
-    wcol = w[:, None]
+    coupling = _coupling(graph)
     grad = scenario.objectives.stacked_grad
     law = scenario.law
     disturbance = scenario.disturbance
-    has_arcs = src.size > 0
 
     def field(t, y):
-        if has_arcs:
-            n = agg @ (wcol * (y[src] - y[dst]))
-        else:
-            n = np.zeros_like(y)
-        u = law.apply(n, grad(y))
+        u = law.apply(coupling(y), grad(y))
         if disturbance is not None:
             u = u + disturbance(t)
         return u

@@ -122,9 +122,6 @@ class WeightedDigraph:
         a = self.adjacency()
         return np.diag(a.sum(axis=1)) - a
 
-    def in_neighbors(self, i):
-        return [j for (j, k) in self._weights if k == i]
-
     def _reachable(self, root, reverse=False) -> np.ndarray:
         seen = np.zeros(self._n, dtype=bool)
         seen[root] = True

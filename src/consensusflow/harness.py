@@ -26,6 +26,7 @@ from .analysis import (
     node_optimum_residuals,
     optimality_gap,
     sphere_intersection,
+    stationary_oracle_unmet,
     stationary_quadratic,
 )
 from .dynamics import (
@@ -359,6 +360,23 @@ class ScenarioConfig:
     def tolerances(self) -> dict:
         return self.analysis["tolerances"]
 
+    @property
+    def ujsc_window(self) -> float:
+        """Joint-connectivity window of a switching topology.
+
+        ``analysis.ujsc_window`` when given, else the schedule's period, else
+        its whole span from start to horizon.
+        """
+        sig = self.topology
+        return self.analysis.get(
+            "ujsc_window", sig.period if sig.is_periodic else (sig.horizon - sig.start_time))
+
+    def require_oracle(self, what):
+        """Raise ConfigError naming ``what`` unless the stationary oracle applies."""
+        unmet = stationary_oracle_unmet(self.objectives, self.topology)
+        if unmet is not None:
+            raise ConfigError(f"{what} needs {unmet[1]}", unmet[0])
+
     def content_hash(self, seed=None, step=None) -> str:
         blob = json.dumps(self.raw, sort_keys=True)
         blob += f"|seed={self.seed if seed is None else seed}"
@@ -461,15 +479,15 @@ def write_trace(path, trajectory, extras=None) -> list:
         if extras[key].shape != (trajectory.times.shape[0], n):
             raise ValueError(f"extra column '{key}' must be shaped (T, n_nodes)")
     header = ["t", "node"] + [f"comp_{k}" for k in range(m)] + sorted(extras)
+    n_samples = trajectory.times.shape[0]
+    table = np.column_stack(
+        [np.repeat(trajectory.times, n), np.tile(np.arange(n), n_samples),
+         trajectory.states.reshape(n_samples * n, m)]
+        + [extras[k].reshape(-1) for k in sorted(extras)])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row_idx, t in enumerate(trajectory.times):
-            for i in range(n):
-                row = [f"{t:.17g}", str(i)]
-                row += [f"{v:.17g}" for v in trajectory.states[row_idx, i]]
-                row += [f"{extras[k][row_idx, i]:.17g}" for k in sorted(extras)]
-                writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        np.savetxt(fh, table, fmt=["%.17g", "%d"] + ["%.17g"] * (len(header) - 2),
+                   delimiter=",", newline="\r\n")
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps({
         "fingerprint": trajectory.fingerprint,
@@ -485,31 +503,14 @@ def read_trace(path):
     """Inverse of :func:`write_trace`; returns ``(times, states, extras)``."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        comp_cols = [c for c in header if c.startswith("comp_")]
-        m = len(comp_cols)
-        extra_names = header[2 + m:]
-        times, states, extras = [], [], {k: [] for k in extra_names}
-        block, block_extra = [], {k: [] for k in extra_names}
-        for row in reader:
-            node = int(row[1])
-            if node == 0:
-                if block:
-                    states.append(block)
-                    for k in extra_names:
-                        extras[k].append(block_extra[k])
-                times.append(float(row[0]))
-                block, block_extra = [], {k: [] for k in extra_names}
-            block.append([float(v) for v in row[2:2 + m]])
-            for j, k in enumerate(extra_names):
-                block_extra[k].append(float(row[2 + m + j]))
-        if block:
-            states.append(block)
-            for k in extra_names:
-                extras[k].append(block_extra[k])
-    return (np.array(times), np.array(states),
-            {k: np.array(v) for k, v in extras.items()})
+        header = next(csv.reader(fh))
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    m = sum(c.startswith("comp_") for c in header)
+    times = table[table[:, 1] == 0, 0]
+    states = table[:, 2:2 + m].reshape(times.shape[0], -1, m)
+    extras = {k: table[:, 2 + m + j].reshape(times.shape[0], -1)
+              for j, k in enumerate(header[2 + m:])}
+    return times, states, extras
 
 
 def _threshold_claim(cid, ref, value, tol, detail=""):
@@ -606,9 +607,7 @@ def _suite_exact(config, seed, step):
         "with no common minimizer the nodes must not fully agree",
         diam > tols["necessity_floor"], float(diam - tols["necessity_floor"]),
         f"exact agreement on one optimum is impossible here; terminal diameter {diam:.6e}"))
-    oracle_ok = (config.topology.has_symmetric_weights(tol=0.0)
-                 and all(isinstance(c, Quadratic) for c in config.objectives.components))
-    if oracle_ok:
+    if stationary_oracle_unmet(config.objectives, config.topology) is None:
         sp = stationary_quadratic(config.objectives, config.topology, scenario.law.gain)
         mismatch = float(np.abs(traj.terminal_state - sp.states).max())
         claims.append(_threshold_claim(
@@ -623,43 +622,45 @@ def _suite_exact(config, seed, step):
     return claims, [(traj, extras, "")]
 
 
-def _grid_points(config, grid):
-    points = {}
+def _gain_runs(config, grid, seed, step):
+    """Oracle solve, disagreement bound and simulation for each gain of ``grid``.
+
+    Yields ``(gain, point, bound, trajectory)``.  ``point`` and ``bound`` are
+    None where the stationary oracle does not apply.  Gain zero is solved by
+    the oracle only, so its ``bound`` and ``trajectory`` are None.  The bound
+    uses the largest stationary gradient norm over the whole grid.
+    """
+    points, grad_sup, lam2 = {}, None, None
+    if stationary_oracle_unmet(config.objectives, config.topology) is None:
+        lam2 = config.topology.lambda2()
+        points = {k: stationary_quadratic(config.objectives, config.topology, k)
+                  for k in grid}
+        grad_sup = max(p.grad_norm for p in points.values())
     for k in grid:
-        points[k] = stationary_quadratic(config.objectives, config.topology, k)
-    grad_sup = max(p.grad_norm for p in points.values())
-    return points, grad_sup
+        sp = points.get(k)
+        bound = traj = None
+        if k > 0.0:
+            if sp is not None:
+                bound = check_disagreement_bound(sp, grad_sup, lam2,
+                                                 slack=config.tolerances["bound_slack"])
+            traj = integrate(config.build_scenario(seed=seed, step=step, gain=k))
+        yield k, sp, bound, traj
 
 
 def _suite_eps(config, seed, step):
-    if not isinstance(config.topology, WeightedDigraph):
-        raise ConfigError("the eps-optimal suite needs a fixed topology", "topology")
-    if not config.topology.has_symmetric_weights(tol=0.0):
-        raise ConfigError("the eps-optimal suite needs a bidirectional topology with "
-                          "symmetric weights", "topology")
-    if not all(isinstance(c, Quadratic) for c in config.objectives.components):
-        raise ConfigError("the eps-optimal suite needs all-quadratic objectives",
-                          "objectives")
+    config.require_oracle("the eps-optimal suite")
     grid = config.analysis.get("k_grid")
     if not grid:
         raise ConfigError("the eps-optimal suite needs analysis.k_grid", "analysis")
-    tols = config.tolerances
-    lam2 = config.topology.lambda2()
-    points, grad_sup = _grid_points(config, grid)
-
     claims, runs = [], []
-    for k in grid:
-        if k <= 0.0:
+    for k, sp, bc, traj in _gain_runs(config, grid, seed, step):
+        if traj is None:
             continue
-        scenario = config.build_scenario(seed=seed, step=step, gain=k)
-        traj = integrate(scenario)
-        sp = points[k]
         mismatch = float(np.abs(traj.terminal_state - sp.states).max())
         claims.append(_threshold_claim(
             f"terminal-matches-stationary[k={k:g}]",
             "the run settles on the stationary point of the penalized objective",
-            mismatch, tols["terminal_match"]))
-        bc = check_disagreement_bound(sp, grad_sup, lam2, slack=tols["bound_slack"])
+            mismatch, config.tolerances["terminal_match"]))
         claims.append(ClaimResult(
             f"disagreement-bound[k={k:g}]",
             "stationary disagreement is at most grad_sup / (gain * lambda2)",
@@ -674,8 +675,7 @@ def _suite_switching(config, seed, step):
         raise ConfigError("the switching suite needs a switching topology", "topology")
     tols = config.tolerances
     sig = config.topology
-    window = config.analysis.get(
-        "ujsc_window", sig.period if sig.is_periodic else (sig.horizon - sig.start_time))
+    window = config.ujsc_window
     claims = [ClaimResult(
         "jointly-connected",
         f"arc unions over every window of length {window:g} are strongly connected",
@@ -798,10 +798,6 @@ def sweep_k(config: ScenarioConfig, k_grid=None, out_dir=None, seed=None,
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("sweep needs a fixed topology", "topology")
 
-    oracle_ok = (config.topology.has_symmetric_weights(tol=0.0)
-                 and all(isinstance(c, Quadratic) for c in config.objectives.components))
-    lam2 = config.topology.lambda2() if oracle_ok else None
-    points, grad_sup = _grid_points(config, grid) if oracle_ok else ({}, None)
     team = None
     try:
         team = global_min(config.objectives)
@@ -809,20 +805,16 @@ def sweep_k(config: ScenarioConfig, k_grid=None, out_dir=None, seed=None,
         pass
 
     rows = []
-    for k in grid:
+    for k, sp, bc, traj in _gain_runs(config, grid, seed, step):
         row = {"gain": float(k), "diameter": float("nan"), "gap_max": float("nan"),
                "oracle_disagreement": float("nan"), "oracle_residual": float("nan"),
                "bound_margin": float("nan"), "terminal_mismatch": float("nan")}
-        sp = points.get(k)
         if sp is not None:
             row["oracle_disagreement"] = sp.disagreement
             row["oracle_residual"] = sp.residual
-            if k > 0.0:
-                bc = check_disagreement_bound(sp, grad_sup, lam2,
-                                              slack=config.tolerances["bound_slack"])
-                row["bound_margin"] = bc.margin
-        if k > 0.0:
-            traj = integrate(config.build_scenario(seed=seed, step=step, gain=k))
+        if bc is not None:
+            row["bound_margin"] = bc.margin
+        if traj is not None:
             row["diameter"] = float(consensus_diameter(traj.terminal_state))
             if team is not None:
                 row["gap_max"] = float(

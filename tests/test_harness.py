@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from consensusflow import (
     DEFAULT_TOLERANCES,
     ScenarioConfig,
     Scenario,
+    Trajectory,
     integrate,
     load_config,
     lyapunov_trace,
@@ -277,6 +279,23 @@ def test_trace_round_trip_is_bitwise(tmp_path):
     assert sidecar["stats"]["steps"] == 100
 
 
+def test_trace_golden_bytes(tmp_path):
+    traj = Trajectory(np.array([0.0, 0.1]),
+                      np.array([[[1.0 / 3.0], [-0.0]], [[5e-324], [-2.5]]]))
+    extra = np.array([[1e300, 0.5], [-1.0, 7.0]])
+    paths = write_trace(tmp_path / "run.csv", traj, extras={"v": extra})
+    assert (tmp_path / "run.csv").read_bytes() == (
+        b"t,node,comp_0,v\r\n"
+        b"0,0,0.33333333333333331,1.0000000000000001e+300\r\n"
+        b"0,1,-0,0.5\r\n"
+        b"0.10000000000000001,0,4.9406564584124654e-324,-1\r\n"
+        b"0.10000000000000001,1,-2.5,7\r\n")
+    times, states, extras = read_trace(paths[0])
+    assert times.tobytes() == traj.times.tobytes()
+    assert states.tobytes() == traj.states.tobytes()
+    assert extras["v"].tobytes() == extra.tobytes()
+
+
 def test_trace_extras_shape_check(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     traj = integrate(cfg.build_scenario())
@@ -417,6 +436,31 @@ def test_unknown_suite_rejected():
 
 # --- artifacts and reproducibility -------------------------------------------
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config_file, suite, expected", [
+    ("balls.json", "exact",
+     "d9a1a9e74805e4d8dbce4e9b4f4fa3d40d3ebf966833ac3d308b2540523eecd8"),
+    ("balls.json", "simulate",
+     "93b4b9144c725d7ce590852f32afcdbb4ed73a209435e420c89614d1f256efe6"),
+    ("switching.json", "switching",
+     "4342b6c0e4470b45de4edf6b2a5a8c22c1b8e12c966cb7be3251e9aba3b060e7"),
+    ("pair.json", "eps-optimal",
+     "4a026ee88b0ea8162fbd285fb2184dc1b836d738a5b16c4f3fb5cfb21aad4126"),
+])
+def test_committed_config_report_hashes(config_file, suite, expected):
+    """The committed configs keep the report hashes in perfbench/report_hashes.json.
+
+    A refactor must leave these hashes unchanged.  ROADMAP allows a changed
+    hash only where summation order has to change, the trajectories still
+    agree to within a few ulp, and CHANGES.md records why; update the
+    constants here in that same change.
+    """
+    report = run(load_config(CONFIGS / config_file), suite)
+    assert report.report_hash == expected
+
+
 def test_run_writes_artifacts(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     report = run(cfg, "simulate", out_dir=tmp_path)
@@ -489,12 +533,24 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["sim", "--config", str(broken), "--quiet"]) == 1
     missing_grid = _write(tmp_path, quad_config(), "nogrids.json")
     assert main(["verify", "eps-optimal", "--config", missing_grid, "--quiet"]) == 1
+    balls = _write(tmp_path, ball_config(analysis={"k_grid": [1.0]}), "balls.json")
+    assert main(["oracle", "--config", balls, "--quiet"]) == 1
+    lopsided = quad_config(analysis={"k_grid": [1.0]})
+    lopsided["topology"]["weights"] = [1.0, 2.0]
+    lopsided = _write(tmp_path, lopsided, "lopsided.json")
+    assert main(["oracle", "--config", lopsided, "--quiet"]) == 1
 
 
 def test_cli_exit_code_numerical_failure(tmp_path):
     cfg = quad_config(tf=5.0, law={"kind": "jk", "K": 1000.0})
     path = _write(tmp_path, cfg)
     assert main(["sim", "--config", path, "--quiet"]) == 2
+    singular = quad_config(tf=1.0, analysis={"k_grid": [0.0, 1.0]})
+    for obj in singular["objectives"]:
+        obj["matrix"] = [[0.0]]
+    singular = _write(tmp_path, singular, "singular.json")
+    for command in (["oracle"], ["sweep-k"], ["verify", "eps-optimal"]):
+        assert main(command + ["--config", singular, "--quiet"]) == 2
 
 
 def test_cli_exit_code_claim_failure(tmp_path):
