@@ -86,17 +86,34 @@ def dini_nonincreasing(series: MetricSeries, slack) -> DiniCheck:
     return DiniCheck(True, None, worst)
 
 
+_DIAMETER_CHUNK = 1 << 20  # (n, n) float entries per chunk: 8 MB temporaries
+
+
 def consensus_diameter(x) -> np.ndarray | float:
     """Largest pairwise distance between node states.
 
-    Accepts one stacked state ``(n, m)`` or a batch ``(..., n, m)``.
+    Accepts one stacked state ``(n, m)`` or a batch ``(..., n, m)``.  The
+    batch is walked in chunks of about 8 MB of pairwise entries, summing
+    squared component differences in component order and taking the root of
+    each sample's maximum, so temporaries stay bounded and the result is
+    bit-identical to the maximum of the pairwise norms for ``m < 8``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise ValueError("need at least (n_nodes, m)")
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    out = d.max(axis=(-1, -2))
+    n, m = x.shape[-2:]
+    flat = x.reshape(-1, n, m)
+    sq_max = np.empty(flat.shape[0])
+    step = max(1, _DIAMETER_CHUNK // max(1, n * n))
+    for lo in range(0, flat.shape[0], step):
+        c = flat[lo:lo + step]
+        sq = np.zeros((c.shape[0], n, n))
+        for k in range(m):
+            d = c[:, :, None, k] - c[:, None, :, k]
+            d *= d
+            sq += d
+        sq_max[lo:lo + step] = sq.max(axis=(1, 2))
+    out = np.sqrt(sq_max).reshape(x.shape[:-2])
     return float(out) if out.ndim == 0 else out
 
 

@@ -216,18 +216,27 @@ class Trajectory:
         return self.states[-1]
 
 
-def _coupling(graph: WeightedDigraph):
+def _coupling(graph: WeightedDigraph, m: int):
     """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
 
     Differences are formed per arc, so exact consensus states give exactly
-    zero (no cancellation error).
+    zero (no cancellation error).  They are scatter-added into their
+    entering node by one ``bincount`` over the flattened ``(E, m)`` array,
+    which sums each node's in-arcs in arc order: O(N + E) memory, and
+    deterministic.
     """
     src, dst, w = graph.arc_arrays()
     if src.size == 0:
         return np.zeros_like
-    agg = graph.aggregation_matrix()
+    n = graph.n_nodes
+    slot = (dst[:, None] * m + np.arange(m)).ravel()
     wcol = w[:, None]
-    return lambda x: agg @ (wcol * (x[src] - x[dst]))
+
+    def coupling(x):
+        per_arc = wcol * (x[src] - x[dst])
+        return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
+
+    return coupling
 
 
 def _as_state(x, n_nodes) -> np.ndarray:
@@ -239,7 +248,8 @@ def _as_state(x, n_nodes) -> np.ndarray:
 
 def neighbor_info(graph: WeightedDigraph, x) -> np.ndarray:
     """Weighted in-neighbor disagreement ``n_i = sum_j a_ij (x_j - x_i)``."""
-    return _coupling(graph)(_as_state(x, graph.n_nodes))
+    x = _as_state(x, graph.n_nodes)
+    return _coupling(graph, x.shape[1])(x)
 
 
 def rhs(scenario: Scenario, t, x) -> np.ndarray:
@@ -251,7 +261,7 @@ def rhs(scenario: Scenario, t, x) -> np.ndarray:
 
 
 def _segment_field(scenario: Scenario, graph: WeightedDigraph):
-    coupling = _coupling(graph)
+    coupling = _coupling(graph, scenario.m)
     grad = scenario.objectives.stacked_grad
     law = scenario.law
     disturbance = scenario.disturbance

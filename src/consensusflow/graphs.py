@@ -62,9 +62,6 @@ class WeightedDigraph:
         self._src = np.array([a[0] for a in arcs], dtype=np.intp)
         self._dst = np.array([a[1] for a in arcs], dtype=np.intp)
         self._w = np.array([cleaned[a] for a in arcs], dtype=float)
-        # in-aggregation matrix: row i sums weighted differences over arcs entering i
-        self._agg = np.zeros((n_nodes, len(arcs)))
-        self._agg[self._dst, np.arange(len(arcs))] = 1.0
 
     @classmethod
     def from_arcs(cls, n_nodes, arcs, weight=1.0, weight_bounds=None):
@@ -108,8 +105,14 @@ class WeightedDigraph:
         return self._src, self._dst, self._w
 
     def aggregation_matrix(self) -> np.ndarray:
-        """0/1 matrix mapping per-arc values to their entering node."""
-        return self._agg
+        """0/1 matrix mapping per-arc values to their entering node.
+
+        The dense O(N·E) reference for the coupling scatter-add; it is built
+        on every call and the integrator never uses it.
+        """
+        agg = np.zeros((self._n, self._src.size))
+        agg[self._dst, np.arange(self._src.size)] = 1.0
+        return agg
 
     def adjacency(self) -> np.ndarray:
         """A[i, j] holds the weight of arc (j, i), zero when absent."""

@@ -87,6 +87,18 @@ def test_consensus_diameter_anchors():
     with pytest.raises(ValueError):
         consensus_diameter(np.zeros(3))
 
+    # chunked over samples, bit-identical to the maximum of the pairwise norms
+    rng = np.random.default_rng(33)
+    for shape in [(40, 300, 1), (40, 300, 2), (40, 300, 3), (3, 4, 6, 2)]:
+        states = rng.normal(scale=3.0, size=shape)
+        if len(shape) == 4:
+            states[1, 2, 5, 0] = np.nan
+        diff = states[..., :, None, :] - states[..., None, :, :]
+        reference = np.linalg.norm(diff, axis=-1).max(axis=(-1, -2))
+        assert consensus_diameter(states).tobytes() == reference.tobytes()
+    # the NaN stays in its own sample
+    assert np.isnan(reference[1, 2]) and np.isnan(reference).sum() == 1
+
 
 def test_trajectory_metric_anchors():
     obj = two_node_quadratics()

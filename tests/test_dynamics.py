@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from consensusflow import (
 from conftest import (
     alternating_signal,
     ball_objectives,
+    cycle_with_chords,
     two_node_graph,
     two_node_quadratics,
 )
@@ -81,6 +84,9 @@ def test_neighbor_info_orientation():
 
 def test_neighbor_info_matches_laplacian():
     rng = np.random.default_rng(30)
+    graphs = [cycle_with_chords(), WeightedDigraph.bidirectional_path(7),
+              WeightedDigraph.complete(50), WeightedDigraph(4)]
+    graphs += [alternating_signal().graph_at(t) for t in (0.0, 0.5)]
     for _ in range(100):
         n_nodes = int(rng.integers(2, 7))
         weights = {}
@@ -88,9 +94,35 @@ def test_neighbor_info_matches_laplacian():
             for i in range(n_nodes):
                 if i != j and rng.random() < 0.4:
                     weights[(j, i)] = float(rng.uniform(0.1, 3.0))
-        g = WeightedDigraph(n_nodes, weights)
-        x = rng.normal(size=(n_nodes, int(rng.integers(1, 4))))
-        assert np.abs(neighbor_info(g, x) + g.laplacian() @ x).max() <= 1e-12
+        graphs.append(WeightedDigraph(n_nodes, weights))
+    for g in graphs:
+        x = rng.normal(size=(g.n_nodes, int(rng.integers(1, 4))))
+        n = neighbor_info(g, x)
+        assert np.abs(n + g.laplacian() @ x).max() <= 1e-12
+        # arcs are summed per entering node in arc order: the dense product's
+        # sum bit for bit up to two in-arcs, a few ulp beyond
+        src, dst, w = g.arc_arrays()
+        in_degree = np.bincount(dst, minlength=g.n_nodes)
+        reference = g.aggregation_matrix() @ (w[:, None] * (x[src] - x[dst]))
+        if in_degree.max(initial=0) <= 2:
+            assert n.tobytes() == reference.tobytes()
+        else:
+            bound = 1e-14 * np.abs(x).max() * in_degree.max()
+            assert np.abs(n - reference).max() <= bound
+        assert not n[in_degree == 0].any()
+    # {2 -> 0} of the switching config: nodes 1 and 2 have no in-arcs
+    n = neighbor_info(alternating_signal().graph_at(0.5), np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(n, [[4.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+def test_neighbor_info_scales_with_arcs():
+    # a dense N x E aggregation matrix here would take 3.2 GB
+    g = WeightedDigraph.directed_cycle(20_000)
+    x = np.random.default_rng(32).normal(size=(20_000, 2))
+    start = time.perf_counter()
+    n = neighbor_info(g, x)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(n, np.roll(x, 1, axis=0) - x)
 
 
 def test_neighbor_info_exactly_zero_on_consensus():
