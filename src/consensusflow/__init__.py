@@ -17,7 +17,6 @@ from .analysis import (
     check_disagreement_bound,
     consensus_diameter,
     detect_convergence,
-    diameter_series,
     dini_nonincreasing,
     gradient_norm_series,
     lyapunov_trace,
@@ -80,7 +79,7 @@ __all__ = [
     "StationaryPoint", "Sum", "SwitchingSignal", "Trajectory",
     "UnsupportedRepresentationError", "WeightedDigraph", "audit_assumptions",
     "check_disagreement_bound", "consensus_diameter", "detect_convergence",
-    "diameter_series", "dini_nonincreasing", "global_min",
+    "dini_nonincreasing", "global_min",
     "gradient_norm_series", "integrate", "interior_simplex",
     "intersection_nonempty", "load_config", "lyapunov_trace", "neighbor_info",
     "node_optimum_residuals", "optimality_gap", "read_trace", "rhs", "run",

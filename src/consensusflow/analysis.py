@@ -117,17 +117,13 @@ def consensus_diameter(x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def diameter_series(trajectory) -> MetricSeries:
-    return MetricSeries(trajectory.times, consensus_diameter(trajectory.states), "diameter")
-
-
 def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> MetricSeries:
     """Per-node gap ``F(x_i(t)) - f_star`` for the team objective F.
 
     Not clamped: honest values may dip a hair below zero only from floating
     error in ``f_star``.
     """
-    gaps = objectives.total_value(trajectory.states) - float(f_star)
+    gaps = objectives.team.value(trajectory.states) - float(f_star)
     return MetricSeries(trajectory.times, gaps, "optimality-gap")
 
 

@@ -290,9 +290,9 @@ def integrate(scenario: Scenario) -> Trajectory:
         switches = []
     bounds = [t0] + switches + [tf]
 
-    x = scenario.x0.copy()
+    x = scenario.x0  # rebound, never mutated: each state is stored once
     times = [t0]
-    states = [x.copy()]
+    states = [x]
     steps = 0
 
     for a, b in zip(bounds, bounds[1:]):
@@ -308,10 +308,10 @@ def integrate(scenario: Scenario) -> Trajectory:
             k3 = fieldfn(t_k + half, x + half * k2)
             k4 = fieldfn(t_next, x + hk * k3)
             x = x + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all() or np.abs(x).max() > DIVERGENCE_LIMIT:
+            if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # also catches NaN and inf
                 raise DivergenceError(t_next)
             times.append(t_next)
-            states.append(x.copy())
+            states.append(x)
         steps += n_sub
 
     stats = {

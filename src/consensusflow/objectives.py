@@ -303,19 +303,16 @@ class ObjectiveSet:
     Stacked evaluators take states shaped ``(..., n_nodes, m)``.  Homogeneous
     collections (all quadratics, or all squared distances to balls) are
     evaluated in one vectorized pass; anything else falls back to a per-node
-    loop.
+    loop.  ``team`` is the team objective ``F(z) = sum_i f_i(z)`` at a common
+    point ``z``, a :class:`Sum` that adds the components in node order.
     """
 
     def __init__(self, components):
         comps = tuple(components)
-        if not comps:
-            raise ValueError("at least one component is required")
         for c in comps:
             if not isinstance(c, ConvexComponent):
                 raise TypeError("components must be ConvexComponent instances")
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise ValueError("all components must share one dimension")
+        self.team = Sum(comps)  # rejects an empty list and mixed dimensions
         self.components = comps
         self.m = comps[0].dim
         self.n_nodes = len(comps)
@@ -356,35 +353,6 @@ class ObjectiveSet:
         out = np.empty_like(x)
         for i, c in enumerate(self.components):
             out[..., i, :] = c.grad(x[..., i, :])
-        return out
-
-    def stacked_value(self, x):
-        """Sum of per-node values ``sum_i f_i(x[..., i, :])``."""
-        x = self._check_stack(x)
-        if self._mode == "quadratic":
-            e = x - self._centers
-            return 0.5 * np.einsum("...ni,nij,...nj->...", e, self._mats, e)
-        if self._mode == "ball":
-            r = np.linalg.norm(x - self._centers, axis=-1)
-            return 0.5 * (np.maximum(r - self._radii, 0.0) ** 2).sum(axis=-1)
-        total = 0.0
-        for i, c in enumerate(self.components):
-            total = total + c.value(x[..., i, :])
-        return total
-
-    def total_value(self, z):
-        """Team objective F(z) = sum_i f_i(z) at a common point."""
-        z = _check_dim(z, self.m)
-        total = 0.0
-        for c in self.components:
-            total = total + c.value(z)
-        return total
-
-    def total_grad(self, z):
-        z = _check_dim(z, self.m)
-        out = self.components[0].grad(z)
-        for c in self.components[1:]:
-            out = out + c.grad(z)
         return out
 
     def argmin_sets(self):
@@ -527,31 +495,30 @@ def global_min(objectives: ObjectiveSet, grad_tol=1e-10, max_iter=200000) -> Glo
     nonempty intersection attain zero there.  Any other mix falls back to a
     fixed-step gradient descent driven to the requested gradient norm.
     """
-    comps = objectives.components
+    comps, team = objectives.components, objectives.team
     if all(isinstance(c, Quadratic) for c in comps):
         q_total = np.sum([c.matrix for c in comps], axis=0)
         eigs = np.linalg.eigvalsh(q_total)
         if eigs[0] > 1e-10:
             rhs = np.sum([c.matrix @ c.center for c in comps], axis=0)
             z = np.linalg.solve(q_total, rhs)
-            return GlobalMinimum(float(objectives.total_value(z)), z, "closed-form", 0.0)
+            return GlobalMinimum(float(team.value(z)), z, "closed-form", 0.0)
     if all(isinstance(c, SquaredDistance) for c in comps):
         res = intersection_nonempty([c.target for c in comps])
         if res.nonempty:
             return GlobalMinimum(0.0, res.witness, "intersection", 0.0)
 
-    lip = sum(c.gradient_lipschitz() for c in comps)
-    step = 1.0 / max(lip, 1e-12)
+    step = 1.0 / max(team.gradient_lipschitz(), 1e-12)
     z = np.mean([_representative(c.argmin_set()) if _has_argmin(c) else np.zeros(objectives.m)
                  for c in comps], axis=0)
     for _ in range(max_iter):
-        g = objectives.total_grad(z)
+        g = team.grad(z)
         norm = float(np.linalg.norm(g))
         if norm <= grad_tol:
             break
         z = z - step * g
-    norm = float(np.linalg.norm(objectives.total_grad(z)))
-    return GlobalMinimum(float(objectives.total_value(z)), z, "numerical", norm)
+    norm = float(np.linalg.norm(team.grad(z)))
+    return GlobalMinimum(float(team.value(z)), z, "numerical", norm)
 
 
 def _has_argmin(c: ConvexComponent) -> bool:

@@ -18,7 +18,6 @@ from consensusflow import (
     check_disagreement_bound,
     consensus_diameter,
     detect_convergence,
-    diameter_series,
     dini_nonincreasing,
     gradient_norm_series,
     integrate,
@@ -109,7 +108,7 @@ def test_trajectory_metric_anchors():
     assert np.array_equal(res.values, [[1.0, 1.0], [1.0, 1.0]])
     gn = gradient_norm_series(traj, obj)
     assert np.array_equal(gn.values, [[1.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(diameter_series(traj).values, [1.0, 1.0])
+    assert np.array_equal(consensus_diameter(traj.states), [1.0, 1.0])
 
 
 def test_optimality_gap_at_large_gain_stationary_point():

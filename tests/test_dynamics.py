@@ -186,7 +186,8 @@ def test_rhs_is_negative_gradient_of_penalized_objective():
         def potential(flat):
             y = flat.reshape(n_nodes, m)
             pair = np.sum(w[once] * np.sum((y[dst[once]] - y[src[once]]) ** 2, axis=-1))
-            return 0.5 * gain * pair + float(obj.stacked_value(y))
+            return 0.5 * gain * pair + sum(float(c.value(y[i]))
+                                           for i, c in enumerate(obj.components))
 
         x = rng.uniform(-1.5, 1.5, (n_nodes, m))
         vel = rhs(scen, 0.5, x).reshape(-1)
@@ -273,6 +274,15 @@ def test_divergence_guard():
         integrate(scen)
     assert err.value.time > 0.0
     assert "diverged" in str(err.value)
+
+    class NanLaw:
+        def apply(self, n, g):
+            return np.full_like(g, np.nan)
+
+    scen = Scenario(two_node_quadratics(), two_node_graph(), [0.0, 3.0], tf=1.0, law=NanLaw())
+    with pytest.raises(DivergenceError) as err:
+        integrate(scen)
+    assert err.value.time == scen.step
 
 
 def test_scenario_validation():

@@ -139,6 +139,12 @@ def test_weight_and_weights_are_exclusive():
     bad["topology"]["weight"] = 1.0
     with pytest.raises(ConfigError, match="not both"):
         ScenarioConfig.from_dict(bad)
+    # a repeated [from, to] pair must not silently keep only its last weight
+    bad = quad_config()
+    bad["topology"]["arcs"] = [[0, 1], [1, 0], [0, 1]]
+    bad["topology"]["weights"] = [1.0, 1.0, 5.0]
+    with pytest.raises(ConfigError, match=r"topology\.arcs\[2\]: duplicate arc \[0, 1\]"):
+        ScenarioConfig.from_dict(bad)
 
 
 def test_switching_dwell_error_surfaces():
@@ -354,6 +360,25 @@ def test_exact_suite_flags_undecidable_intersections():
     assert not undecided.passed
 
 
+def test_exact_suite_decides_intersection_once(monkeypatch):
+    import consensusflow.harness as harness_mod
+    import consensusflow.objectives as objectives_mod
+
+    calls = []
+    original = objectives_mod.intersection_nonempty
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "intersection_nonempty", counted)
+    monkeypatch.setattr(objectives_mod, "intersection_nonempty", counted)
+    report = run(load_config(CONFIGS / "balls.json"), "exact")
+    assert len(calls) == 1
+    gap = {c.id: c for c in report.claims}["optimality-gap"]
+    assert gap.detail.startswith("team minimum 0.000000e+00 (intersection); ")
+
+
 def test_exact_suite_needs_fixed_topology():
     with pytest.raises(ConfigError, match="fixed topology"):
         run(ScenarioConfig.from_dict(switching_config()), "exact")
@@ -539,6 +564,14 @@ def test_cli_exit_code_config_error(tmp_path):
     lopsided["topology"]["weights"] = [1.0, 2.0]
     lopsided = _write(tmp_path, lopsided, "lopsided.json")
     assert main(["oracle", "--config", lopsided, "--quiet"]) == 1
+    apart = quad_config(analysis={"k_grid": [1.0]})
+    apart["topology"]["arcs"] = []
+    alone = quad_config(nodes=1, objectives=apart["objectives"][:1], x0=[[0.0]],
+                        analysis={"k_grid": [1.0]}, topology={"kind": "fixed", "arcs": []})
+    for name, cfg in (("apart.json", apart), ("alone.json", alone)):
+        path = _write(tmp_path, cfg, name)
+        for command in (["verify", "eps-optimal"], ["sweep-k"]):
+            assert main(command + ["--config", path, "--quiet"]) == 1
 
 
 def test_cli_exit_code_numerical_failure(tmp_path):

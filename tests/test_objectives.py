@@ -196,7 +196,6 @@ def test_quadratic_fast_path_matches_loop():
     slow = _generic_clone(fast)
     x = rng.uniform(-2.0, 2.0, (7, 4, 3))
     assert np.allclose(fast.stacked_grad(x), slow.stacked_grad(x), atol=1e-12)
-    assert np.allclose(fast.stacked_value(x), slow.stacked_value(x), atol=1e-12)
 
 
 def test_ball_fast_path_matches_loop():
@@ -209,14 +208,15 @@ def test_ball_fast_path_matches_loop():
     slow = _generic_clone(fast)
     x = rng.uniform(-3.0, 3.0, (6, 5, 2))
     assert np.allclose(fast.stacked_grad(x), slow.stacked_grad(x), atol=1e-12)
-    assert np.allclose(fast.stacked_value(x), slow.stacked_value(x), atol=1e-12)
 
 
 def test_total_value_and_grad():
     obj = ObjectiveSet([Quadratic([[1.0]], [0.0]), Quadratic([[1.0]], [3.0])])
-    assert obj.total_value([1.5]) == 2.25
-    assert np.array_equal(obj.total_grad([1.5]), [0.0])
-    assert obj.stacked_value([[1.5], [1.5]]) == 2.25
+    assert obj.team.parts == obj.components
+    assert obj.team.value([1.5]) == 2.25
+    assert np.array_equal(obj.team.grad([1.5]), [0.0])
+    assert obj.team.gradient_lipschitz() == 2.0
+    assert np.array_equal(obj.team.value([[1.5], [0.0]]), [2.25, 4.5])
 
 
 def test_stacked_shape_errors():
