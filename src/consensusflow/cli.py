@@ -91,10 +91,8 @@ def _cmd_check_graph(args, config):
     else:
         assert isinstance(topo, SwitchingSignal)
         window = config.ujsc_window
-        if topo.is_periodic:
-            union = topo.joint_graph(topo.start_time, topo.start_time + topo.period)
-        else:
-            union = topo.joint_graph(topo.start_time, topo.horizon)
+        union = topo.joint_graph(topo.start_time, topo.start_time + topo.period
+                                 if topo.is_periodic else topo.horizon)
         info = {
             "kind": "switching",
             "n_nodes": topo.n_nodes,

@@ -285,18 +285,17 @@ def integrate(scenario: Scenario) -> Trajectory:
     """
     t0, tf, h = scenario.t0, scenario.tf, scenario.step
     if isinstance(scenario.topology, SwitchingSignal):
-        switches = scenario.topology.switch_times(t0, tf)
+        segments = scenario.topology.segments(t0, tf)
     else:
-        switches = []
-    bounds = [t0] + switches + [tf]
+        segments = [(t0, tf, scenario.topology)]
 
     x = scenario.x0  # rebound, never mutated: each state is stored once
     times = [t0]
     states = [x]
     steps = 0
 
-    for a, b in zip(bounds, bounds[1:]):
-        fieldfn = _segment_field(scenario, scenario.graph_at(a))
+    for a, b, graph in segments:
+        fieldfn = _segment_field(scenario, graph)
         n_sub = max(1, int(math.ceil((b - a) / h - 1e-9)))
         for k in range(n_sub):
             t_k = a + k * h
@@ -317,6 +316,6 @@ def integrate(scenario: Scenario) -> Trajectory:
     stats = {
         "steps": steps,
         "rhs_evaluations": 4 * steps,
-        "segments": len(bounds) - 1,
+        "segments": len(segments),
     }
     return Trajectory(np.array(times), np.stack(states), scenario.fingerprint, stats)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -281,35 +283,46 @@ class SwitchingSignal:
         if self._horizon is not None and t >= self._horizon:
             raise ValueError(f"time {t} is outside the schedule horizon {self._horizon}")
 
+    def _walk(self, t):
+        """Yield ``(instant, graph it activates)`` in time order, from one at or before ``t``.
+
+        A finite schedule's instants are its starts.  A periodic schedule's
+        are ``start + k * period + offset``, with offsets ``s_j - start`` and,
+        for the wrap back to the first graph, ``period``; periods wholly
+        before the one preceding ``t`` are skipped.
+        """
+        if self._period is None:
+            yield from self._items[bisect.bisect_right(self._starts, t) - 1:]
+            return
+        base, p = self._starts[0], self._period
+        first = self._items[0][1]
+        offsets = [(s - base, g) for s, g in self._items[1:]] + [(p, first)]
+        yield base, first
+        for k in itertools.count(max(0, math.floor((t - base) / p) - 1)):
+            yield from ((base + k * p + off, g) for off, g in offsets)
+
+    def segments(self, t1, t2) -> list:
+        """``(a, b, graph)`` for each constant stretch of ``[t1, t2)``, in order; the
+        graph in force at ``t1`` is the one set by the last instant at or before it."""
+        t1, t2 = float(t1), float(t2)
+        self._check_inside(t1)
+        if self._horizon is not None and t2 > self._horizon:
+            raise ValueError(f"window end {t2} is outside the schedule horizon {self._horizon}")
+        if t2 <= t1:
+            return []
+        out = []
+        for s, g in self._walk(t1):
+            if s >= t2:
+                break
+            if s > t1:
+                out.append((a, s, active))
+            a, active = max(s, t1), g
+        return out + [(a, t2, active)]
+
     def graph_at(self, t) -> WeightedDigraph:
         """Graph active at time ``t`` (intervals are closed-open)."""
         t = float(t)
-        self._check_inside(t)
-        if self._period is not None:
-            t = self._starts[0] + (t - self._starts[0]) % self._period
-        k = bisect.bisect_right(self._starts, t) - 1
-        return self._items[k][1]
-
-    def switch_times(self, t1, t2):
-        """Sorted switch instants strictly inside ``(t1, t2)``."""
-        t1, t2 = float(t1), float(t2)
-        if t2 <= t1:
-            return []
-        base = self._starts[0]
-        out = []
-        if self._period is None:
-            out = [s for s in self._starts[1:] if t1 < s < t2]
-        else:
-            p = self._period
-            offsets = [s - base for s in self._starts] + [p]  # period wrap is a switch
-            k0 = int(np.floor((t1 - base) / p)) - 1
-            k1 = int(np.ceil((t2 - base) / p)) + 1
-            for k in range(k0, k1 + 1):
-                for off in offsets[1:]:
-                    s = base + k * p + off
-                    if t1 < s < t2:
-                        out.append(s)
-        return sorted(set(out))
+        return self.segments(t, math.nextafter(t, math.inf))[0][2]
 
     def joint_graph(self, t1, t2) -> WeightedDigraph:
         """Union of arcs active anywhere on ``[t1, t2)``.
@@ -320,55 +333,33 @@ class SwitchingSignal:
         t1, t2 = float(t1), float(t2)
         if t2 <= t1:
             raise ValueError("joint graph needs t1 < t2")
-        self._check_inside(t1)
-        if self._horizon is not None:
-            if t2 > self._horizon:
-                raise ValueError(f"window end {t2} is outside the schedule horizon")
-        elif t2 - t1 >= self._period:
-            # one full period already covers every interval; keep latest weights
-            t1 = t2 - self._period
+        self._check_inside(t1)  # before the clamp, which would hide an early t1
+        if self._period is not None:
+            t1 = max(t1, t2 - self._period)  # one period already covers every interval
         merged = {}
-        t = t1
-        cuts = self.switch_times(t1, t2) + [t2]
-        for nxt in cuts:
-            merged.update(self.graph_at(t).weights)
-            t = nxt
+        for _, _, g in self.segments(t1, t2):
+            merged.update(g.weights)
         return WeightedDigraph(self.n_nodes, merged)
 
     def check_ujsc(self, window) -> bool:
         """Uniform joint strong connectivity over windows of the given length.
 
-        Window placements are sampled at the switch-induced breakpoints of
-        ``t -> joint_graph(t, t + window)`` plus one interior point per cell;
-        connectivity of the union can only change at those breakpoints.  For
-        finite-horizon schedules only windows inside the horizon are checked,
-        falling back to the whole-span union when the horizon is shorter than
-        the window.
+        Only windows starting at interval starts are tested: a window starting
+        inside an interval holds every arc of the window starting at that
+        interval's start, and strong connectivity only gains from more arcs.
+        A periodic schedule takes one period's starts.  A finite-horizon one
+        takes the starts whose window fits inside the horizon, falling back
+        to the whole-span union when none does.
         """
         window = float(window)
         if window <= 0.0:
             raise ValueError("window must be positive")
         base = self._starts[0]
-        if self._period is not None:
-            p = self._period
-            lo, hi = base, base + p
-            pts = {base + (s - base) % p for s in self._starts}
-            pts |= {base + (s - window - base) % p for s in self._starts}
-            pts = sorted(pts)
-            cells = list(zip(pts, pts[1:] + [pts[0] + p]))
-            samples = pts + [0.5 * (a + b) for a, b in cells]
-        else:
-            hi = self._horizon - window
-            if hi <= base:
-                return self.joint_graph(base, self._horizon).is_strongly_connected()
-            pts = {base, hi}
-            pts |= {s for s in self._starts if base < s < hi}
-            pts |= {s - window for s in self._starts if base < s - window < hi}
-            pts = sorted(pts)
-            samples = pts + [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-        return all(
-            self.joint_graph(t, t + window).is_strongly_connected() for t in samples
-        )
+        end = base + self._period if self._period is not None else self._horizon
+        windows = [(a, a + window) for a, _, _ in self.segments(base, end)
+                   if self._period is not None or a + window <= end]
+        return all(self.joint_graph(a, b).is_strongly_connected()
+                   for a, b in windows or [(base, end)])
 
     def describe(self) -> dict:
         return {

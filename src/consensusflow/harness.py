@@ -90,12 +90,12 @@ def _check_keys(d, allowed, required, path):
             raise ConfigError(f"missing required key '{k}'", path)
 
 
-def _number(v, path, positive=False, nonnegative=False):
+def _number(v, path, positive=False, nonnegative=False, infinite=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("expected a number", path)
     v = float(v)
-    if not np.isfinite(v):
-        raise ConfigError("number must be finite", path)
+    if not (np.isfinite(v) or (infinite and np.isinf(v))):
+        raise ConfigError("number must not be NaN" if infinite else "number must be finite", path)
     if positive and v <= 0.0:
         raise ConfigError("number must be positive", path)
     if nonnegative and v < 0.0:
@@ -111,10 +111,10 @@ def _int(v, path, minimum=None):
     return v
 
 
-def _float_list(v, path, length=None):
+def _float_list(v, path, length=None, infinite=False):
     if not isinstance(v, list):
         raise ConfigError("expected a list of numbers", path)
-    out = [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    out = [_number(x, f"{path}[{i}]", infinite=infinite) for i, x in enumerate(v)]
     if length is not None and len(out) != length:
         raise ConfigError(f"expected {length} entries, got {len(out)}", path)
     return out
@@ -132,14 +132,10 @@ def _parse_set(d, m, path):
                     _number(d["radius"], f"{path}.radius", nonnegative=True))
     if kind == "box":
         _check_keys(d, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, path)
-        lower = d["lower"] if isinstance(d["lower"], list) else None
-        upper = d["upper"] if isinstance(d["upper"], list) else None
-        if lower is None or upper is None:
-            raise ConfigError("lower and upper must be lists", path)
-        if len(lower) != m or len(upper) != m:
-            raise ConfigError(f"bounds must have {m} entries", path)
+        lower = _float_list(d["lower"], f"{path}.lower", m, infinite=True)
+        upper = _float_list(d["upper"], f"{path}.upper", m, infinite=True)
         try:
-            return Box(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+            return Box(lower, upper)
         except ValueError as err:
             raise ConfigError(str(err), path) from None
     raise ConfigError(f"unknown set kind '{kind}'", path)
@@ -302,6 +298,11 @@ class ScenarioConfig:
         if tf <= t0:
             raise ConfigError("tf must exceed t0", "integrator.tf")
         step = _number(integ.get("h", 0.01), "integrator.h", positive=True)
+        if isinstance(topology, SwitchingSignal):
+            if t0 < topology.start_time:
+                raise ConfigError("t0 precedes the schedule start", "integrator.t0")
+            if topology.horizon is not None and tf > topology.horizon:
+                raise ConfigError("tf exceeds the schedule horizon", "integrator.tf")
 
         seed = _int(raw.get("seed", 0), "seed", minimum=0)
 

@@ -251,6 +251,28 @@ def test_switch_instants_are_exact_sample_points():
     assert np.diff(traj.times).max() <= scen.step + 1e-12
 
 
+def test_switching_run_matches_per_segment_reference():
+    graphs = [WeightedDigraph.from_arcs(3, [(0, 1)]),
+              WeightedDigraph.from_arcs(3, [(1, 2)]),
+              WeightedDigraph.from_arcs(3, [(2, 0)])]
+    sig = SwitchingSignal(list(zip((0.0, 0.1, 0.2), graphs)), dwell=0.1, period=0.3)
+    obj = ball_objectives([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], slack=0.5)
+    x0 = np.array([[3.0, -1.0], [-2.0, 2.0], [0.5, -3.0]])
+    traj = integrate(Scenario(obj, sig, x0, tf=3.0))
+    # reference: RK4 on each segment's fixed graph, taken at the segment midpoint
+    instants = [k * 0.3 + off for k in range(10) for off in (0.1, 0.2, 0.3)]
+    bounds = [0.0] + [s for s in instants if s < 3.0] + [3.0]
+    x, times, states = x0, [0.0], [x0]
+    for a, b in zip(bounds, bounds[1:]):
+        ref = integrate(Scenario(obj, sig.graph_at((a + b) / 2), x, tf=b, t0=a))
+        x = ref.terminal_state
+        times += list(ref.times[1:])
+        states += list(ref.states[1:])
+    assert traj.stats["segments"] == len(bounds) - 1
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, np.stack(states))
+
+
 def test_final_substep_is_truncated():
     scen = _two_node_scenario(tf=1.005)
     traj = integrate(scen)

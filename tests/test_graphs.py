@@ -173,9 +173,71 @@ def test_graph_at_range_errors():
 
 def test_switch_times_enumeration():
     sig = alternating_signal()
-    assert sig.switch_times(0.0, 2.0) == [0.5, 1.0, 1.5]
-    assert sig.switch_times(0.25, 0.75) == [0.5]
-    assert sig.switch_times(0.5, 0.5) == []
+    g1, g2 = sig.graph_at(0.0), sig.graph_at(0.5)
+    assert sig.segments(0.0, 2.0) == [(0.0, 0.5, g1), (0.5, 1.0, g2),
+                                      (1.0, 1.5, g1), (1.5, 2.0, g2)]
+    assert sig.segments(0.25, 0.75) == [(0.25, 0.5, g1), (0.5, 0.75, g2)]
+    assert sig.segments(0.5, 0.5) == []
+
+
+def _random_schedule(rng, periodic):
+    """Schedule on 4 nodes with a non-zero start and starts on a 0.05 grid.
+
+    Returns the signal and the end of its first period (or its horizon).
+    """
+    base = float(rng.choice([0.1, 0.3, 1.7]))
+    span = float(rng.choice([0.3, 0.7, 0.8, 1.1]))
+    k = int(rng.integers(1, 4))
+    cuts = sorted(rng.choice(np.arange(1, round(span / 0.05)), k - 1, replace=False))
+    starts = [base] + [round(base + 0.05 * c, 2) for c in cuts]
+    arcs = [(j, i) for j in range(4) for i in range(4) if j != i]
+    items = [(t, WeightedDigraph(4, {a: float(rng.integers(1, 3))
+                                     for a in arcs if rng.random() < 0.35}))
+             for t in starts]
+    end = round(base + span, 2)
+    if periodic:
+        return SwitchingSignal(items, dwell=0.025, period=span), end
+    return SwitchingSignal(items, dwell=0.025, horizon=end), end
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_segments_agree_with_graph_at(periodic):
+    rng = np.random.default_rng(11 if periodic else 12)
+    for _ in range(40):
+        sig, end = _random_schedule(rng, periodic)
+        base = sig.start_time
+        if periodic:
+            t0 = float(rng.uniform(base, base + 3.0))
+            tf = t0 + float(rng.uniform(0.01, 6.0))
+        else:
+            t0, tf = sorted(rng.uniform(base, end, 2))
+        segs = sig.segments(t0, tf)
+        assert segs[0][0] == t0 and segs[-1][1] == tf
+        assert all(s[1] == n[0] for s, n in zip(segs, segs[1:]))
+        for a, b, g in segs:
+            assert a < b
+            assert g is sig.graph_at(a)
+            assert g is sig.graph_at((a + b) / 2)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_ujsc_matches_dense_window_placements(periodic):
+    rng = np.random.default_rng(13 if periodic else 14)
+    for _ in range(40):
+        sig, end = _random_schedule(rng, periodic)
+        base = sig.start_time
+        last = base + 3.0 * sig.period if periodic else end
+        grid = [a for a, _, _ in sig.segments(base, last)]
+        grid += list(np.linspace(base, last, 97, endpoint=False))
+        for w in (sig.period if periodic else end - base, *rng.uniform(0.05, 2.5, 3)):
+            w = float(w)
+            placements = [t for t in grid if periodic or t + w <= end]
+            if placements:
+                expected = all(sig.joint_graph(t, t + w).is_strongly_connected()
+                               for t in placements)
+            else:
+                expected = sig.joint_graph(base, end).is_strongly_connected()
+            assert sig.check_ujsc(w) is expected
 
 
 def test_joint_graph_matches_single_interval():
@@ -189,6 +251,11 @@ def test_joint_graph_union_over_period():
     union = sig.joint_graph(0.0, 1.0)
     assert union.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
     assert union.is_strongly_connected()
+    # starts 0.1 / 0.4, period 0.8: the window begins exactly at the schedule start
+    g1, g2 = sig.graph_at(0.0), sig.graph_at(0.5)
+    shifted = SwitchingSignal([(0.1, g1), (0.4, g2)], dwell=0.3, period=0.8)
+    assert shifted.joint_graph(0.1, 0.9).arcs == union.arcs
+    assert shifted.check_ujsc(0.8) is True
 
 
 def test_joint_graph_latest_weight_wins():

@@ -183,6 +183,18 @@ def test_structural_count_checks():
     bad["objectives"][0]["matrix"] = [[1.0, 2.0]]
     with pytest.raises(ConfigError, match="entries"):
         ScenarioConfig.from_dict(bad)
+    # box bounds take the number checks of every other number, but may be infinite
+    box = {"kind": "box", "lower": [-1.0, -np.inf], "upper": [np.inf, 1.5]}
+    cfg = ScenarioConfig.from_dict(ball_config(objectives=[{"kind": "sqdist", "set": box}] * 3))
+    assert cfg.objectives.components[0].target.lower.tolist() == [-1.0, -np.inf]
+    for lower, match in (([True, -1.5], r"\.set\.lower\[0\]: expected a number"),
+                         ([-1.0, "-1.5"], r"\.set\.lower\[1\]: expected a number"),
+                         ([np.nan, -1.5], r"\.set\.lower\[0\]: number must not be NaN"),
+                         ([-1.0], r"\.set\.lower: expected 2 entries"),
+                         ([-1.0, 2.0], r"objectives\[0\]\.set: box needs lower <= upper")):
+        bad = ball_config(objectives=[{"kind": "sqdist", "set": dict(box, lower=lower)}] * 3)
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig.from_dict(bad)
 
 
 def test_integrator_and_seed_validation():
@@ -572,6 +584,15 @@ def test_cli_exit_code_config_error(tmp_path):
         path = _write(tmp_path, cfg, name)
         for command in (["verify", "eps-optimal"], ["sweep-k"]):
             assert main(command + ["--config", path, "--quiet"]) == 1
+    # a run outside its schedule: tf past a finite horizon, t0 before the start
+    finite = switching_config(tf=3.0)
+    del finite["topology"]["period"]
+    finite["topology"]["horizon"] = 2.0
+    early = switching_config(integrator={"t0": -0.5, "tf": 2.0})
+    for name, cfg in (("finite.json", finite), ("early.json", early)):
+        path = _write(tmp_path, cfg, name)
+        assert main(["sim", "--config", path, "--quiet"]) == 1
+        assert main(["verify", "switching", "--config", path, "--quiet"]) == 1
 
 
 def test_cli_exit_code_numerical_failure(tmp_path):
@@ -608,6 +629,17 @@ def test_cli_check_graph_switching(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["kind"] == "switching"
     assert info["window"] == 1.0
+    assert info["uniformly_jointly_strongly_connected"] is True
+    assert info["union_strongly_connected"] is True
+    # starts 0.1 / 0.4 with period 0.8: the union window begins at the start
+    shifted = switching_config(integrator={"t0": 0.1, "tf": 2.0})
+    shifted["topology"].update(dwell=0.3, period=0.8)
+    shifted["topology"]["intervals"][0]["start"] = 0.1
+    shifted["topology"]["intervals"][1]["start"] = 0.4
+    path = _write(tmp_path, shifted, "shifted.json")
+    assert main(["check-graph", "--config", path, "--quiet"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["window"] == 0.8
     assert info["uniformly_jointly_strongly_connected"] is True
     assert info["union_strongly_connected"] is True
 
