@@ -123,7 +123,7 @@ def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> MetricSeries
     Not clamped: honest values may dip a hair below zero only from floating
     error in ``f_star``.
     """
-    gaps = objectives.team.value(trajectory.states) - float(f_star)
+    gaps = objectives.team_value(trajectory.states) - float(f_star)
     return MetricSeries(trajectory.times, gaps, "optimality-gap")
 
 

@@ -25,11 +25,24 @@ DIVERGENCE_LIMIT = 1e8
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced a non-finite or unbounded state."""
+    """Integration produced a non-finite or unbounded state.
 
-    def __init__(self, time, message=None):
+    ``time`` is the end of the failing step, ``node`` the node at fault (the
+    one holding the first non-finite entry, else the largest magnitude) and
+    ``state`` the last finite stacked state, the one the step started from.
+    """
+
+    def __init__(self, time, bad, state):
         self.time = float(time)
-        super().__init__(message or f"state diverged at t={time}")
+        self.state = state
+        nonfinite = ~np.isfinite(bad)
+        if nonfinite.any():
+            entry, why = np.argmax(nonfinite), "a non-finite entry"
+        else:
+            entry = np.argmax(np.abs(bad))
+            why = f"|x| = {float(np.abs(bad).max()):.3e} beyond {DIVERGENCE_LIMIT:.0e}"
+        self.node = int(np.unravel_index(entry, bad.shape)[0])
+        super().__init__(f"state diverged at t={time}: node {self.node} has {why}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +246,7 @@ def _coupling(graph: WeightedDigraph, m: int):
     wcol = w[:, None]
 
     def coupling(x):
-        per_arc = wcol * (x[src] - x[dst])
+        per_arc = wcol * (x.take(src, axis=0) - x.take(dst, axis=0))
         return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
 
     return coupling
@@ -308,7 +321,7 @@ def integrate(scenario: Scenario) -> Trajectory:
             k4 = fieldfn(t_next, x + hk * k3)
             x = x + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # also catches NaN and inf
-                raise DivergenceError(t_next)
+                raise DivergenceError(t_next, x, states[-1])
             times.append(t_next)
             states.append(x)
         steps += n_sub

@@ -201,6 +201,14 @@ class WeightedDigraph:
         return f"WeightedDigraph(n_nodes={self._n}, arcs={len(self._weights)})"
 
 
+_SNAP_ULPS = 4  # start + k * period + offset rounds three times: a few ulp at most
+
+
+def _near(a, b) -> bool:
+    """Whether ``a`` and ``b`` differ by at most ``_SNAP_ULPS`` ulp."""
+    return abs(a - b) <= _SNAP_ULPS * math.ulp(max(abs(a), abs(b)))
+
+
 class SwitchingSignal:
     """Piecewise-constant schedule of graphs over time.
 
@@ -303,20 +311,27 @@ class SwitchingSignal:
 
     def segments(self, t1, t2) -> list:
         """``(a, b, graph)`` for each constant stretch of ``[t1, t2)``, in order; the
-        graph in force at ``t1`` is the one set by the last instant at or before it."""
+        graph in force at ``t1`` is the one set by the last instant at or before it.
+
+        Periodic instants drift off a decimal grid (``9 * 0.3 + 0.3`` is
+        ``2.9999999999999996``), so an instant within ``_SNAP_ULPS`` ulp of
+        ``t2`` is taken to be ``t2``, and one that close to the stretch's start
+        takes effect at that start: no stretch is a rounding artefact.
+        """
         t1, t2 = float(t1), float(t2)
         self._check_inside(t1)
         if self._horizon is not None and t2 > self._horizon:
             raise ValueError(f"window end {t2} is outside the schedule horizon {self._horizon}")
         if t2 <= t1:
             return []
-        out = []
+        out, a = [], t1
         for s, g in self._walk(t1):
-            if s >= t2:
-                break
-            if s > t1:
+            if s > t1 and not _near(s, a):
+                if s >= t2 or _near(s, t2):
+                    break
                 out.append((a, s, active))
-            a, active = max(s, t1), g
+                a = s
+            active = g
         return out + [(a, t2, active)]
 
     def graph_at(self, t) -> WeightedDigraph:

@@ -470,6 +470,9 @@ class RunReport:
         }
 
 
+_TRACE_BLOCK = 1024  # trace rows formatted per string operation
+
+
 def write_trace(path, trajectory, extras=None) -> list:
     """Write a trajectory CSV (one row per node per sample) plus a sidecar.
 
@@ -489,10 +492,13 @@ def write_trace(path, trajectory, extras=None) -> list:
         [np.repeat(trajectory.times, n), np.tile(np.arange(n), n_samples),
          trajectory.states.reshape(n_samples * n, m)]
         + [extras[k].reshape(-1) for k in sorted(extras)])
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(header) - 2)) + "\r\n"
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        np.savetxt(fh, table, fmt=["%.17g", "%d"] + ["%.17g"] * (len(header) - 2),
-                   delimiter=",", newline="\r\n")
+        # np.savetxt's row format, applied to a block of rows per % operation
+        for lo in range(0, table.shape[0], _TRACE_BLOCK):
+            block = table[lo:lo + _TRACE_BLOCK]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps({
         "fingerprint": trajectory.fingerprint,

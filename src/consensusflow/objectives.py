@@ -297,6 +297,9 @@ class Sum(ConvexComponent):
         return {"kind": "sum", "parts": [p.describe() for p in self.parts]}
 
 
+_TEAM_CHUNK = 1 << 17  # (component, point) entries per block: 1 MB temporaries
+
+
 class ObjectiveSet:
     """One convex component per node, all on a common R^m.
 
@@ -304,7 +307,8 @@ class ObjectiveSet:
     collections (all quadratics, or all squared distances to balls) are
     evaluated in one vectorized pass; anything else falls back to a per-node
     loop.  ``team`` is the team objective ``F(z) = sum_i f_i(z)`` at a common
-    point ``z``, a :class:`Sum` that adds the components in node order.
+    point ``z``, a :class:`Sum` that adds the components in node order;
+    :meth:`team_value` evaluates it on many points at once.
     """
 
     def __init__(self, components):
@@ -355,6 +359,37 @@ class ObjectiveSet:
             out[..., i, :] = c.grad(x[..., i, :])
         return out
 
+    def team_value(self, x):
+        """Team objective ``F`` at every point of ``x`` shaped ``(..., m)``.
+
+        Equal to ``team.value(x)``.  A ball family walks the points in blocks
+        of about 1 MB: squared differences are summed one component at a
+        time, in component order as ``np.linalg.norm`` sums them for
+        ``m < 8`` (numpy sums longer vectors pairwise, so there the two
+        differ by a few ulp), and the per-component values are added along
+        the component axis in node order, as :class:`Sum` adds them.
+        """
+        if self._mode != "ball":
+            return self.team.value(x)
+        x = _check_dim(x, self.m)
+        pts = x.reshape(-1, self.m)
+        out = np.empty(pts.shape[0])
+        step = max(1, _TEAM_CHUNK // self.n_nodes)
+        for lo in range(0, pts.shape[0], step):
+            p = pts[lo:lo + step]
+            sq = np.zeros((self.n_nodes, p.shape[0]))
+            for k in range(self.m):
+                d = p[:, k] - self._centers[:, k, None]
+                d *= d
+                sq += d
+            v = np.sqrt(sq, out=sq)
+            v -= self._radii[:, None]
+            np.maximum(v, 0.0, out=v)
+            v *= v
+            v *= 0.5
+            np.add.reduce(v, axis=0, out=out[lo:lo + step])
+        return out.reshape(x.shape[:-1])[()]
+
     def argmin_sets(self):
         return [c.argmin_set() for c in self.components]
 
@@ -391,7 +426,9 @@ def _pair_disjoint(a: ConvexSet, b: ConvexSet) -> bool:
     if isinstance(b, Point):
         return _pair_disjoint(b, a)
     if isinstance(a, Ball) and isinstance(b, Ball):
-        return bool(np.linalg.norm(a.center - b.center) > a.radius + b.radius)
+        # axis=-1 sums the squares as the all-ball rows of intersection_nonempty
+        # do; without it numpy takes a dot product, which can round differently
+        return bool(np.linalg.norm(a.center - b.center, axis=-1) > a.radius + b.radius)
     if isinstance(a, Box) and isinstance(b, Box):
         return bool(np.any(np.maximum(a.lower, b.lower) > np.minimum(a.upper, b.upper)))
     if isinstance(a, Ball) and isinstance(b, Box):
@@ -439,10 +476,17 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
         t = np.clip((d + a.radius - b.radius) / (2.0 * d), 0.0, 1.0)
         return IntersectionResult("nonempty", a.center + t * gap)
 
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if _pair_disjoint(sets[i], sets[j]):
+    if all(isinstance(s, Ball) for s in sets):
+        c = np.stack([s.center for s in sets])
+        r = np.array([s.radius for s in sets])
+        for i in range(len(sets) - 1):
+            if np.any(np.linalg.norm(c[i + 1:] - c[i], axis=-1) > r[i] + r[i + 1:]):
                 return IntersectionResult("empty")
+    else:
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                if _pair_disjoint(sets[i], sets[j]):
+                    return IntersectionResult("empty")
 
     x = np.mean([_representative(s) for s in sets], axis=0)
     for _ in range(max_iter):

@@ -19,6 +19,7 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
+from consensusflow.dynamics import DIVERGENCE_LIMIT
 
 from conftest import (
     alternating_signal,
@@ -99,6 +100,7 @@ def test_neighbor_info_matches_laplacian():
         x = rng.normal(size=(g.n_nodes, int(rng.integers(1, 4))))
         n = neighbor_info(g, x)
         assert np.abs(n + g.laplacian() @ x).max() <= 1e-12
+        assert neighbor_info(g, np.asfortranarray(x)).tobytes() == n.tobytes()
         # arcs are summed per entering node in arc order: the dense product's
         # sum bit for bit up to two in-arcs, a few ulp beyond
         src, dst, w = g.arc_arrays()
@@ -259,9 +261,11 @@ def test_switching_run_matches_per_segment_reference():
     obj = ball_objectives([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], slack=0.5)
     x0 = np.array([[3.0, -1.0], [-2.0, 2.0], [0.5, -3.0]])
     traj = integrate(Scenario(obj, sig, x0, tf=3.0))
-    # reference: RK4 on each segment's fixed graph, taken at the segment midpoint
+    # reference: RK4 on each segment's fixed graph, taken at the segment midpoint;
+    # the last instant, 9 * 0.3 + 0.3 = 2.9999999999999996, is tf itself
     instants = [k * 0.3 + off for k in range(10) for off in (0.1, 0.2, 0.3)]
-    bounds = [0.0] + [s for s in instants if s < 3.0] + [3.0]
+    bounds = [0.0] + [s for s in instants if s < 3.0 - 1e-12] + [3.0]
+    assert len(bounds) - 1 == 30
     x, times, states = x0, [0.0], [x0]
     for a, b in zip(bounds, bounds[1:]):
         ref = integrate(Scenario(obj, sig.graph_at((a + b) / 2), x, tf=b, t0=a))
@@ -296,15 +300,26 @@ def test_divergence_guard():
         integrate(scen)
     assert err.value.time > 0.0
     assert "diverged" in str(err.value)
+    # the last finite state is the sample before the failing step
+    assert np.isfinite(err.value.state).all()
+    assert np.abs(err.value.state).max() <= DIVERGENCE_LIMIT
+    assert err.value.node in (0, 1)
+    assert f"node {err.value.node}" in str(err.value)
 
     class NanLaw:
         def apply(self, n, g):
-            return np.full_like(g, np.nan)
+            u = np.zeros_like(g)
+            u[2, 1] = np.nan
+            return u
 
-    scen = Scenario(two_node_quadratics(), two_node_graph(), [0.0, 3.0], tf=1.0, law=NanLaw())
+    scen = Scenario(ball_objectives([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 0.5),
+                    WeightedDigraph.directed_cycle(4), np.ones((4, 2)), tf=1.0, law=NanLaw())
     with pytest.raises(DivergenceError) as err:
         integrate(scen)
     assert err.value.time == scen.step
+    assert err.value.node == 2
+    assert np.array_equal(err.value.state, scen.x0)
+    assert "node 2 has a non-finite entry" in str(err.value)
 
 
 def test_scenario_validation():

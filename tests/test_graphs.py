@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,19 @@ def test_switch_times_enumeration():
                                       (1.0, 1.5, g1), (1.5, 2.0, g2)]
     assert sig.segments(0.25, 0.75) == [(0.25, 0.5, g1), (0.5, 0.75, g2)]
     assert sig.segments(0.5, 0.5) == []
+    # instants a few ulp from the window end or start are that end or start
+    below, above = 1.0 - 2.0 * math.ulp(1.0), 1.0 + 2.0 * math.ulp(1.0)
+    assert sig.segments(0.5, above) == [(0.5, above, g2)]
+    assert sig.segments(below, 1.5) == [(below, 1.5, g1)]
+    assert sig.graph_at(below) is g1
+    # 9 * 0.3 + 0.3 is 2.9999999999999996: no 4e-16 stretch before tf = 3
+    graphs = [WeightedDigraph.from_arcs(3, [(0, 1)]), WeightedDigraph.from_arcs(3, [(1, 2)]),
+              WeightedDigraph.from_arcs(3, [(2, 0)])]
+    sig = SwitchingSignal(list(zip((0.0, 0.1, 0.2), graphs)), dwell=0.1, period=0.3)
+    segs = sig.segments(0.0, 3.0)
+    assert len(segs) == 30
+    assert segs[-1][1] == 3.0 and segs[-1][1] - segs[-1][0] > 0.09
+    assert [g for _, _, g in segs] == graphs * 10
 
 
 def _random_schedule(rng, periodic):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +316,29 @@ def test_trace_golden_bytes(tmp_path):
     assert extras["v"].tobytes() == extra.tobytes()
 
 
+def test_trace_blocks_match_savetxt(tmp_path):
+    # 7 samples of 300 nodes: 2100 rows, over two blocks and not a multiple of one
+    rng = np.random.default_rng(40)
+    specials = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, np.nan, np.inf, -np.inf]
+    states = rng.normal(size=(7, 300, 2)) * 10.0 ** rng.integers(-300, 300, (7, 300, 2))
+    states.reshape(-1)[::97][:len(specials)] = specials
+    extra = rng.normal(size=(7, 300))
+    extra.reshape(-1)[-len(specials):] = specials
+    traj = Trajectory(np.linspace(0.0, 0.6, 7), states)
+    path = write_trace(tmp_path / "run.csv", traj, extras={"v": extra})[0]
+    table = np.column_stack([np.repeat(traj.times, 300), np.tile(np.arange(300), 7),
+                             states.reshape(-1, 2), extra.reshape(-1)])
+    reference = io.StringIO(newline="")
+    reference.write("t,node,comp_0,comp_1,v\r\n")
+    np.savetxt(reference, table, fmt=["%.17g", "%d", "%.17g", "%.17g", "%.17g"],
+               delimiter=",", newline="\r\n")
+    assert (tmp_path / "run.csv").read_bytes() == reference.getvalue().encode()
+    times, back, extras = read_trace(path)
+    assert back.tobytes() == states.tobytes()
+    assert extras["v"].tobytes() == extra.tobytes()
+
+
 def test_trace_extras_shape_check(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     traj = integrate(cfg.build_scenario())
@@ -595,10 +620,11 @@ def test_cli_exit_code_config_error(tmp_path):
         assert main(["verify", "switching", "--config", path, "--quiet"]) == 1
 
 
-def test_cli_exit_code_numerical_failure(tmp_path):
+def test_cli_exit_code_numerical_failure(tmp_path, capsys):
     cfg = quad_config(tf=5.0, law={"kind": "jk", "K": 1000.0})
     path = _write(tmp_path, cfg)
     assert main(["sim", "--config", path, "--quiet"]) == 2
+    assert re.search(r"diverged at t=[0-9.]+: node \d", capsys.readouterr().err)
     singular = quad_config(tf=1.0, analysis={"k_grid": [0.0, 1.0]})
     for obj in singular["objectives"]:
         obj["matrix"] = [[0.0]]

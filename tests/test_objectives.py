@@ -17,6 +17,7 @@ from consensusflow import (
     interior_simplex,
     intersection_nonempty,
 )
+from consensusflow.objectives import _TEAM_CHUNK, _pair_disjoint
 
 from conftest import (
     first_order_convexity_worst,
@@ -210,6 +211,46 @@ def test_ball_fast_path_matches_loop():
     assert np.allclose(fast.stacked_grad(x), slow.stacked_grad(x), atol=1e-12)
 
 
+def _ball_family(rng, n, m):
+    return ObjectiveSet([SquaredDistance(Ball(rng.uniform(-2.0, 2.0, m),
+                                              float(rng.uniform(0.0, 1.5))))
+                         for _ in range(n)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ball_team_value_is_sum_bitwise(m):
+    rng = np.random.default_rng(14 + m)
+    for n in (1, 2, 7):
+        obj = _ball_family(rng, n, m)
+        # inside, on and outside every ball, and non-finite states
+        probes = [c.target.center for c in obj.components]
+        probes += [c.target.center + np.eye(m)[0] * c.target.radius for c in obj.components]
+        probes += [c.target.center + rng.normal(size=m) * 3.0 for c in obj.components]
+        probes += [np.full(m, np.nan), np.full(m, np.inf), np.full(m, -0.0)]
+        step = _TEAM_CHUNK // n
+        pts = rng.uniform(-4.0, 4.0, (step + 13, m))  # more than one block, not a multiple
+        pts[:len(probes)] = probes
+        for x in (pts[0], pts[:n], pts[:(pts.shape[0] // n) * n].reshape(-1, n, m), pts):
+            fast, slow = obj.team_value(x), obj.team.value(x)
+            assert np.shape(fast) == np.shape(slow) == x.shape[:-1]
+            assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+
+
+def test_team_value_families():
+    rng = np.random.default_rng(18)
+    # numpy's norm sums m >= 8 components pairwise, the kernel in order
+    obj = _ball_family(rng, 5, 9)
+    x = rng.uniform(-4.0, 4.0, (20, 5, 9))
+    slow = obj.team.value(x)
+    assert np.abs(obj.team_value(x) - slow).max() <= 64 * np.finfo(float).eps * (1.0 + slow.max())
+    # quadratic and mixed families evaluate the Sum itself
+    quad = ObjectiveSet([Quadratic([[2.0]], [1.0]), Quadratic([[1.0]], [-1.0])])
+    mixed = ObjectiveSet([Quadratic([[2.0]], [1.0]), SquaredDistance(Ball([0.0], 0.5))])
+    for obj in (quad, mixed):
+        x = rng.uniform(-3.0, 3.0, (4, 2, 1))
+        assert obj.team_value(x).tobytes() == obj.team.value(x).tobytes()
+
+
 def test_total_value_and_grad():
     obj = ObjectiveSet([Quadratic([[1.0]], [0.0]), Quadratic([[1.0]], [3.0])])
     assert obj.team.parts == obj.components
@@ -290,6 +331,40 @@ def test_tangent_triple_is_undecided():
     ]
     r = intersection_nonempty(sets, max_iter=300)
     assert r.status == "undecided"
+
+
+def _loop_certificate(sets):
+    return any(_pair_disjoint(sets[i], sets[j])
+               for i in range(len(sets)) for j in range(i + 1, len(sets)))
+
+
+def test_ball_separation_rows_match_pair_loop():
+    rng = np.random.default_rng(24)
+    families = [
+        # tangent pairs: touching balls are not disjoint
+        [Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), Ball([1.0, 0.5], 1.0)],
+        [Ball([0.0, 0.0], 2.0), Ball([3.0, 4.0], 3.0), Ball([1.5, 2.0], 0.5)],
+        # only the last pair is disjoint
+        [Ball([0.0, 0.0], 5.0)] * 3 + [Ball([-3.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0)],
+        # tangent at a distance whose dot-product norm rounds one ulp higher
+        [Ball([0.0, 0.0], 0.0), Ball([2.23, -2.89], float(np.linalg.norm([2.23, -2.89], axis=-1))),
+         Ball([1.0, -1.0], 5.0)],
+    ]
+    for _ in range(30):
+        m = int(rng.integers(1, 4))
+        c = rng.uniform(-3.0, 3.0, (int(rng.integers(3, 9)), m))
+        d = float(np.linalg.norm(c[-1] - c[-2], axis=-1))
+        r = rng.uniform(d, 2.0 * d, len(c))
+        # the last two balls within an ulp of touching
+        r[-2] = d / 2.0
+        r[-1] = rng.choice([np.nextafter(d - r[-2], 0.0), d - r[-2], np.nextafter(d - r[-2], 9.0)])
+        families.append([Ball(ci, ri) for ci, ri in zip(c, r)])
+    decisions = []
+    for sets in families:
+        decisions.append(intersection_nonempty(sets, max_iter=50).status == "empty")
+        assert decisions[-1] == _loop_certificate(sets)
+    assert decisions[:4] == [False, False, True, False]
+    assert 5 <= sum(decisions[4:]) <= 25
 
 
 def test_single_set_and_validation():
