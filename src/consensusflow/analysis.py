@@ -25,7 +25,6 @@ class MetricSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -36,8 +35,8 @@ class MetricSeries:
     def max_across(self) -> "MetricSeries":
         """Per-sample maximum over columns."""
         if self.values.ndim == 1:
-            return MetricSeries(self.times, self.values.copy(), self.label)
-        return MetricSeries(self.times, self.values.max(axis=1), self.label + "-max")
+            return MetricSeries(self.times, self.values.copy())
+        return MetricSeries(self.times, self.values.max(axis=1))
 
     @property
     def terminal(self):
@@ -50,7 +49,7 @@ def lyapunov_trace(trajectory, z_star) -> MetricSeries:
     if z.shape != (trajectory.m,):
         raise ValueError(f"z_star must have shape ({trajectory.m},)")
     v = ((trajectory.states - z) ** 2).sum(axis=2)
-    return MetricSeries(trajectory.times, v, "lyapunov")
+    return MetricSeries(trajectory.times, v)
 
 
 @dataclass
@@ -124,19 +123,21 @@ def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> MetricSeries
     error in ``f_star``.
     """
     gaps = objectives.team_value(trajectory.states) - float(f_star)
-    return MetricSeries(trajectory.times, gaps, "optimality-gap")
+    return MetricSeries(trajectory.times, gaps)
 
 
 def node_optimum_residuals(trajectory, objectives: ObjectiveSet) -> MetricSeries:
     """Per-node distance to the node's own argmin set."""
-    sets = objectives.argmin_sets()
-    cols = [s.distance(trajectory.states[:, i, :]) for i, s in enumerate(sets)]
-    return MetricSeries(trajectory.times, np.stack(cols, axis=1), "residual")
+    x = trajectory.states
+    if objectives.stacked is not None:
+        return MetricSeries(trajectory.times, objectives.stacked.argmin_set().distance(x))
+    cols = [s.distance(x[:, i, :]) for i, s in enumerate(objectives.argmin_sets())]
+    return MetricSeries(trajectory.times, np.stack(cols, axis=1))
 
 
 def gradient_norm_series(trajectory, objectives: ObjectiveSet) -> MetricSeries:
     g = objectives.stacked_grad(trajectory.states)
-    return MetricSeries(trajectory.times, np.linalg.norm(g, axis=2), "grad-norm")
+    return MetricSeries(trajectory.times, np.linalg.norm(g, axis=2))
 
 
 def detect_convergence(trajectory, objectives: ObjectiveSet, tol=1e-6, run_length=100):
@@ -181,7 +182,7 @@ def stationary_oracle_unmet(objectives: ObjectiveSet, topology):
         return "topology", "a fixed topology"
     if not topology.has_symmetric_weights(tol=0.0):
         return "topology", "a bidirectional topology with symmetric weights"
-    if not all(isinstance(c, Quadratic) for c in objectives.components):
+    if not isinstance(objectives.stacked, Quadratic):
         return "objectives", "all-quadratic objectives"
     return None
 

@@ -16,7 +16,7 @@ import numpy as np
 # replaces them in this module's namespace, so they must stay importable.
 from .dynamics import DivergenceError, integrate
 from .graphs import SwitchingSignal, WeightedDigraph
-from .harness import SUITES, ConfigError, load_config, run, sweep_k, write_trace
+from .harness import SUITES, ConfigError, _int, _number, load_config, run, sweep_k, write_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +137,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.step is not None:
+            _number(args.step, "--h", positive=True)
+        if args.seed is not None:
+            _int(args.seed, "--seed", minimum=0)
         config = load_config(args.config)
         return _COMMANDS[args.command](args, config)
     except ConfigError as err:

@@ -3,7 +3,10 @@
 All evaluators broadcast: points may be a single vector of length ``m`` or
 any batch shaped ``(..., m)``.  Projections return the input unchanged (bit
 for bit) on points already inside the set, so gradients vanish exactly on
-minimizers.
+minimizers.  :class:`Point`, :class:`Ball` and :class:`Quadratic` also take a
+leading node axis (centres ``(N, m)``, radii ``(N,)``, matrices ``(N, m, m)``):
+one object then evaluates points ``(..., N, m)`` row by row, bit for bit as
+the N single objects would (a quadratic's value aside, see the README).
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ class UnsupportedRepresentationError(ValueError):
     """The requested set has no exact representation in this library."""
 
 
-def _vector(v, name="vector"):
+def _vector(v, name="vector", rows=False):
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+    if arr.ndim != 1 and not (rows and arr.ndim == 2):
+        raise ValueError(f"{name} must be one-dimensional" + (" or (N, m)" if rows else ""))
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
@@ -45,9 +48,6 @@ class ConvexSet:
         x = _check_dim(x, self.dim)
         return np.linalg.norm(x - self.project(x), axis=-1)
 
-    def contains(self, x, tol=0.0):
-        return self.distance(x) <= tol
-
     def interior_margin(self, x):
         """Radius of the largest ball around ``x`` inside the set (<= 0 outside)."""
         raise NotImplementedError
@@ -63,9 +63,9 @@ class Point(ConvexSet):
     """Singleton set {c}."""
 
     def __init__(self, c):
-        self.c = _vector(c, "point")
+        self.c = _vector(c, "point", rows=True)
         self.c.flags.writeable = False
-        self.dim = self.c.shape[0]
+        self.dim = self.c.shape[-1]
 
     def project(self, x):
         x = _check_dim(x, self.dim)
@@ -92,21 +92,24 @@ class Ball(ConvexSet):
     """Closed Euclidean ball; radius zero degenerates to a point."""
 
     def __init__(self, center, radius):
-        self.center = _vector(center, "center")
+        self.center = _vector(center, "center", rows=True)
         self.center.flags.writeable = False
-        self.radius = float(radius)
-        if not np.isfinite(self.radius) or self.radius < 0.0:
+        radius = np.array(radius, dtype=float)
+        if radius.shape != self.center.shape[:-1]:
+            raise ValueError(f"radius must have shape {self.center.shape[:-1]}, one per center")
+        if not (np.isfinite(radius) & (radius >= 0.0)).all():
             raise ValueError("radius must be a finite nonnegative real")
-        self.dim = self.center.shape[0]
+        radius.flags.writeable = False
+        self.radius = radius[()]  # a float64 scalar for one ball
+        self.dim = self.center.shape[-1]
 
     def project(self, x):
         x = _check_dim(x, self.dim)
         d = x - self.center
-        r = np.linalg.norm(d, axis=-1, keepdims=True)
-        inside = r <= self.radius
-        safe = np.where(r > 0.0, r, 1.0)
-        shrunk = self.center + d * (self.radius / safe)
-        return np.where(inside, x, shrunk)
+        r = np.linalg.norm(d, axis=-1)
+        scale = self.radius / np.where(r > 0.0, r, 1.0)
+        shrunk = self.center + d * scale[..., None]
+        return np.where((r <= self.radius)[..., None], x, shrunk)
 
     def distance(self, x):
         x = _check_dim(x, self.dim)
@@ -121,10 +124,10 @@ class Ball(ConvexSet):
         return True
 
     def describe(self):
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
+        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius.tolist()}
 
     def __repr__(self):
-        return f"Ball(center={self.center.tolist()}, radius={self.radius})"
+        return f"Ball(center={self.center.tolist()}, radius={self.radius.tolist()})"
 
 
 class Box(ConvexSet):
@@ -185,26 +188,26 @@ class ConvexComponent:
 
 
 class Quadratic(ConvexComponent):
-    """f(x) = 0.5 (x - c)^T Q (x - c) with symmetric PSD Q."""
+    """f(x) = 0.5 (x - c)^T Q (x - c) with symmetric PSD Q (stacked: worst-case eigenvalues)."""
 
     def __init__(self, matrix, center):
         q = np.asarray(matrix, dtype=float)
-        c = _vector(center, "center")
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] != c.shape[0]:
+        c = _vector(center, "center", rows=True)
+        if q.shape != c.shape + c.shape[-1:]:
             raise ValueError("matrix must be square and match the center dimension")
-        if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
+        qt = np.swapaxes(q, -1, -2)
+        if not np.allclose(q, qt, atol=1e-10, rtol=0.0):
             raise ValueError("matrix must be symmetric")
-        q = 0.5 * (q + q.T)
+        q = 0.5 * (q + qt)
         eigs = np.linalg.eigvalsh(q)
-        if eigs[0] < -1e-10:
-            raise ValueError(f"matrix must be positive semidefinite, found eigenvalue {eigs[0]}")
+        self._eig_min, self._eig_max = float(eigs[..., 0].min()), float(eigs[..., -1].max())
+        if self._eig_min < -1e-10:
+            raise ValueError(f"matrix must be positive semidefinite, found eigenvalue {eigs.min()}")
         self.matrix = q
         self.matrix.flags.writeable = False
         self.center = c
         self.center.flags.writeable = False
-        self.dim = c.shape[0]
-        self._eig_min = float(eigs[0])
-        self._eig_max = float(eigs[-1])
+        self.dim = c.shape[-1]
 
     @property
     def is_positive_definite(self) -> bool:
@@ -212,11 +215,11 @@ class Quadratic(ConvexComponent):
 
     def value(self, x):
         e = _check_dim(x, self.dim) - self.center
-        return 0.5 * np.einsum("...i,ij,...j->...", e, self.matrix, e)
+        return 0.5 * np.einsum("...i,...ij,...j->...", e, self.matrix, e)
 
     def grad(self, x):
         e = _check_dim(x, self.dim) - self.center
-        return e @ self.matrix
+        return np.einsum("...ij,...j->...i", self.matrix, e)
 
     def argmin_set(self):
         if not self.is_positive_definite:
@@ -303,12 +306,13 @@ _TEAM_CHUNK = 1 << 17  # (component, point) entries per block: 1 MB temporaries
 class ObjectiveSet:
     """One convex component per node, all on a common R^m.
 
-    Stacked evaluators take states shaped ``(..., n_nodes, m)``.  Homogeneous
-    collections (all quadratics, or all squared distances to balls) are
-    evaluated in one vectorized pass; anything else falls back to a per-node
-    loop.  ``team`` is the team objective ``F(z) = sum_i f_i(z)`` at a common
-    point ``z``, a :class:`Sum` that adds the components in node order;
-    :meth:`team_value` evaluates it on many points at once.
+    Stacked evaluators take states shaped ``(..., n_nodes, m)``.  ``stacked``
+    is the family as one component with a node axis (a :class:`Quadratic`, or
+    a :class:`SquaredDistance` to a :class:`Ball`), or None for any other
+    family, which is evaluated node by node.  ``team`` is the team objective
+    ``F(z) = sum_i f_i(z)`` at a common point ``z``, a :class:`Sum` that adds
+    the components in node order; :meth:`team_value` evaluates it on many
+    points at once.
     """
 
     def __init__(self, components):
@@ -321,17 +325,16 @@ class ObjectiveSet:
         self.m = comps[0].dim
         self.n_nodes = len(comps)
 
-        self._mode = "generic"
+        self.stacked = None
         if all(isinstance(c, Quadratic) for c in comps):
-            self._mode = "quadratic"
-            self._mats = np.stack([c.matrix for c in comps])
-            self._centers = np.stack([c.center for c in comps])
-        elif all(
-            isinstance(c, SquaredDistance) and isinstance(c.target, Ball) for c in comps
-        ):
-            self._mode = "ball"
-            self._centers = np.stack([c.target.center for c in comps])
-            self._radii = np.array([c.target.radius for c in comps])
+            self.stacked = Quadratic(np.stack([c.matrix for c in comps]),
+                                     np.stack([c.center for c in comps]))
+        elif all(isinstance(c, SquaredDistance) and isinstance(c.target, Ball) for c in comps):
+            self.stacked = SquaredDistance(Ball(np.stack([c.target.center for c in comps]),
+                                                [c.target.radius for c in comps]))
+        # stacking rejects a component with a node axis; the per-node loop would broadcast it
+        elif np.ndim(self.team.value(np.zeros(self.m))):
+            raise ValueError("each component must be one node's, without a node axis")
 
     def _check_stack(self, x):
         x = np.asarray(x, dtype=float)
@@ -344,16 +347,8 @@ class ObjectiveSet:
     def stacked_grad(self, x):
         """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``."""
         x = self._check_stack(x)
-        if self._mode == "quadratic":
-            e = x - self._centers
-            return np.einsum("nij,...nj->...ni", self._mats, e)
-        if self._mode == "ball":
-            d = x - self._centers
-            r = np.linalg.norm(d, axis=-1, keepdims=True)
-            inside = r <= self._radii[:, None]
-            safe = np.where(r > 0.0, r, 1.0)
-            proj = self._centers + d * (self._radii[:, None] / safe)
-            return x - np.where(inside, x, proj)
+        if self.stacked is not None:
+            return self.stacked.grad(x)
         out = np.empty_like(x)
         for i, c in enumerate(self.components):
             out[..., i, :] = c.grad(x[..., i, :])
@@ -369,8 +364,9 @@ class ObjectiveSet:
         differ by a few ulp), and the per-component values are added along
         the component axis in node order, as :class:`Sum` adds them.
         """
-        if self._mode != "ball":
+        if not isinstance(self.stacked, SquaredDistance):
             return self.team.value(x)
+        balls = self.stacked.target
         x = _check_dim(x, self.m)
         pts = x.reshape(-1, self.m)
         out = np.empty(pts.shape[0])
@@ -379,11 +375,11 @@ class ObjectiveSet:
             p = pts[lo:lo + step]
             sq = np.zeros((self.n_nodes, p.shape[0]))
             for k in range(self.m):
-                d = p[:, k] - self._centers[:, k, None]
+                d = p[:, k] - balls.center[:, k, None]
                 d *= d
                 sq += d
             v = np.sqrt(sq, out=sq)
-            v -= self._radii[:, None]
+            v -= balls.radius[:, None]
             np.maximum(v, 0.0, out=v)
             v *= v
             v *= 0.5
@@ -420,15 +416,15 @@ def _representative(s: ConvexSet) -> np.ndarray:
 
 
 def _pair_disjoint(a: ConvexSet, b: ConvexSet) -> bool:
-    """Exact separation certificate for supported pairs; False means unknown."""
+    """Exact separation certificate (``b`` may stack balls); False means unknown."""
     if isinstance(a, Point):
         return bool(b.distance(a.c) > 1e-12)
     if isinstance(b, Point):
         return _pair_disjoint(b, a)
     if isinstance(a, Ball) and isinstance(b, Ball):
-        # axis=-1 sums the squares as the all-ball rows of intersection_nonempty
-        # do; without it numpy takes a dot product, which can round differently
-        return bool(np.linalg.norm(a.center - b.center, axis=-1) > a.radius + b.radius)
+        # axis=-1 sums the squares in component order; without it numpy
+        # takes a dot product, which can round differently
+        return bool(np.any(np.linalg.norm(a.center - b.center, axis=-1) > a.radius + b.radius))
     if isinstance(a, Box) and isinstance(b, Box):
         return bool(np.any(np.maximum(a.lower, b.lower) > np.minimum(a.upper, b.upper)))
     if isinstance(a, Ball) and isinstance(b, Box):
@@ -464,29 +460,26 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
             return IntersectionResult("nonempty", mid)
         return IntersectionResult("empty")
 
-    if len(sets) == 2 and all(isinstance(s, Ball) for s in sets):
+    balls = all(isinstance(s, Ball) for s in sets)
+    if balls:
+        # each ball against the stack of the balls after it
+        c = np.stack([s.center for s in sets])
+        r = np.array([s.radius for s in sets])
+        pairs = ((a, Ball(c[i + 1:], r[i + 1:])) for i, a in enumerate(sets[:-1]))
+    else:
+        pairs = ((a, b) for i, a in enumerate(sets) for b in sets[i + 1:])
+    if any(_pair_disjoint(a, b) for a, b in pairs):
+        return IntersectionResult("empty")
+
+    if balls and len(sets) == 2:
         a, b = sets
         gap = b.center - a.center
-        d = float(np.linalg.norm(gap))
-        if d > a.radius + b.radius:
-            return IntersectionResult("empty")
+        d = float(np.linalg.norm(gap, axis=-1))
         if d <= abs(a.radius - b.radius):
             inner = a if a.radius <= b.radius else b
             return IntersectionResult("nonempty", inner.center.copy())
         t = np.clip((d + a.radius - b.radius) / (2.0 * d), 0.0, 1.0)
         return IntersectionResult("nonempty", a.center + t * gap)
-
-    if all(isinstance(s, Ball) for s in sets):
-        c = np.stack([s.center for s in sets])
-        r = np.array([s.radius for s in sets])
-        for i in range(len(sets) - 1):
-            if np.any(np.linalg.norm(c[i + 1:] - c[i], axis=-1) > r[i] + r[i + 1:]):
-                return IntersectionResult("empty")
-    else:
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if _pair_disjoint(sets[i], sets[j]):
-                    return IntersectionResult("empty")
 
     x = np.mean([_representative(s) for s in sets], axis=0)
     for _ in range(max_iter):
@@ -540,7 +533,7 @@ def global_min(objectives: ObjectiveSet, grad_tol=1e-10, max_iter=200000) -> Glo
     fixed-step gradient descent driven to the requested gradient norm.
     """
     comps, team = objectives.components, objectives.team
-    if all(isinstance(c, Quadratic) for c in comps):
+    if isinstance(objectives.stacked, Quadratic):
         q_total = np.sum([c.matrix for c in comps], axis=0)
         eigs = np.linalg.eigvalsh(q_total)
         if eigs[0] > 1e-10:

@@ -9,6 +9,7 @@ from consensusflow import (
     ControlLaw,
     MetricSeries,
     ObjectiveSet,
+    Point,
     Quadratic,
     Scenario,
     SquaredDistance,
@@ -109,6 +110,25 @@ def test_trajectory_metric_anchors():
     gn = gradient_norm_series(traj, obj)
     assert np.array_equal(gn.values, [[1.0, 1.0], [1.0, 1.0]])
     assert np.array_equal(consensus_diameter(traj.states), [1.0, 1.0])
+
+
+def test_node_optimum_residuals_match_node_loop():
+    rng = np.random.default_rng(34)
+    centers = rng.uniform(-1.0, 1.0, (4, 2))
+    balls = ObjectiveSet([SquaredDistance(Ball(c, 0.5)) for c in centers])
+    quads = ObjectiveSet([Quadratic(np.diag(rng.uniform(0.5, 2.0, 2)), c) for c in centers])
+    mixed = ObjectiveSet([quads.components[0], balls.components[1],
+                          SquaredDistance(Box([-1.0, 0.0], [0.0, 1.0])),
+                          SquaredDistance(Point(centers[3]))])
+    states = rng.uniform(-3.0, 3.0, (9, 4, 2))
+    states[0] = centers  # inside every argmin set
+    traj = Trajectory(np.arange(9.0), states)
+    for obj in (balls, quads, mixed):
+        loop = [s.distance(states[:, i, :]) for i, s in enumerate(obj.argmin_sets())]
+        res = node_optimum_residuals(traj, obj).values
+        assert res.tobytes() == np.stack(loop, axis=1).tobytes()
+        assert not res[0].any()
+    assert mixed.stacked is None
 
 
 def test_optimality_gap_at_large_gain_stationary_point():

@@ -589,7 +589,7 @@ def test_cli_sim_and_verify(tmp_path, capsys):
     assert "suite exact: PASS" in out
 
 
-def test_cli_exit_code_config_error(tmp_path):
+def test_cli_exit_code_config_error(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     assert main(["sim", "--config", str(broken), "--quiet"]) == 1
@@ -618,6 +618,14 @@ def test_cli_exit_code_config_error(tmp_path):
         path = _write(tmp_path, cfg, name)
         assert main(["sim", "--config", path, "--quiet"]) == 1
         assert main(["verify", "switching", "--config", path, "--quiet"]) == 1
+    # a bad override names its flag instead of ending in a traceback
+    sweep = _write(tmp_path, quad_config(analysis={"k_grid": [1.0]}), "sweep.json")
+    capsys.readouterr()
+    for flag, value in (("--h", "0"), ("--h", "-0.01"), ("--h", "nan"), ("--seed", "-1")):
+        for command in (["sim", "--config", balls], ["verify", "exact", "--config", balls],
+                        ["sweep-k", "--config", sweep]):
+            assert main(command + [flag, value, "--quiet"]) == 1
+            assert f"config error: {flag}:" in capsys.readouterr().err
 
 
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):

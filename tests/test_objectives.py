@@ -169,6 +169,33 @@ def test_component_validation_errors():
         SquaredDistance("not a set")
     with pytest.raises(ValueError):
         Quadratic(np.eye(2), [0.0, 0.0]).value([1.0])
+    # stacks: one radius per centre, centres at most (N, m), matching batches
+    centers = np.zeros((3, 2))
+    for radius in ([1.0, 1.0], [1.0] * 4, 1.0, [1.0, -1.0, 1.0], [1.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="radius"):
+            Ball(centers, radius)
+    with pytest.raises(ValueError, match="center"):
+        Ball(np.zeros((2, 3, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="point"):
+        Point(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError):
+        Ball([np.inf, 0.0], 1.0)
+    mats = np.stack([np.eye(2)] * 3)
+    with pytest.raises(ValueError, match="match"):
+        Quadratic(mats[:2], centers)
+    with pytest.raises(ValueError, match="match"):
+        Quadratic(mats, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="center"):
+        Quadratic(mats[None], centers[None])
+    with pytest.raises(ValueError, match="match"):
+        Quadratic(np.eye(2), centers)
+    bad = mats.copy()
+    bad[1] = [[1.0, 0.0], [0.0, -0.5]]
+    with pytest.raises(ValueError, match="semidefinite"):
+        Quadratic(bad, centers)
+    bad[1] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="symmetric"):
+        Quadratic(bad, centers)
 
 
 def test_objective_set_validation():
@@ -178,6 +205,10 @@ def test_objective_set_validation():
         ObjectiveSet([Ball([0.0], 1.0)])
     with pytest.raises(ValueError):
         ObjectiveSet([Quadratic([[1.0]], [0.0]), Quadratic(np.eye(2), [0.0, 0.0])])
+    # a stacked component would broadcast through the per-node loop
+    with pytest.raises(ValueError, match="node axis"):
+        ObjectiveSet([Quadratic(np.eye(2)[None], np.zeros((1, 2))),
+                      SquaredDistance(Ball([0.0, 0.0], 1.0))])
 
 
 # --- stacked evaluation -----------------------------------------------------
@@ -187,28 +218,58 @@ def _generic_clone(objectives):
     return ObjectiveSet([Sum([c]) for c in objectives.components])
 
 
+def _node_rows(fn, x):
+    # per-node results stacked along the node axis
+    return np.stack([fn(i, x[..., i, :]) for i in range(x.shape[-2])], axis=x.ndim - 2)
+
+
+def _assert_sets_match(stack, sets, x):
+    for name in ("project", "distance"):
+        rows = _node_rows(lambda i, xi: getattr(sets[i], name)(xi), x)
+        assert getattr(stack, name)(x).tobytes() == rows.tobytes(), name
+
+
 def test_quadratic_fast_path_matches_loop():
     rng = np.random.default_rng(12)
-    comps = []
-    for _ in range(4):
-        a = rng.uniform(-1.0, 1.0, (3, 3))
-        comps.append(Quadratic(a.T @ a + 0.2 * np.eye(3), rng.uniform(-1, 1, 3)))
-    fast = ObjectiveSet(comps)
-    slow = _generic_clone(fast)
-    x = rng.uniform(-2.0, 2.0, (7, 4, 3))
-    assert np.allclose(fast.stacked_grad(x), slow.stacked_grad(x), atol=1e-12)
+    for m in (1, 2, 3):
+        comps = []
+        for _ in range(4):
+            a = rng.uniform(-1.0, 1.0, (m, m))
+            comps.append(Quadratic(a.T @ a + 0.2 * np.eye(m), rng.uniform(-1, 1, m)))
+        fast = ObjectiveSet(comps)
+        slow = _generic_clone(fast)
+        assert isinstance(fast.stacked, Quadratic) and slow.stacked is None
+        for x in (rng.uniform(-2.0, 2.0, (4, m)), rng.uniform(-2.0, 2.0, (7, 4, m))):
+            assert fast.stacked_grad(x).tobytes() == slow.stacked_grad(x).tobytes()
+            value = _node_rows(lambda i, xi: comps[i].value(xi), x)
+            # einsum picks its summation order from the operand shapes: for
+            # m = 2 and an (N, m) state the stacked value can round an ulp apart
+            eps = np.finfo(float).eps
+            assert np.allclose(fast.stacked.value(x), value, rtol=4 * eps, atol=0.0)
+            _assert_sets_match(fast.stacked.argmin_set(), [c.argmin_set() for c in comps], x)
 
 
 def test_ball_fast_path_matches_loop():
     rng = np.random.default_rng(13)
-    comps = [
-        SquaredDistance(Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.3, 2.0))))
-        for _ in range(5)
-    ]
-    fast = ObjectiveSet(comps)
-    slow = _generic_clone(fast)
-    x = rng.uniform(-3.0, 3.0, (6, 5, 2))
-    assert np.allclose(fast.stacked_grad(x), slow.stacked_grad(x), atol=1e-12)
+    for m in (1, 2, 3):
+        balls = [Ball(rng.uniform(-1, 1, m), float(rng.uniform(0.3, 2.0))) for _ in range(4)]
+        balls.append(Ball(rng.uniform(-1, 1, m), 0.0))
+        comps = [SquaredDistance(b) for b in balls]
+        fast = ObjectiveSet(comps)
+        slow = _generic_clone(fast)
+        assert isinstance(fast.stacked.target, Ball) and slow.stacked is None
+        states = rng.uniform(-3.0, 3.0, (6, 5, m))
+        # at each centre, on each sphere, and non-finite
+        states[0] = [b.center for b in balls]
+        states[1] = [b.center + np.eye(m)[0] * b.radius for b in balls]
+        states[2, 0], states[2, 1] = np.nan, np.inf
+        for x in (states[1], states):
+            # inf * 0 in the shrink makes the infinite state NaN, on both paths alike
+            with np.errstate(invalid="ignore"):
+                assert fast.stacked_grad(x).tobytes() == slow.stacked_grad(x).tobytes()
+                value = _node_rows(lambda i, xi: comps[i].value(xi), x)
+                assert fast.stacked.value(x).tobytes() == value.tobytes()
+                _assert_sets_match(fast.stacked.target, balls, x)
 
 
 def _ball_family(rng, n, m):
@@ -302,7 +363,7 @@ def test_box_intersections_exact():
     boxes = [Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, -1.0], [3.0, 1.5])]
     r = intersection_nonempty(boxes)
     assert r.status == "nonempty"
-    assert all(b.contains(r.witness) for b in boxes)
+    assert all(b.distance(r.witness) <= 0.0 for b in boxes)
     r = intersection_nonempty([Box([0.0], [1.0]), Box([2.0], [3.0])])
     assert r.status == "empty"
 
@@ -340,15 +401,19 @@ def _loop_certificate(sets):
 
 def test_ball_separation_rows_match_pair_loop():
     rng = np.random.default_rng(24)
+    tangent = [Ball([0.0, 0.0], 0.0),
+               Ball([2.23, -2.89], float(np.linalg.norm([2.23, -2.89], axis=-1)))]
+    assert float(np.linalg.norm([2.23, -2.89])) > tangent[1].radius
     families = [
         # tangent pairs: touching balls are not disjoint
         [Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), Ball([1.0, 0.5], 1.0)],
         [Ball([0.0, 0.0], 2.0), Ball([3.0, 4.0], 3.0), Ball([1.5, 2.0], 0.5)],
         # only the last pair is disjoint
         [Ball([0.0, 0.0], 5.0)] * 3 + [Ball([-3.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0)],
-        # tangent at a distance whose dot-product norm rounds one ulp higher
-        [Ball([0.0, 0.0], 0.0), Ball([2.23, -2.89], float(np.linalg.norm([2.23, -2.89], axis=-1))),
-         Ball([1.0, -1.0], 5.0)],
+        # tangent at a distance whose dot-product norm rounds one ulp higher,
+        # alone and with a ball that holds both
+        tangent,
+        tangent + [Ball([1.0, -1.0], 5.0)],
     ]
     for _ in range(30):
         m = int(rng.integers(1, 4))
@@ -363,8 +428,9 @@ def test_ball_separation_rows_match_pair_loop():
     for sets in families:
         decisions.append(intersection_nonempty(sets, max_iter=50).status == "empty")
         assert decisions[-1] == _loop_certificate(sets)
-    assert decisions[:4] == [False, False, True, False]
-    assert 5 <= sum(decisions[4:]) <= 25
+    assert decisions[:5] == [False, False, True, False, False]
+    assert 5 <= sum(decisions[5:]) <= 25
+    assert np.array_equal(intersection_nonempty(tangent).witness, [0.0, 0.0])
 
 
 def test_single_set_and_validation():
