@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,8 @@ from .objectives import (
     SquaredDistance,
     Sum,
     UnsupportedRepresentationError,
+    _FINITE_SQUARES,
+    _U,
     global_min,
     intersection_nonempty,
 )
@@ -91,10 +94,12 @@ _DIAMETER_CHUNK = 1 << 20  # (n, n) float entries per chunk: 8 MB temporaries
 def consensus_diameter(x) -> np.ndarray | float:
     """Largest pairwise distance between node states.
 
-    Accepts one stacked state ``(n, m)`` or a batch ``(..., n, m)``.  The
-    batch is walked in chunks of about 8 MB of pairwise entries, summing
-    squared component differences in component order and taking the root of
-    each sample's maximum, so temporaries stay bounded and the result is
+    Accepts one stacked state ``(n, m)`` or a batch ``(..., n, m)``.  Pairs
+    are walked in tiles of at most ``_DIAMETER_CHUNK`` entries: whole samples
+    while ``n * n`` fits, else square blocks of one sample, of which only the
+    upper triangle is needed because ``|x_i - x_j|`` and ``|x_j - x_i|`` round
+    alike.  Squared component differences are summed in component order and
+    the root is taken of each sample's maximum, so the result is
     bit-identical to the maximum of the pairwise norms for ``m < 8``.
     """
     x = np.asarray(x, dtype=float)
@@ -103,17 +108,48 @@ def consensus_diameter(x) -> np.ndarray | float:
     n, m = x.shape[-2:]
     flat = x.reshape(-1, n, m)
     sq_max = np.empty(flat.shape[0])
-    step = max(1, _DIAMETER_CHUNK // max(1, n * n))
+    tile = n if n * n <= _DIAMETER_CHUNK else max(1, math.isqrt(_DIAMETER_CHUNK))
+    step = max(1, _DIAMETER_CHUNK // max(1, tile * tile))
+    sq_buf, d_buf = np.empty((2, min(step, flat.shape[0]), tile, tile))
     for lo in range(0, flat.shape[0], step):
         c = flat[lo:lo + step]
-        sq = np.zeros((c.shape[0], n, n))
-        for k in range(m):
-            d = c[:, :, None, k] - c[:, None, :, k]
-            d *= d
-            sq += d
-        sq_max[lo:lo + step] = sq.max(axis=(1, 2))
+        best = sq_max[lo:lo + step]
+        best.fill(0.0)
+        for r0 in range(0, n, tile):
+            for c0 in range(r0, n, tile):
+                a, b = c[:, r0:r0 + tile], c[:, c0:c0 + tile]
+                view = (slice(c.shape[0]), slice(a.shape[1]), slice(b.shape[1]))
+                sq, d = sq_buf[view], d_buf[view]
+                sq.fill(0.0)
+                for k in range(m):
+                    np.subtract(a[:, :, None, k], b[:, None, :, k], out=d)
+                    d *= d
+                    sq += d
+                np.maximum(best, sq.max(axis=(1, 2)), out=best)
     out = np.sqrt(sq_max).reshape(x.shape[:-2])
     return float(out) if out.ndim == 0 else out
+
+
+def _diameter_screen(x, tol):
+    """Per sample of ``x`` ``(T, n, m)``: is the consensus diameter certainly
+    ``<= tol``, and is it certainly ``> tol``?
+
+    With the computed mean ``xbar`` and ``D = max_i |x_i - xbar|``, the exact
+    diameter lies in ``[D - |xbar - mean|, 2 D]``, and the exact mean is within
+    ``sqrt(m) (n + 1) u |x|_max`` of ``xbar``.  Each computed norm is within
+    ``eta = (m + 4) u`` of the exact one, plus ``2**-535`` where squares
+    underflow, so ``consensus_diameter`` lies in ``[D (1 - 3 eta) - sqrt(m) (n +
+    1) u |x|_max - err, 2 D (1 + 3 eta) + err]``.  The slack ``s`` is twice
+    those terms, enough to also cover the roundings of ``2 D + s`` and ``D -
+    s``.  A sample is certainly within ``tol`` only while ``2 D + s`` stays
+    below ``2**500``, where the kernel's squares are finite.  NaN and
+    infinite samples are neither.
+    """
+    n, m = x.shape[-2:]
+    dev = np.linalg.norm(x - x.mean(axis=-2, keepdims=True), axis=-1).max(axis=-1)
+    big = np.abs(x).max(axis=(-2, -1))
+    s = 8 * (n + m + 4) * (_U * (dev + np.sqrt(m) * big) + 2.0 ** -535)
+    return 2.0 * dev + s <= min(tol, _FINITE_SQUARES), dev - s > tol
 
 
 def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> MetricSeries:
@@ -147,9 +183,13 @@ def detect_convergence(trajectory, objectives: ObjectiveSet, tol=1e-6, run_lengt
     below ``tol`` for ``run_length`` consecutive samples; the reported time
     is the start of the first such run.
     """
-    diam = consensus_diameter(trajectory.states)
+    x = trajectory.states
     gn = gradient_norm_series(trajectory, objectives).values.max(axis=1)
-    ok = (diam <= tol) & (gn <= tol)
+    # the all-pairs diameter only where the screen cannot decide
+    near, far = _diameter_screen(x, tol)
+    ok = (gn <= tol) & ~far
+    check = ok & ~near
+    ok[check] = consensus_diameter(x[check]) <= tol
     if ok.size >= run_length:
         window = np.convolve(ok.astype(int), np.ones(run_length, dtype=int), mode="valid")
         hits = np.nonzero(window == run_length)[0]

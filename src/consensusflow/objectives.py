@@ -300,7 +300,65 @@ class Sum(ConvexComponent):
         return {"kind": "sum", "parts": [p.describe() for p in self.parts]}
 
 
-_TEAM_CHUNK = 1 << 17  # (component, point) entries per block: 1 MB temporaries
+_TEAM_CHUNK = 1 << 17  # entries per block of the stacked ball kernels: 1 MB temporaries
+_U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
+_FINITE_SQUARES = 2.0 ** 500  # lengths below this have finite squares
+
+
+def _inside_every_ball(balls: Ball, pts):
+    """Mask of the points ``(P, m)`` that are certainly inside every ball.
+
+    The anchor ``z`` is the centroid of the centres and ``rho = min_i (r_i -
+    |z - c_i|)`` its depth; a point with ``|p - z| <= rho - delta`` is inside
+    every ball by the triangle inequality, and stays inside after rounding:
+    the kernel's computed ``|p - c_i|`` is at most ``r_i``.  Each computed
+    norm (m differences, m squares, m - 1 additions and a root) is within
+    ``eta = (m + 4) u`` of the exact one, plus ``2**-535`` where squares
+    underflow.  ``rho``, ``|p - z|`` and ``|p - c_i|`` are three such norms,
+    ``rho`` and ``rho - delta`` take one more rounding each, and for a marked
+    point every term is at most ``r_max``; so the rounding errors sum to less
+    than ``(3 eta + 2 u) r_max + 3 * 2**-535``, which ``delta`` covers.  Radii
+    below ``2**500`` keep every square the kernel forms finite.  NaN and
+    infinite points are never marked; with ``rho <= delta`` nothing is.
+    """
+    c, r = balls.center, balls.radius
+    m = c.shape[-1]
+    z = c.mean(axis=0)
+    rho = (r - np.linalg.norm(z - c, axis=-1)).min()
+    r_max = r.max()
+    delta = 4 * (m + 4) * (_U * r_max + 2.0 ** -535)
+    if not (rho > delta and r_max < _FINITE_SQUARES):
+        return np.zeros(pts.shape[0], dtype=bool)
+    return np.linalg.norm(pts - z, axis=-1) <= rho - delta
+
+
+def _ball_team_kernel(balls: Ball, pts):
+    """Team value of a stacked ball family at each point of ``pts`` ``(P, m)``.
+
+    Squared differences are summed one component at a time, in component
+    order as ``np.linalg.norm`` sums them for ``m < 8`` (numpy sums longer
+    vectors pairwise, so there the two differ by a few ulp), and the
+    per-ball values are added in node order, as :class:`Sum` adds them.
+    """
+    n, m = balls.center.shape
+    out = np.empty(pts.shape[0])
+    step = max(1, _TEAM_CHUNK // n)
+    for lo in range(0, pts.shape[0], step):
+        p = pts[lo:lo + step]
+        sq = np.zeros((n, p.shape[0]))
+        for k in range(m):
+            d = p[:, k] - balls.center[:, k, None]
+            d *= d
+            sq += d
+        v = np.sqrt(sq, out=sq)
+        v -= balls.radius[:, None]
+        np.maximum(v, 0.0, out=v)
+        v *= v
+        v *= 0.5
+        # reducing a single column sums pairwise; two columns add row by row
+        w = v if v.shape[1] > 1 else np.repeat(v, 2, axis=1)
+        out[lo:lo + step] = np.add.reduce(w, axis=0)[:v.shape[1]]
+    return out
 
 
 class ObjectiveSet:
@@ -357,33 +415,18 @@ class ObjectiveSet:
     def team_value(self, x):
         """Team objective ``F`` at every point of ``x`` shaped ``(..., m)``.
 
-        Equal to ``team.value(x)``.  A ball family walks the points in blocks
-        of about 1 MB: squared differences are summed one component at a
-        time, in component order as ``np.linalg.norm`` sums them for
-        ``m < 8`` (numpy sums longer vectors pairwise, so there the two
-        differ by a few ulp), and the per-component values are added along
-        the component axis in node order, as :class:`Sum` adds them.
+        Equal to ``team.value(x)``.  For a ball family, points certainly
+        inside every ball get the exact ``+0.0`` the kernel would return, and
+        the rest go through the kernel in blocks of about 1 MB.
         """
         if not isinstance(self.stacked, SquaredDistance):
             return self.team.value(x)
         balls = self.stacked.target
         x = _check_dim(x, self.m)
         pts = x.reshape(-1, self.m)
-        out = np.empty(pts.shape[0])
-        step = max(1, _TEAM_CHUNK // self.n_nodes)
-        for lo in range(0, pts.shape[0], step):
-            p = pts[lo:lo + step]
-            sq = np.zeros((self.n_nodes, p.shape[0]))
-            for k in range(self.m):
-                d = p[:, k] - balls.center[:, k, None]
-                d *= d
-                sq += d
-            v = np.sqrt(sq, out=sq)
-            v -= balls.radius[:, None]
-            np.maximum(v, 0.0, out=v)
-            v *= v
-            v *= 0.5
-            np.add.reduce(v, axis=0, out=out[lo:lo + step])
+        out = np.zeros(pts.shape[0])
+        rest = np.flatnonzero(~_inside_every_ball(balls, pts))
+        out[rest] = _ball_team_kernel(balls, pts[rest])
         return out.reshape(x.shape[:-1])[()]
 
     def argmin_sets(self):
@@ -415,16 +458,21 @@ def _representative(s: ConvexSet) -> np.ndarray:
     return np.zeros(s.dim)
 
 
+def _balls_apart(ca, ra, cb, rb):
+    """Ball pairs certainly disjoint: centres farther apart than the radii sum."""
+    # axis=-1 sums the squares in component order; without it numpy
+    # takes a dot product, which can round differently
+    return np.linalg.norm(ca - cb, axis=-1) > ra + rb
+
+
 def _pair_disjoint(a: ConvexSet, b: ConvexSet) -> bool:
-    """Exact separation certificate (``b`` may stack balls); False means unknown."""
+    """Exact separation certificate; False means unknown."""
     if isinstance(a, Point):
         return bool(b.distance(a.c) > 1e-12)
     if isinstance(b, Point):
         return _pair_disjoint(b, a)
     if isinstance(a, Ball) and isinstance(b, Ball):
-        # axis=-1 sums the squares in component order; without it numpy
-        # takes a dot product, which can round differently
-        return bool(np.any(np.linalg.norm(a.center - b.center, axis=-1) > a.radius + b.radius))
+        return bool(_balls_apart(a.center, a.radius, b.center, b.radius))
     if isinstance(a, Box) and isinstance(b, Box):
         return bool(np.any(np.maximum(a.lower, b.lower) > np.minimum(a.upper, b.upper)))
     if isinstance(a, Ball) and isinstance(b, Box):
@@ -462,13 +510,18 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
 
     balls = all(isinstance(s, Ball) for s in sets)
     if balls:
-        # each ball against the stack of the balls after it
+        # a block of rows against every ball from the block's first on: each
+        # pair i < j is compared once, and the mirrored pairs and the diagonal
+        # also in the block decide the same or never
         c = np.stack([s.center for s in sets])
         r = np.array([s.radius for s in sets])
-        pairs = ((a, Ball(c[i + 1:], r[i + 1:])) for i, a in enumerate(sets[:-1]))
+        n, m = c.shape
+        rows = max(1, _TEAM_CHUNK // (n * m))
+        apart = (_balls_apart(c[lo:lo + rows, None], r[lo:lo + rows, None], c[None, lo:], r[lo:])
+                 .any() for lo in range(0, n, rows))
     else:
-        pairs = ((a, b) for i, a in enumerate(sets) for b in sets[i + 1:])
-    if any(_pair_disjoint(a, b) for a, b in pairs):
+        apart = (_pair_disjoint(a, b) for i, a in enumerate(sets) for b in sets[i + 1:])
+    if any(apart):
         return IntersectionResult("empty")
 
     if balls and len(sets) == 2:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ from consensusflow import (
     sphere_intersection,
     stationary_quadratic,
 )
+
+from consensusflow import analysis
+from consensusflow.analysis import _diameter_screen
 
 from conftest import ball_objectives, two_node_graph, two_node_quadratics
 
@@ -98,6 +103,81 @@ def test_consensus_diameter_anchors():
         assert consensus_diameter(states).tobytes() == reference.tobytes()
     # the NaN stays in its own sample
     assert np.isnan(reference[1, 2]) and np.isnan(reference).sum() == 1
+
+
+def test_consensus_diameter_tiles_bitwise(monkeypatch):
+    rng = np.random.default_rng(36)
+    batches = [rng.normal(scale=3.0, size=shape)
+               for shape in [(5, 40, 2), (3, 4, 6, 2), (2, 33, 1), (9, 3), (1, 1, 2)]]
+    batches[1][1, 2, 5, 0] = np.nan
+    untiled = [consensus_diameter(x) for x in batches]
+    # one sample at a time, then square blocks of a sample down to single pairs
+    for chunk in (2000, 1500, 100, 7, 4, 1):
+        monkeypatch.setattr(analysis, "_DIAMETER_CHUNK", chunk)
+        for x, want in zip(batches, untiled):
+            assert np.asarray(consensus_diameter(x)).tobytes() == np.asarray(want).tobytes()
+
+
+def test_consensus_diameter_memory_is_bounded():
+    # at N = 3000 one untiled sample needs two 72 MB (N, N) temporaries
+    x = np.random.default_rng(37).normal(size=(3000, 2))
+    tracemalloc.start()
+    try:
+        got = consensus_diameter(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * analysis._DIAMETER_CHUNK
+    far = np.argmax(np.linalg.norm(x - x[0], axis=-1))
+    assert got >= np.linalg.norm(x[far] - x[0], axis=-1)
+
+
+def _all_pairs_convergence(trajectory, objectives, tol, run_length):
+    """``detect_convergence`` with the all-pairs diameter of every sample."""
+    diam = consensus_diameter(trajectory.states)
+    gn = gradient_norm_series(trajectory, objectives).values.max(axis=1)
+    ok = (diam <= tol) & (gn <= tol)
+    for start in range(ok.size - run_length + 1):
+        if ok[start:start + run_length].all():
+            return "converged", float(trajectory.times[start])
+    return "horizon", float(trajectory.times[-1])
+
+
+def test_convergence_screen_matches_all_pairs():
+    rng = np.random.default_rng(38)
+    tol, eps = 1e-6, np.finfo(float).eps
+    samples = {}
+    for n in (2, 5, 40):
+        # one ball holding every sample: gradients vanish, the diameter decides
+        obj = ObjectiveSet([SquaredDistance(Ball([0.0, 0.0], 1e6))] * n)
+        out = samples.setdefault(n, (obj, []))[1]
+        for offset in (0.0, 1e3, -7.25):
+            cloud = rng.normal(size=(n, 2))
+            cloud *= tol / consensus_diameter(cloud)
+            # within a few ulp of tol on both sides, inside the screen's band,
+            # and clear of it on both sides
+            for scale in [1.0 + k * eps for k in range(-6, 7)] + [0.3, 0.45, 0.7, 1.5, 2.5, 4.0]:
+                out.append(offset + scale * cloud)
+        nan = offset + cloud
+        nan[0, 1] = np.nan
+        out.append(nan)
+    for n, (obj, states) in samples.items():
+        states = np.stack(states)
+        diam = consensus_diameter(states)
+        assert (diam <= tol).any() and (diam > tol).any() and np.isnan(diam).any()
+        near, far = _diameter_screen(states, tol)
+        assert not (near & far).any()
+        assert (diam[near] <= tol).all() and (diam[far] > tol).all()
+        assert near.any() and far.any()
+        for x in states:  # one sample: converged at once or not at all
+            traj = Trajectory(np.array([2.0]), x[None])
+            assert detect_convergence(traj, obj, tol, 1) == _all_pairs_convergence(traj, obj, tol, 1)
+        times = np.arange(float(len(states)))
+        for order in (np.arange(len(states)), rng.permutation(len(states))):
+            traj = Trajectory(times, states[order])
+            for run_length in (1, 2, 3):
+                assert (detect_convergence(traj, obj, tol, run_length)
+                        == _all_pairs_convergence(traj, obj, tol, run_length))
 
 
 def test_trajectory_metric_anchors():

@@ -17,7 +17,13 @@ from consensusflow import (
     interior_simplex,
     intersection_nonempty,
 )
-from consensusflow.objectives import _TEAM_CHUNK, _pair_disjoint
+from consensusflow import objectives
+from consensusflow.objectives import (
+    _TEAM_CHUNK,
+    _ball_team_kernel,
+    _inside_every_ball,
+    _pair_disjoint,
+)
 
 from conftest import (
     first_order_convexity_worst,
@@ -297,6 +303,93 @@ def test_ball_team_value_is_sum_bitwise(m):
             assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
 
 
+def _nested_family(rng, n, m, slack=2.0):
+    # radius |c| + slack: every ball holds the ball of radius slack about 0
+    c = rng.uniform(-0.4, 0.4, (n, m))
+    return ObjectiveSet([SquaredDistance(Ball(ci, float(np.linalg.norm(ci)) + slack))
+                         for ci in c])
+
+
+def _certified(obj, pts):
+    """The certificate's mask, after checking it against the kernel and ``team.value``."""
+    balls = obj.stacked.target
+    marked = _inside_every_ball(balls, pts)
+    kernel = _ball_team_kernel(balls, pts)
+    slow = obj.team.value(pts)
+    assert kernel.tobytes() == slow.tobytes()
+    # a marked point is one the kernel scores +0.0
+    assert kernel[marked].tobytes() == np.zeros(marked.sum()).tobytes()
+    assert obj.team_value(pts).tobytes() == slow.tobytes()
+    return marked
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gap_certificate_is_bitwise_sound(m):
+    rng = np.random.default_rng(40 + m)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 9):
+        obj = _nested_family(rng, n, m)
+        balls = obj.stacked.target
+        probes = [balls.center.mean(axis=0), np.full(m, np.nan), np.full(m, np.inf),
+                  np.full(m, -np.inf), np.full(m, -0.0)]
+        # a few ulp inside and outside each sphere: in a random direction,
+        # and where it passes closest to the anchor
+        for c, r in zip(balls.center, balls.radius):
+            for u in (rng.normal(size=m), probes[0] - c + eps):
+                u /= np.linalg.norm(u)
+                probes += [c + r * (1.0 + k * eps) * u for k in (-4, -1, 0, 1, 4)]
+        step = _TEAM_CHUNK // n
+        pts = rng.uniform(-6.0, 6.0, (2 * step + 1, m))
+        pts[:len(probes)] = probes
+        marked = _certified(obj, pts)
+        # the anchor and -0.0 are deep inside, non-finite points never marked
+        assert marked[0] and marked[4] and not marked[1:4].any()
+        assert (~marked).sum() > step  # the kernel still walks more than one block
+        # the kernel's last block holds a single point, which must not sum pairwise
+        rest = pts[~marked][:step + 1]
+        assert _ball_team_kernel(balls, rest).tobytes() == obj.team.value(rest).tobytes()
+        assert obj.team_value(rest[-1]).tobytes() == obj.team.value(rest[-1]).tobytes()
+        # a converged cloud near the origin is marked whole
+        cloud = rng.uniform(-0.25, 0.25, (500, m))
+        assert _certified(obj, cloud).all()
+
+
+def test_gap_certificate_rounding_bound():
+    # points within a few ulp of the certified radius rho about the anchor, on
+    # the side of the shallowest ball; without the rounding bound some of
+    # them are marked although the kernel scores them above 0
+    rng = np.random.default_rng(45)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        c = rng.uniform(-0.4, 0.4, (n, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        r = np.linalg.norm(c, axis=-1) + rng.uniform(0.1, 2.0) * np.abs(c).max()
+        obj = ObjectiveSet([SquaredDistance(Ball(ci, ri)) for ci, ri in zip(c, r)])
+        z = c.mean(axis=0)
+        depth = r - np.linalg.norm(z - c, axis=-1)
+        u = z - c[depth.argmin()]
+        u /= np.linalg.norm(u)
+        _certified(obj, z + depth.min() * (1.0 + np.arange(-40, 9)[:, None] * eps) * u)
+
+
+def test_gap_certificate_steps_aside():
+    rng = np.random.default_rng(44)
+    pts = rng.uniform(-3.0, 3.0, (200, 2))
+    # disjoint balls, a radius-0 ball, and a lone radius-0 ball: depth <= 0
+    for family in ([Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0)],
+                   [Ball([0.0, 0.0], 5.0), Ball([0.5, 0.5], 0.0)],
+                   [Ball([0.5, 0.5], 0.0)]):
+        obj = ObjectiveSet([SquaredDistance(b) for b in family])
+        pts[0] = obj.stacked.target.center.mean(axis=0)
+        assert not _certified(obj, pts).any()
+    # random families, with and without a common interior
+    for k in range(60):
+        n, m = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        obj = (_nested_family(rng, n, m, slack=float(rng.uniform(0.0, 1.0))) if k % 2
+               else _ball_family(rng, n, m))
+        _certified(obj, rng.uniform(-2.0, 2.0, (300, m)))
+
+
 def test_team_value_families():
     rng = np.random.default_rng(18)
     # numpy's norm sums m >= 8 components pairwise, the kernel in order
@@ -399,7 +492,7 @@ def _loop_certificate(sets):
                for i in range(len(sets)) for j in range(i + 1, len(sets)))
 
 
-def test_ball_separation_rows_match_pair_loop():
+def test_ball_separation_rows_match_pair_loop(monkeypatch):
     rng = np.random.default_rng(24)
     tangent = [Ball([0.0, 0.0], 0.0),
                Ball([2.23, -2.89], float(np.linalg.norm([2.23, -2.89], axis=-1)))]
@@ -428,6 +521,11 @@ def test_ball_separation_rows_match_pair_loop():
     for sets in families:
         decisions.append(intersection_nonempty(sets, max_iter=50).status == "empty")
         assert decisions[-1] == _loop_certificate(sets)
+    # row blocks of one to a few balls decide the same
+    for chunk in (1, 7):
+        monkeypatch.setattr(objectives, "_TEAM_CHUNK", chunk)
+        assert decisions == [intersection_nonempty(sets, max_iter=50).status == "empty"
+                             for sets in families]
     assert decisions[:5] == [False, False, True, False, False]
     assert 5 <= sum(decisions[5:]) <= 25
     assert np.array_equal(intersection_nonempty(tangent).witness, [0.0, 0.0])
