@@ -236,17 +236,27 @@ def _coupling(graph: WeightedDigraph, m: int):
     zero (no cancellation error).  They are scatter-added into their
     entering node by one ``bincount`` over the flattened ``(E, m)`` array,
     which sums each node's in-arcs in arc order: O(N + E) memory, and
-    deterministic.
+    deterministic.  Each call returns a fresh array.  The kernel is built
+    once per ``(graph, m)`` and kept on the (immutable) graph.
     """
+    kernel = graph._couplings.get(m)
+    if kernel is None:
+        kernel = graph._couplings[m] = _build_coupling(graph, m)
+    return kernel
+
+
+def _build_coupling(graph: WeightedDigraph, m: int):
     src, dst, w = graph.arc_arrays()
     if src.size == 0:
         return np.zeros_like
     n = graph.n_nodes
     slot = (dst[:, None] * m + np.arange(m)).ravel()
-    wcol = w[:, None]
+    wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
 
     def coupling(x):
-        per_arc = wcol * (x.take(src, axis=0) - x.take(dst, axis=0))
+        per_arc = x.take(src, axis=0) - x.take(dst, axis=0)
+        if wcol is not None:
+            per_arc *= wcol
         return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
 
     return coupling
@@ -274,16 +284,34 @@ def rhs(scenario: Scenario, t, x) -> np.ndarray:
 
 
 def _segment_field(scenario: Scenario, graph: WeightedDigraph):
+    """``(t, y) -> dy/dt`` on one graph, for validated states ``y``.
+
+    Every call returns a fresh array that the caller may update in place.
+    The default law is applied in place on the fresh coupling array, with the
+    operations of :meth:`ControlLaw.apply`; any other law's result is copied
+    unless adding the disturbance already made a new array.
+    """
     coupling = _coupling(graph, scenario.m)
     grad = scenario.objectives.stacked_grad
     law = scenario.law
     disturbance = scenario.disturbance
 
-    def field(t, y):
-        u = law.apply(coupling(y), grad(y))
-        if disturbance is not None:
-            u = u + disturbance(t)
-        return u
+    if type(law) is ControlLaw:
+        # a gain of 1 multiplies exactly; a 0-d array multiplies faster than a float
+        gain = None if law.gain == 1.0 else np.array(law.gain, dtype=float)
+
+        def field(t, y):
+            u = coupling(y)
+            if gain is not None:
+                u *= gain
+            u -= grad(y)
+            if disturbance is not None:
+                u += disturbance(t)
+            return u
+    else:
+        def field(t, y):
+            u = law.apply(coupling(y), grad(y))
+            return np.array(u) if disturbance is None else u + disturbance(t)
 
     return field
 
@@ -319,8 +347,15 @@ def integrate(scenario: Scenario) -> Trajectory:
             k2 = fieldfn(t_k + half, x + half * k1)
             k3 = fieldfn(t_k + half, x + half * k2)
             k4 = fieldfn(t_next, x + hk * k3)
-            x = x + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # also catches NaN and inf
+            # k1 + 2 k2 + 2 k3 + k4, left to right, in the field's fresh k2 and k3
+            k2 += k2  # doubling is exact: the bits of 2.0 * k2
+            k2 += k1
+            k3 += k3
+            k2 += k3
+            k2 += k4
+            k2 *= hk / 6.0
+            x = x + k2
+            if not np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT:  # NaN fails too
                 raise DivergenceError(t_next, x, states[-1])
             times.append(t_next)
             states.append(x)

@@ -29,6 +29,11 @@ def _vector(v, name="vector", rows=False):
     return arr
 
 
+def _ball_distance(center, radius, x):
+    """Distance from validated points to balls given by validated arrays."""
+    return np.maximum(np.linalg.norm(x - center, axis=-1) - radius, 0.0)
+
+
 def _check_dim(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
@@ -43,6 +48,10 @@ class ConvexSet:
 
     def project(self, x):
         raise NotImplementedError
+
+    def _project(self, x):
+        """Projection of validated points (a set with a leaner core overrides it)."""
+        return self.project(x)
 
     def distance(self, x):
         x = _check_dim(x, self.dim)
@@ -102,19 +111,31 @@ class Ball(ConvexSet):
         radius.flags.writeable = False
         self.radius = radius[()]  # a float64 scalar for one ball
         self.dim = self.center.shape[-1]
+        # radius columns for the projection core; the floor is the radius, or
+        # the smallest subnormal for radius 0, so the divisor is never 0
+        self._rcol = radius[..., None]
+        self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
 
     def project(self, x):
-        x = _check_dim(x, self.dim)
+        return self._project(_check_dim(x, self.dim))
+
+    def _project(self, x):
+        """Projection of validated points; :meth:`project` and the gradient share it.
+
+        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it.  The
+        divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is kept
+        (``r > radius``) and is never 0 elsewhere, so no lane warns.  A point
+        with a NaN coordinate projects to NaN in every coordinate.
+        """
         d = x - self.center
-        r = np.linalg.norm(d, axis=-1)
-        scale = self.radius / np.where(r > 0.0, r, 1.0)
-        shrunk = self.center + d * scale[..., None]
-        return np.where((r <= self.radius)[..., None], x, shrunk)
+        r = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
+        d *= self._rcol / np.maximum(r, self._floor)
+        d += self.center
+        np.copyto(d, x, where=r <= self._rcol)
+        return d
 
     def distance(self, x):
-        x = _check_dim(x, self.dim)
-        r = np.linalg.norm(x - self.center, axis=-1)
-        return np.maximum(r - self.radius, 0.0)
+        return _ball_distance(self.center, self.radius, _check_dim(x, self.dim))
 
     def interior_margin(self, x):
         x = _check_dim(x, self.dim)
@@ -218,8 +239,11 @@ class Quadratic(ConvexComponent):
         return 0.5 * np.einsum("...i,...ij,...j->...", e, self.matrix, e)
 
     def grad(self, x):
-        e = _check_dim(x, self.dim) - self.center
-        return np.einsum("...ij,...j->...i", self.matrix, e)
+        return self._grad(_check_dim(x, self.dim))
+
+    def _grad(self, x):
+        """Gradient at validated points, shared with the stacked gradient."""
+        return np.einsum("...ij,...j->...i", self.matrix, x - self.center)
 
     def argmin_set(self):
         if not self.is_positive_definite:
@@ -253,8 +277,11 @@ class SquaredDistance(ConvexComponent):
         return 0.5 * self.target.distance(x) ** 2
 
     def grad(self, x):
-        x = _check_dim(x, self.dim)
-        return x - self.target.project(x)
+        return self._grad(_check_dim(x, self.dim))
+
+    def _grad(self, x):
+        """Gradient at validated points, shared with the stacked gradient."""
+        return x - self.target._project(x)
 
     def argmin_set(self):
         return self.target
@@ -300,6 +327,7 @@ class Sum(ConvexComponent):
         return {"kind": "sum", "parts": [p.describe() for p in self.parts]}
 
 
+_FLOAT = np.dtype(float)  # native float64 is one object, so ``dtype is _FLOAT`` tests it
 _TEAM_CHUNK = 1 << 17  # entries per block of the stacked ball kernels: 1 MB temporaries
 _U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
 _FINITE_SQUARES = 2.0 ** 500  # lengths below this have finite squares
@@ -382,6 +410,7 @@ class ObjectiveSet:
         self.components = comps
         self.m = comps[0].dim
         self.n_nodes = len(comps)
+        self._shape = (self.n_nodes, self.m)
 
         self.stacked = None
         if all(isinstance(c, Quadratic) for c in comps):
@@ -393,20 +422,25 @@ class ObjectiveSet:
         # stacking rejects a component with a node axis; the per-node loop would broadcast it
         elif np.ndim(self.team.value(np.zeros(self.m))):
             raise ValueError("each component must be one node's, without a node axis")
-
-    def _check_stack(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-2:] != (self.n_nodes, self.m):
-            raise ValueError(
-                f"stacked state must end with shape ({self.n_nodes}, {self.m}), got {x.shape}"
-            )
-        return x
+        # the family's gradient kernel, for states stacked_grad has validated
+        self._grad = self._node_grads if self.stacked is None else self.stacked._grad
 
     def stacked_grad(self, x):
-        """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``."""
-        x = self._check_stack(x)
-        if self.stacked is not None:
-            return self.stacked.grad(x)
+        """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``.
+
+        A float64 ``ndarray`` ending in ``(n_nodes, m)``, such as every state
+        the integrator forms, is already what validation would return, so it
+        goes straight to the family's kernel.
+        """
+        if not (type(x) is np.ndarray and x.dtype is _FLOAT and x.shape[-2:] == self._shape):
+            x = np.asarray(x, dtype=float)
+            if x.shape[-2:] != self._shape:
+                raise ValueError(
+                    f"stacked state must end with shape ({self.n_nodes}, {self.m}), got {x.shape}"
+                )
+        return self._grad(x)
+
+    def _node_grads(self, x):
         out = np.empty_like(x)
         for i, c in enumerate(self.components):
             out[..., i, :] = c.grad(x[..., i, :])
@@ -534,14 +568,20 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
         t = np.clip((d + a.radius - b.radius) / (2.0 * d), 0.0, 1.0)
         return IntersectionResult("nonempty", a.center + t * gap)
 
+    if balls:
+        def worst(x):
+            return float(_ball_distance(c, r, x).max())
+    else:
+        def worst(x):
+            return max(float(s.distance(x)) for s in sets)
+
     x = np.mean([_representative(s) for s in sets], axis=0)
     for _ in range(max_iter):
-        worst = max(float(s.distance(x)) for s in sets)
-        if worst <= 0.1 * tol:
+        if worst(x) <= 0.1 * tol:
             break
         for s in sets:
             x = s.project(x)
-    if max(float(s.distance(x)) for s in sets) <= tol:
+    if worst(x) <= tol:
         return IntersectionResult("nonempty", x)
     return IntersectionResult("undecided")
 

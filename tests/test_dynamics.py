@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from consensusflow import (
+    Ball,
+    Box,
     ControlLaw,
     DivergenceError,
     ExponentialDecayDisturbance,
     ObjectiveSet,
     Quadratic,
     Scenario,
+    SquaredDistance,
     SwitchingSignal,
     Trajectory,
     WeightedDigraph,
@@ -19,6 +23,7 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
+from consensusflow import dynamics
 from consensusflow.dynamics import DIVERGENCE_LIMIT
 
 from conftest import (
@@ -133,6 +138,17 @@ def test_neighbor_info_exactly_zero_on_consensus():
     x = np.tile(rng.normal(size=(1, 3)), (4, 1))
     n = neighbor_info(g, x)
     assert n.tobytes() == np.zeros_like(n).tobytes()
+
+
+def test_coupling_kernel_is_built_once_per_graph_and_dimension():
+    g = cycle_with_chords()
+    assert dynamics._coupling(g, 2) is dynamics._coupling(g, 2)
+    assert dynamics._coupling(g, 3) is not dynamics._coupling(g, 2)
+    # an equal graph is another object with its own kernel, computing the same
+    twin = cycle_with_chords()
+    assert twin == g and dynamics._coupling(twin, 2) is not dynamics._coupling(g, 2)
+    x = np.arange(10.0).reshape(5, 2)
+    assert dynamics._coupling(twin, 2)(x).tobytes() == neighbor_info(g, x).tobytes()
 
 
 def test_neighbor_info_shape_check():
@@ -290,6 +306,110 @@ def test_final_substep_is_truncated():
 def test_stats_fields():
     traj = integrate(_two_node_scenario(tf=1.0))
     assert traj.stats == {"steps": 100, "rhs_evaluations": 400, "segments": 1}
+
+
+# --- the in-place step against an out-of-place reference ---------------------
+
+def _reference_run(scenario):
+    """RK4 from the public, validated pieces, with the stages combined out of place."""
+    obj, law, disturbance, h = scenario.objectives, scenario.law, scenario.disturbance, scenario.step
+    topo = scenario.topology
+    if isinstance(topo, SwitchingSignal):
+        segments = topo.segments(scenario.t0, scenario.tf)
+    else:
+        segments = [(scenario.t0, scenario.tf, topo)]
+
+    def field(graph, t, y):
+        u = law.apply(neighbor_info(graph, y), obj.stacked_grad(y))
+        return u if disturbance is None else u + disturbance(t)
+
+    x, times, states = scenario.x0, [scenario.t0], [scenario.x0]
+    for a, b, graph in segments:
+        n_sub = max(1, int(math.ceil((b - a) / h - 1e-9)))
+        for k in range(n_sub):
+            t_k = a + k * h
+            t_next = b if k == n_sub - 1 else a + (k + 1) * h
+            hk = t_next - t_k
+            half = 0.5 * hk
+            k1 = field(graph, t_k, x)
+            k2 = field(graph, t_k + half, x + half * k1)
+            k3 = field(graph, t_k + half, x + half * k2)
+            k4 = field(graph, t_next, x + hk * k3)
+            x = x + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.abs(x).max() <= DIVERGENCE_LIMIT:
+                raise DivergenceError(t_next, x, states[-1])
+            times.append(t_next)
+            states.append(x)
+    return np.array(times), np.stack(states)
+
+
+def _family(kind, rng, n, m):
+    comps = []
+    for i in range(n):
+        pick = kind if kind != "mixed" else ("ball", "quadratic", "box")[i % 3]
+        if pick == "ball":
+            comps.append(SquaredDistance(Ball(rng.uniform(-2.0, 2.0, m),
+                                              float(rng.uniform(0.0, 1.5)))))
+        elif pick == "quadratic":
+            a = rng.uniform(-1.0, 1.0, (m, m))
+            comps.append(Quadratic(a.T @ a + 0.2 * np.eye(m), rng.uniform(-1.0, 1.0, m)))
+        else:
+            lower = rng.uniform(-2.0, 0.0, m)
+            comps.append(SquaredDistance(Box(lower, lower + 1.0)))
+    return ObjectiveSet(comps)
+
+
+class _CachedLaw:
+    """Returns the same array on every call; updating it in place would corrupt the run."""
+
+    def __init__(self, n, m):
+        self.velocity = np.linspace(-1.0, 1.0, n * m).reshape(n, m)
+
+    def apply(self, n, g):
+        return self.velocity
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ball", "quadratic", "mixed"])
+def test_integrate_matches_out_of_place_reference(kind, m):
+    rng = np.random.default_rng(40 + 3 * m + len(kind))
+    n = 5
+    obj = _family(kind, rng, n, m)
+    x0 = rng.uniform(-5.0, 5.0, (n, m))
+    weighted = WeightedDigraph(n, {(j, i): float(rng.uniform(0.2, 3.0))
+                                   for j in range(n) for i in range(n)
+                                   if i != j and (i - j) % n in (1, 2)})
+    schedule = SwitchingSignal([(0.0, cycle_with_chords(n)), (0.13, weighted),
+                                (0.2, WeightedDigraph(n))], dwell=0.05, period=0.37)
+    cached = np.full((n, m), 0.5)
+    cached_law = _CachedLaw(n, m)
+    runs = [
+        {"topology": cycle_with_chords(n)},
+        {"topology": weighted, "law": ControlLaw(2.5)},
+        {"topology": schedule},
+        {"topology": weighted, "disturbance": ExponentialDecayDisturbance(
+            rng.uniform(-1.0, 1.0, (n, m)), rate=0.7)},
+        {"topology": cycle_with_chords(n), "law": cached_law},
+        {"topology": weighted, "law": cached_law, "disturbance": lambda t: cached},
+        {"topology": schedule, "disturbance": lambda t: cached},
+    ]
+    for run in runs:
+        scen = Scenario(obj, x0=x0, tf=1.0, step=0.03, **run)
+        traj = integrate(scen)
+        times, states = _reference_run(scen)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+    assert np.array_equal(cached, np.full((n, m), 0.5))
+    assert np.array_equal(cached_law.velocity, np.linspace(-1.0, 1.0, n * m).reshape(n, m))
+
+    diverging = Scenario(obj, cycle_with_chords(n), x0, tf=5.0, law=ControlLaw(1e3))
+    with pytest.raises(DivergenceError) as err:
+        integrate(diverging)
+    with pytest.raises(DivergenceError) as ref:
+        _reference_run(diverging)
+    assert err.value.time == ref.value.time and err.value.node == ref.value.node
+    assert err.value.state.tobytes() == ref.value.state.tobytes()
+    assert str(err.value) == str(ref.value)
 
 
 # --- divergence and validation -----------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,80 @@ def test_ball_fast_path_matches_loop():
                 _assert_sets_match(fast.stacked.target, balls, x)
 
 
+def _norm_projection(center, radius, x):
+    # the ball projection written with np.linalg.norm and where(r > 0, r, 1)
+    d = x - center
+    r = np.linalg.norm(d, axis=-1)
+    shrunk = center + d * (radius / np.where(r > 0.0, r, 1.0))[..., None]
+    return np.where((r <= radius)[..., None], x, shrunk)
+
+
+def _warnings_of(fn, x):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = fn(x)
+    return out, sorted(str(w.message) for w in seen)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ball_projection_core_edges(m):
+    rng = np.random.default_rng(20 + m)
+    balls = [Ball(rng.uniform(-1.0, 1.0, m), float(rng.uniform(0.3, 2.0))) for _ in range(3)]
+    balls += [Ball(rng.uniform(-1.0, 1.0, m), 0.0), Ball(np.zeros(m), 0.0)]
+    n = len(balls)
+    stack = Ball(np.stack([b.center for b in balls]), [b.radius for b in balls])
+    obj = ObjectiveSet([SquaredDistance(b) for b in balls])
+
+    # each centre (on a radius-0 ball the point is the ball), then points up
+    # to two ulp either side of every sphere, radius-0 ones included
+    states = [stack.center.copy()]
+    for _ in range(12):
+        u = rng.normal(size=(n, m))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        sphere = stack.center + stack.radius[:, None] * u
+        outward = stack.center + 2.0 * (stack.radius[:, None] + 1.0) * u
+        for target in (stack.center, outward):
+            p = sphere
+            for _ in range(2):
+                p = np.nextafter(p, target)
+                states.append(p)
+        states.append(sphere)
+    states.append(np.where(np.arange(n)[:, None] == n - 1, 5e-324, stack.center))
+    states = np.stack(states)
+    r = np.linalg.norm(states - stack.center, axis=-1)
+    for i in range(3):  # the probes land on both sides of each positive sphere
+        assert (r[:, i] < stack.radius[i]).any() and (r[:, i] > stack.radius[i]).any()
+        assert (r[:, i] == stack.radius[i]).any()
+
+    nan_rows = np.full((2, n, m), np.nan)
+    nan_rows[1, 1:, :] = stack.center[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (states, states[0], nan_rows):
+            reference = _node_rows(lambda i, xi: balls[i].project(xi), x)
+            assert stack.project(x).tobytes() == reference.tobytes()
+            assert obj.stacked_grad(x).tobytes() == (x - reference).tobytes()
+            assert stack.project(x).tobytes() == _norm_projection(
+                stack.center, stack.radius, x).tobytes()
+        if m > 1:
+            # with one NaN coordinate the point projects to NaN in every one
+            # (the norm formula keeps the finite ones, shrunk by radius / 1)
+            partial = stack.center + 3.0
+            partial[:, 0] = np.nan
+            assert np.isnan(stack.project(partial)).all()
+
+    # inf * 0 in the shrink makes an infinite point NaN, with numpy's invalid
+    # multiply warning, as the norm formula does; the divisor adds none
+    inf_rows = np.stack([np.full((n, m), np.inf), np.full((n, m), -np.inf), stack.center + 1.0])
+    inf_rows[2, :, 0] = np.inf
+    out, seen = _warnings_of(stack.project, inf_rows)
+    expected, expected_seen = _warnings_of(
+        lambda x: _norm_projection(stack.center, stack.radius, x), inf_rows)
+    assert out.tobytes() == expected.tobytes()
+    assert seen and set(seen) == {"invalid value encountered in multiply"}
+    assert set(expected_seen) == set(seen)
+
+
 def _ball_family(rng, n, m):
     return ObjectiveSet([SquaredDistance(Ball(rng.uniform(-2.0, 2.0, m),
                                               float(rng.uniform(0.0, 1.5))))
@@ -529,6 +605,18 @@ def test_ball_separation_rows_match_pair_loop(monkeypatch):
     assert decisions[:5] == [False, False, True, False, False]
     assert 5 <= sum(decisions[5:]) <= 25
     assert np.array_equal(intersection_nonempty(tangent).witness, [0.0, 0.0])
+
+
+def test_stacked_ball_distance_matches_per_ball():
+    # the projection phase of intersection_nonempty takes each sweep's worst
+    # distance from the stacked arrays; per row it is Ball.distance bit for bit
+    rng = np.random.default_rng(26)
+    for m in (1, 2, 3, 9):
+        balls = [Ball(rng.uniform(-2.0, 2.0, m), float(rng.uniform(0.0, 1.5))) for _ in range(40)]
+        c, r = np.stack([b.center for b in balls]), np.array([b.radius for b in balls])
+        for x in rng.uniform(-3.0, 3.0, (20, m)):
+            rows = np.array([b.distance(x) for b in balls])
+            assert objectives._ball_distance(c, r, x).tobytes() == rows.tobytes()
 
 
 def test_single_set_and_validation():
