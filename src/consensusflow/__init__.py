@@ -32,6 +32,7 @@ from .dynamics import (
     Scenario,
     Trajectory,
     integrate,
+    integrate_batch,
     neighbor_info,
     rhs,
 )
@@ -80,7 +81,7 @@ __all__ = [
     "UnsupportedRepresentationError", "WeightedDigraph", "audit_assumptions",
     "check_disagreement_bound", "consensus_diameter", "detect_convergence",
     "dini_nonincreasing", "global_min",
-    "gradient_norm_series", "integrate", "interior_simplex",
+    "gradient_norm_series", "integrate", "integrate_batch", "interior_simplex",
     "intersection_nonempty", "load_config", "lyapunov_trace", "neighbor_info",
     "node_optimum_residuals", "optimality_gap", "read_trace", "rhs", "run",
     "sphere_intersection", "stationary_quadratic", "sweep_k", "write_trace",

@@ -229,27 +229,34 @@ class Trajectory:
         return self.states[-1]
 
 
-def _coupling(graph: WeightedDigraph, m: int):
+def _coupling(graph: WeightedDigraph, m: int, copies: int = 1):
     """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
 
     Differences are formed per arc, so exact consensus states give exactly
     zero (no cancellation error).  They are scatter-added into their
     entering node by one ``bincount`` over the flattened ``(E, m)`` array,
     which sums each node's in-arcs in arc order: O(N + E) memory, and
-    deterministic.  Each call returns a fresh array.  The kernel is built
-    once per ``(graph, m)`` and kept on the (immutable) graph.
+    deterministic.  Each call returns a fresh array.  With ``copies = B``
+    the kernel couples ``(B * N, m)`` states on the B-fold disjoint union of
+    the graph: copy b's arcs are ``src + b*N -> dst + b*N``, copy by copy, so
+    every copy's nodes sum their in-arcs in the same order as one graph.
+    The kernel is built once per ``(graph, m, copies)`` and kept on the
+    (immutable) graph.
     """
-    kernel = graph._couplings.get(m)
+    kernel = graph._couplings.get((m, copies))
     if kernel is None:
-        kernel = graph._couplings[m] = _build_coupling(graph, m)
+        kernel = graph._couplings[m, copies] = _build_coupling(graph, m, copies)
     return kernel
 
 
-def _build_coupling(graph: WeightedDigraph, m: int):
+def _build_coupling(graph: WeightedDigraph, m: int, copies: int):
     src, dst, w = graph.arc_arrays()
     if src.size == 0:
         return np.zeros_like
-    n = graph.n_nodes
+    n = graph.n_nodes * copies
+    if copies > 1:
+        shift = graph.n_nodes * np.arange(copies)[:, None]
+        src, dst, w = (src + shift).ravel(), (dst + shift).ravel(), np.tile(w, copies)
     slot = (dst[:, None] * m + np.arange(m)).ravel()
     wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
 
@@ -280,25 +287,83 @@ def rhs(scenario: Scenario, t, x) -> np.ndarray:
     t = float(t)
     if not scenario.t0 <= t <= scenario.tf:
         raise ValueError(f"time {t} outside [{scenario.t0}, {scenario.tf}]")
-    return _segment_field(scenario, scenario.graph_at(t))(t, _as_state(x, scenario.n_nodes))
+    field = _fields([scenario])(scenario.graph_at(t))
+    return field(t, _as_state(x, scenario.n_nodes))
 
 
-def _segment_field(scenario: Scenario, graph: WeightedDigraph):
-    """``(t, y) -> dy/dt`` on one graph, for validated states ``y``.
+_SHARED = ("objectives", "topology", "t0", "tf", "step", "disturbance")
 
-    Every call returns a fresh array that the caller may update in place.
-    The default law is applied in place on the fresh coupling array, with the
-    operations of :meth:`ControlLaw.apply`; any other law's result is copied
-    unless adding the disturbance already made a new array.
+
+def _same(a, b) -> bool:
+    """Whether two members' values of a shared field give the same run: one
+    object, or one type with the same description (as the fingerprint writes
+    it); ``repr`` tells ``-0.0`` from ``0.0``."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return hasattr(a, "describe") and (json.dumps(a.describe(), sort_keys=True)
+                                       == json.dumps(b.describe(), sort_keys=True))
+
+
+def _check_batch(scenarios) -> None:
+    if not scenarios:
+        raise ValueError("integrate_batch needs at least one scenario")
+    lead = scenarios[0]
+    for b, s in enumerate(scenarios):
+        if not isinstance(s, Scenario):
+            raise TypeError(f"member {b} is not a Scenario")
+        for name in _SHARED:
+            if not _same(getattr(s, name), getattr(lead, name)):
+                raise ValueError(f"batch members must share {name}; member {b} differs "
+                                 "from member 0")
+        if len(scenarios) > 1 and type(s.law) is not ControlLaw:
+            raise ValueError(f"law: a batch of {len(scenarios)} members needs a ControlLaw "
+                             f"for each; member {b} has {type(s.law).__name__}")
+
+
+def _fields(scenarios):
+    """``graph -> (t, y) -> dy/dt`` for the members folded into the node axis.
+
+    ``y`` is the ``(B * n_nodes, m)`` stack of the B members' validated
+    states, and the family is tiled B times, so each kernel runs on a 2-D
+    array as for one member.  Every call returns a fresh array that the
+    caller may update in place.  A :class:`ControlLaw` is applied in place on
+    the fresh coupling array, with the operations of :meth:`ControlLaw.apply`;
+    any other law (a batch of one only) has its result copied unless adding
+    the disturbance already made a new array.
     """
-    coupling = _coupling(graph, scenario.m)
-    grad = scenario.objectives.stacked_grad
-    law = scenario.law
-    disturbance = scenario.disturbance
+    lead = scenarios[0]
+    copies, m = len(scenarios), lead.m
+    objectives = lead.objectives
+    if copies > 1:
+        objectives = ObjectiveSet(objectives.components * copies)
+    grad = objectives.stacked_grad
+    law, disturbance = lead.law, lead.disturbance
+    folded = (copies, lead.n_nodes, m)
 
-    if type(law) is ControlLaw:
-        # a gain of 1 multiplies exactly; a 0-d array multiplies faster than a float
-        gain = None if law.gain == 1.0 else np.array(law.gain, dtype=float)
+    if type(law) is not ControlLaw:
+        def make(graph):
+            coupling = _coupling(graph, m)
+
+            def field(t, y):
+                u = law.apply(coupling(y), grad(y))
+                return np.array(u) if disturbance is None else u + disturbance(t)
+            return field
+        return make
+
+    # a gain of 1 multiplies exactly and is skipped; unequal gains form a column
+    # (n_nodes rows per member); a 0-d array multiplies faster than a float
+    gains = [s.law.gain for s in scenarios]
+    if len(set(gains)) > 1:
+        gain = np.repeat(np.array(gains, dtype=float), lead.n_nodes)[:, None]
+    else:
+        gain = None if gains[0] == 1.0 else np.array(gains[0], dtype=float)
+
+    def make(graph):
+        coupling = _coupling(graph, m, copies)
 
         def field(t, y):
             u = coupling(y)
@@ -306,14 +371,11 @@ def _segment_field(scenario: Scenario, graph: WeightedDigraph):
                 u *= gain
             u -= grad(y)
             if disturbance is not None:
-                u += disturbance(t)
+                w = u.reshape(folded)  # a view: each member takes the same forcing
+                w += disturbance(t)
             return u
-    else:
-        def field(t, y):
-            u = law.apply(coupling(y), grad(y))
-            return np.array(u) if disturbance is None else u + disturbance(t)
-
-    return field
+        return field
+    return make
 
 
 def integrate(scenario: Scenario) -> Trajectory:
@@ -322,21 +384,57 @@ def integrate(scenario: Scenario) -> Trajectory:
     Each constant-topology segment is integrated independently; the final
     substep of a segment is truncated so switch instants and ``tf`` land on
     exact sample points.  The run is deterministic: identical scenarios give
-    bit-identical trajectories.
+    bit-identical trajectories.  It is ``integrate_batch([scenario])[0]``.
     """
-    t0, tf, h = scenario.t0, scenario.tf, scenario.step
-    if isinstance(scenario.topology, SwitchingSignal):
-        segments = scenario.topology.segments(t0, tf)
-    else:
-        segments = [(t0, tf, scenario.topology)]
+    return integrate_batch([scenario])[0]
 
-    x = scenario.x0  # rebound, never mutated: each state is stored once
+
+def integrate_batch(scenarios) -> list[Trajectory]:
+    """Integrate several scenarios in one RK4 pass; one :class:`Trajectory` each.
+
+    The members share ``objectives``, ``topology``, ``t0``, ``tf``, ``step``
+    and ``disturbance`` (the same object, or one of the same kind and
+    description), and may differ in ``x0`` and in a :class:`ControlLaw`'s
+    gain.  They are folded into the node axis: the batch state is one
+    ``(B * n_nodes, m)`` array on the B-fold disjoint union of each segment's
+    graph, so every member's trajectory is bit-identical to its own
+    :func:`integrate` run.  If the batch diverges, the members are rerun one
+    at a time, so the error raised is the one the first member to diverge on
+    its own raises.
+    """
+    scenarios = list(scenarios)
+    _check_batch(scenarios)
+    try:
+        times, blocks, stats = _rk4(scenarios)
+    except DivergenceError:
+        if len(scenarios) == 1:
+            raise
+        for s in scenarios:
+            _rk4([s])
+        raise
+    return [Trajectory(np.array(times), blocks[b], s.fingerprint, dict(stats))
+            for b, s in enumerate(scenarios)]
+
+
+def _rk4(scenarios):
+    """The integrator loop over the folded members: ``(times, states per member, stats)``."""
+    lead = scenarios[0]
+    t0, tf, h = lead.t0, lead.tf, lead.step
+    if isinstance(lead.topology, SwitchingSignal):
+        segments = lead.topology.segments(t0, tf)
+    else:
+        segments = [(t0, tf, lead.topology)]
+    copies = len(scenarios)
+    fields = _fields(scenarios)
+
+    # rebound, never mutated: each state is stored once
+    x = lead.x0 if copies == 1 else np.concatenate([s.x0 for s in scenarios])
     times = [t0]
     states = [x]
     steps = 0
 
     for a, b, graph in segments:
-        fieldfn = _segment_field(scenario, graph)
+        fieldfn = fields(graph)
         n_sub = max(1, int(math.ceil((b - a) / h - 1e-9)))
         for k in range(n_sub):
             t_k = a + k * h
@@ -361,9 +459,11 @@ def integrate(scenario: Scenario) -> Trajectory:
             states.append(x)
         steps += n_sub
 
+    # (B, T, n_nodes, m): member b's states are a view into the (T, B * n_nodes, m) stack
+    blocks = np.stack(states).reshape(len(states), copies, lead.n_nodes, lead.m).swapaxes(0, 1)
     stats = {
         "steps": steps,
         "rhs_evaluations": 4 * steps,
         "segments": len(segments),
     }
-    return Trajectory(np.array(times), np.stack(states), scenario.fingerprint, stats)
+    return times, blocks, stats

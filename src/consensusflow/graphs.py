@@ -64,7 +64,7 @@ class WeightedDigraph:
         self._src = np.array([a[0] for a in arcs], dtype=np.intp)
         self._dst = np.array([a[1] for a in arcs], dtype=np.intp)
         self._w = np.array([cleaned[a] for a in arcs], dtype=float)
-        self._couplings = {}  # m -> the graph's coupling kernel, memoized by dynamics
+        self._couplings = {}  # (m, copies) -> the coupling kernel, memoized by dynamics
 
     @classmethod
     def from_arcs(cls, n_nodes, arcs, weight=1.0, weight_bounds=None):

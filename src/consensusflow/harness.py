@@ -34,6 +34,7 @@ from .dynamics import (
     ExponentialDecayDisturbance,
     Scenario,
     integrate,
+    integrate_batch,
 )
 from .graphs import SwitchingSignal, WeightedDigraph
 from .objectives import (
@@ -639,7 +640,8 @@ def _gain_runs(config, grid, seed, step):
     Yields ``(gain, point, bound, trajectory)``.  ``point`` and ``bound`` are
     None where the stationary oracle does not apply.  Gain zero is solved by
     the oracle only, so its ``bound`` and ``trajectory`` are None.  The bound
-    uses the largest stationary gradient norm over the whole grid.
+    uses the largest stationary gradient norm over the whole grid.  The
+    positive gains are simulated as one batch.
     """
     points, grad_sup, lam2 = {}, None, None
     if stationary_oracle_unmet(config.objectives, config.topology) is None:
@@ -650,6 +652,8 @@ def _gain_runs(config, grid, seed, step):
         points = {k: stationary_quadratic(config.objectives, config.topology, k)
                   for k in grid}
         grad_sup = max(p.grad_norm for p in points.values())
+    members = [config.build_scenario(seed=seed, step=step, gain=k) for k in grid if k > 0.0]
+    trajs = iter(integrate_batch(members) if members else [])
     for k in grid:
         sp = points.get(k)
         bound = traj = None
@@ -657,7 +661,7 @@ def _gain_runs(config, grid, seed, step):
             if sp is not None:
                 bound = check_disagreement_bound(sp, grad_sup, lam2,
                                                  slack=config.tolerances["bound_slack"])
-            traj = integrate(config.build_scenario(seed=seed, step=step, gain=k))
+            traj = next(trajs)
         yield k, sp, bound, traj
 
 

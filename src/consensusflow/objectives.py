@@ -117,7 +117,9 @@ class Ball(ConvexSet):
         self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
 
     def project(self, x):
-        return self._project(_check_dim(x, self.dim))
+        x = _check_dim(x, self.dim)
+        with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 shrink
+            return self._project(x)
 
     def _project(self, x):
         """Projection of validated points; :meth:`project` and the gradient share it.
@@ -125,7 +127,9 @@ class Ball(ConvexSet):
         ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it.  The
         divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is kept
         (``r > radius``) and is never 0 elsewhere, so no lane warns.  A point
-        with a NaN coordinate projects to NaN in every coordinate.
+        with a NaN coordinate projects to NaN in every coordinate; so does an
+        infinite one, whose shrink multiplies ``inf`` by 0, which numpy
+        reports as an invalid value here (the public :meth:`project` does not).
         """
         d = x - self.center
         r = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
@@ -277,10 +281,11 @@ class SquaredDistance(ConvexComponent):
         return 0.5 * self.target.distance(x) ** 2
 
     def grad(self, x):
-        return self._grad(_check_dim(x, self.dim))
+        x = _check_dim(x, self.dim)
+        return x - self.target.project(x)
 
     def _grad(self, x):
-        """Gradient at validated points, shared with the stacked gradient."""
+        """Gradient at validated points, the stacked gradient's kernel."""
         return x - self.target._project(x)
 
     def argmin_set(self):

@@ -23,6 +23,7 @@ from consensusflow import (
     consensus_diameter,
     dini_nonincreasing,
     integrate,
+    integrate_batch,
     interior_simplex,
     intersection_nonempty,
     global_min,
@@ -69,9 +70,9 @@ def test_fixed_digraph_reaches_optimal_consensus():
     team = global_min(obj)
 
     worst = {"diameter": 0.0, "residual": 0.0, "gap": 0.0}
-    for seed in range(10):
-        x0 = np.random.default_rng(seed).uniform(-5.0, 5.0, (5, 2))
-        traj = integrate(Scenario(obj, graph, x0, tf=200.0, step=0.01))
+    members = [Scenario(obj, graph, np.random.default_rng(seed).uniform(-5.0, 5.0, (5, 2)),
+                        tf=200.0, step=0.01) for seed in range(10)]
+    for traj in integrate_batch(members):
         worst["diameter"] = max(worst["diameter"],
                                 float(consensus_diameter(traj.terminal_state)))
         worst["residual"] = max(worst["residual"],
@@ -119,10 +120,9 @@ def test_large_gains_shrink_disagreement_as_predicted():
     worst_mismatch = 0.0
     min_margin = np.inf
     all_hold = True
-    for k in gains:
-        traj = integrate(
-            Scenario(obj, graph, [0.0, 3.0], tf=25.0, law=ControlLaw(k), step=0.01)
-        )
+    members = [Scenario(obj, graph, [0.0, 3.0], tf=25.0, law=ControlLaw(k), step=0.01)
+               for k in gains]
+    for k, traj in zip(gains, integrate_batch(members)):
         diam = float(consensus_diameter(traj.terminal_state))
         worst_diam_err = max(worst_diam_err, abs(diam - 3.0 / (2.0 * k + 1.0)))
         worst_mismatch = max(
@@ -157,10 +157,9 @@ def test_switching_topology_reaches_optimal_consensus():
     worst_spread = 0.0
     worst_residual = 0.0
     worst_recon = 0.0
-    for seed in range(10):
-        x0 = np.random.default_rng(100 + seed).uniform(-5.0, 5.0, (3, 2))
-        traj = integrate(Scenario(obj, sig, x0, tf=120.0, step=0.01))
-
+    members = [Scenario(obj, sig, np.random.default_rng(100 + seed).uniform(-5.0, 5.0, (3, 2)),
+                        tf=120.0, step=0.01) for seed in range(10)]
+    for traj in integrate_batch(members):
         v = lyapunov_trace(traj, z)
         env = v.max_across()
         chk = dini_nonincreasing(env, 1e-6 * np.maximum(1.0, env.values))
@@ -222,12 +221,12 @@ def test_minimizer_hull_cube_is_invariant():
     starts += [rng.uniform(lo, hi, (3, 1)) for _ in range(4)]
 
     worst_exit = 0.0
-    for gain in (0.5, 1.0, 10.0):
-        for x0 in starts:
-            traj = integrate(Scenario(obj, graph, x0, tf=20.0, law=ControlLaw(gain)))
-            worst_exit = max(worst_exit,
-                             float((traj.states - hi).max()),
-                             float((lo - traj.states).max()))
+    members = [Scenario(obj, graph, x0, tf=20.0, law=ControlLaw(gain))
+               for gain in (0.5, 1.0, 10.0) for x0 in starts]
+    for traj in integrate_batch(members):
+        worst_exit = max(worst_exit,
+                         float((traj.states - hi).max()),
+                         float((lo - traj.states).max()))
     ok = worst_exit <= 1e-9
     _report(
         "padded minimizer hull is invariant for every gain",

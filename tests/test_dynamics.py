@@ -20,6 +20,7 @@ from consensusflow import (
     Trajectory,
     WeightedDigraph,
     integrate,
+    integrate_batch,
     neighbor_info,
     rhs,
 )
@@ -410,6 +411,107 @@ def test_integrate_matches_out_of_place_reference(kind, m):
     assert err.value.time == ref.value.time and err.value.node == ref.value.node
     assert err.value.state.tobytes() == ref.value.state.tobytes()
     assert str(err.value) == str(ref.value)
+
+
+# --- a batch of members against their single runs ---------------------------
+
+def _assert_same_run(traj, single):
+    assert traj.times.tobytes() == single.times.tobytes()
+    assert traj.states.tobytes() == single.states.tobytes()
+    assert traj.fingerprint == single.fingerprint
+    assert traj.stats == single.stats
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ball", "quadratic", "mixed"])
+def test_batch_members_match_single_runs(kind, m):
+    rng = np.random.default_rng(70 + 3 * m + len(kind))
+    n = 5
+    obj = _family(kind, rng, n, m)
+    weighted = WeightedDigraph(n, {(j, i): float(rng.uniform(0.2, 3.0))
+                                   for j in range(n) for i in range(n)
+                                   if i != j and (i - j) % n in (1, 2)})
+    schedule = SwitchingSignal([(0.0, cycle_with_chords(n)), (0.13, weighted),
+                                (0.2, WeightedDigraph(n))], dwell=0.05, period=0.37)
+    disturbance = ExponentialDecayDisturbance(rng.uniform(-1.0, 1.0, (n, m)), rate=0.7)
+    # one member; four with one gain; unequal gains with and without 1, each with a duplicate
+    grids = [(1.0,), (2.5, 2.5, 2.5, 2.5), (0.5, 1.0, 3.0, 1.0), (3.0, 0.5, 3.0, 7.0)]
+    for topology in (cycle_with_chords(n), weighted, schedule):
+        for dist in (None, disturbance):
+            for gains in grids:
+                members = [Scenario(obj, topology, rng.uniform(-5.0, 5.0, (n, m)), tf=0.6,
+                                    step=0.03, law=ControlLaw(k), disturbance=dist)
+                           for k in gains]
+                batch = integrate_batch(members)
+                assert len(batch) == len(members)
+                for scen, traj in zip(members, batch):
+                    _assert_same_run(traj, integrate(scen))
+    # members one apart in x0 only, and a batch of one with a custom law
+    x0 = rng.uniform(-5.0, 5.0, (n, m))
+    twins = [Scenario(obj, weighted, x0, tf=1.0, step=0.03) for _ in range(2)]
+    a, b = integrate_batch(twins)
+    assert a.states.tobytes() == b.states.tobytes() and a.states is not b.states
+    custom = Scenario(obj, schedule, x0, tf=1.0, step=0.03, law=_CachedLaw(n, m))
+    _assert_same_run(integrate_batch([custom])[0], integrate(custom))
+
+
+def test_batch_members_may_hold_equal_copies_of_shared_fields():
+    # a config builds new objects for each member; equal descriptions share a run
+    members = [Scenario(two_node_quadratics(), two_node_graph(), x0, tf=1.0, law=ControlLaw(k),
+                        disturbance=ExponentialDecayDisturbance([[1.0], [-1.0]]))
+               for k, x0 in ((1.0, [0.0, 3.0]), (10.0, [1.0, 2.0]))]
+    for scen, traj in zip(members, integrate_batch(members)):
+        _assert_same_run(traj, integrate(scen))
+
+
+def test_integrate_batch_rejects_members_that_do_not_share_a_run():
+    base = dict(objectives=two_node_quadratics(), topology=two_node_graph(),
+                x0=[0.0, 3.0], tf=1.0)
+    lead = Scenario(**base)
+    with pytest.raises(ValueError, match="at least one scenario"):
+        integrate_batch([])
+    other_topology = WeightedDigraph(2, {(0, 1): 2.0, (1, 0): 1.0})
+    cases = {
+        "objectives": {"objectives": ObjectiveSet([Quadratic([[1.0]], [0.0]),
+                                                   Quadratic([[1.0]], [-0.0])])},
+        "topology": {"topology": other_topology},
+        "t0": {"t0": -0.0},
+        "tf": {"tf": 2.0},
+        "step": {"step": 0.02},
+        "disturbance": {"disturbance": ExponentialDecayDisturbance([[1.0], [0.0]])},
+    }
+    for name, change in cases.items():
+        member = Scenario(**{**base, **change})
+        with pytest.raises(ValueError, match=f"share {name}; member 1 differs"):
+            integrate_batch([lead, member])
+    shared = lambda t: np.zeros((2, 1))  # noqa: E731
+    with pytest.raises(ValueError, match="share disturbance"):
+        integrate_batch([Scenario(**base, disturbance=shared),
+                         Scenario(**base, disturbance=lambda t: np.zeros((2, 1)))])
+    custom = Scenario(**base, law=_CachedLaw(2, 1))
+    for members in ([lead, custom], [custom, custom]):
+        with pytest.raises(ValueError, match="law: .* needs a ControlLaw"):
+            integrate_batch(members)
+    integrate_batch([Scenario(**base, disturbance=shared)] * 2)  # one object is shared
+
+
+def test_batch_divergence_raises_the_sequential_error():
+    # the batch first fails on gain 1000 at t=0.03; in member order gain 140
+    # comes first and fails on its own at t=4.85, so that is the error
+    members = [_two_node_scenario(gain=k, tf=6.0) for k in (1.0, 140.0, 1000.0)]
+    with pytest.raises(DivergenceError) as ref:
+        for scen in members:
+            integrate(scen)
+    assert ref.value.time > 1.0
+    for order in (members, members[::-1]):
+        with pytest.raises(DivergenceError) as seq:
+            for scen in order:
+                integrate(scen)
+        with pytest.raises(DivergenceError) as err:
+            integrate_batch(order)
+        assert err.value.time == seq.value.time and err.value.node == seq.value.node
+        assert err.value.state.tobytes() == seq.value.state.tobytes()
+        assert str(err.value) == str(seq.value)
 
 
 # --- divergence and validation -----------------------------------------------

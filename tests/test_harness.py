@@ -12,6 +12,7 @@ from consensusflow import (
     ConfigError,
     ControlLaw,
     DEFAULT_TOLERANCES,
+    DivergenceError,
     ScenarioConfig,
     Scenario,
     Trajectory,
@@ -24,6 +25,9 @@ from consensusflow import (
     write_trace,
 )
 from consensusflow.cli import main
+from consensusflow.harness import _gain_runs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ball_dicts():
@@ -639,6 +643,42 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys):
     singular = _write(tmp_path, singular, "singular.json")
     for command in (["oracle"], ["sweep-k"], ["verify", "eps-optimal"]):
         assert main(command + ["--config", singular, "--quiet"]) == 2
+
+
+def test_gain_runs_match_single_runs(tmp_path):
+    config = load_config(_write(tmp_path, quad_config(tf=5.0)))
+    grid = [0.0, 10.0, 1.0, 10.0, 2.5]
+    runs = list(_gain_runs(config, grid, None, None))
+    assert [k for k, *_ in runs] == grid and runs[0][3] is None
+    for k, _, _, traj in runs[1:]:
+        single = integrate(config.build_scenario(gain=k))
+        assert traj.times.tobytes() == single.times.tobytes()
+        assert traj.states.tobytes() == single.states.tobytes()
+        assert traj.fingerprint == single.fingerprint and traj.stats == single.stats
+
+
+def test_gain_grid_divergence_is_the_sequential_error(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "pair.json").read_text())
+    cfg["analysis"]["k_grid"] = [1.0, 1000.0, 140.0]
+    path = _write(tmp_path, cfg, "pair.json")
+    config = load_config(path)
+    with pytest.raises(DivergenceError) as ref:
+        for k in cfg["analysis"]["k_grid"]:
+            integrate(config.build_scenario(gain=k))
+    assert str(ref.value).startswith("state diverged at t=0.03: node 1 ")
+    calls = [lambda: list(_gain_runs(config, cfg["analysis"]["k_grid"], None, None)),
+             lambda: sweep_k(config), lambda: run(config, "eps-optimal")]
+    for call in calls:
+        with pytest.raises(DivergenceError) as err:
+            call()
+        assert err.value.time == ref.value.time and err.value.node == ref.value.node
+        assert err.value.state.tobytes() == ref.value.state.tobytes()
+        assert str(err.value) == str(ref.value)
+    for command in (["sweep-k"], ["verify", "eps-optimal"]):
+        assert main(command + ["--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {ref.value}\n"
 
 
 def test_cli_exit_code_claim_failure(tmp_path):

@@ -342,16 +342,25 @@ def test_ball_projection_core_edges(m):
             partial[:, 0] = np.nan
             assert np.isnan(stack.project(partial)).all()
 
-    # inf * 0 in the shrink makes an infinite point NaN, with numpy's invalid
-    # multiply warning, as the norm formula does; the divisor adds none
+    # inf * 0 in the shrink makes an infinite point NaN, as the norm formula
+    # does; the core reports numpy's invalid multiply warning (the divisor adds
+    # none), and the public projection and gradient keep it to themselves
     inf_rows = np.stack([np.full((n, m), np.inf), np.full((n, m), -np.inf), stack.center + 1.0])
     inf_rows[2, :, 0] = np.inf
-    out, seen = _warnings_of(stack.project, inf_rows)
     expected, expected_seen = _warnings_of(
         lambda x: _norm_projection(stack.center, stack.radius, x), inf_rows)
-    assert out.tobytes() == expected.tobytes()
+    core, seen = _warnings_of(stack._project, inf_rows)
+    assert core.tobytes() == expected.tobytes()
     assert seen and set(seen) == {"invalid value encountered in multiply"}
     assert set(expected_seen) == set(seen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stack.project(inf_rows).tobytes() == expected.tobytes()
+        reference = _node_rows(lambda i, xi: balls[i].project(xi), inf_rows)
+        assert reference.tobytes() == expected.tobytes()
+        grads = _node_rows(lambda i, xi: obj.components[i].grad(xi), inf_rows)
+        assert grads.tobytes() == (inf_rows - expected).tobytes()
+        assert SquaredDistance(stack).grad(inf_rows).tobytes() == (inf_rows - expected).tobytes()
 
 
 def _ball_family(rng, n, m):
