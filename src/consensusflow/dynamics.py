@@ -2,7 +2,7 @@
 
 Each node i runs the first-order rule
 
-    dx_i/dt = law(n_i, g_i) + w_i(t)
+    dx_i/dt = gain * n_i - g_i + w_i(t)
 
 where ``n_i = sum_j a_ij (x_j - x_i)`` aggregates in-neighbor disagreement,
 ``g_i`` is the node's own objective gradient, and ``w_i`` is an optional
@@ -60,9 +60,6 @@ class ControlLaw:
         if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError("gain must be a positive real")
 
-    def apply(self, n, g):
-        return self.gain * np.asarray(n, dtype=float) - np.asarray(g, dtype=float)
-
     def describe(self) -> dict:
         return {"kind": "gain-law", "gain": self.gain}
 
@@ -101,7 +98,7 @@ class Scenario:
     topology : WeightedDigraph or SwitchingSignal
         Fixed graph or piecewise-constant schedule covering ``[t0, tf]``.
     law : ControlLaw, optional
-        Any object exposing ``apply(n, g)`` works; the default has gain 1.
+        The only kind of law (anything else is a ``TypeError``); default gain 1.
     x0 : array
         Initial stacked state, shape ``(n_nodes, m)`` (a flat vector of
         length ``n_nodes * m`` is accepted and reshaped).
@@ -126,7 +123,9 @@ class Scenario:
             )
         self.objectives = objectives
         self.topology = topology
-        self.law = law if law is not None else ControlLaw()
+        self.law = ControlLaw() if law is None else law
+        if not isinstance(self.law, ControlLaw):
+            raise TypeError("law must be a ControlLaw")
 
         n, m = objectives.n_nodes, objectives.m
         x0 = np.asarray(x0, dtype=float)
@@ -169,12 +168,11 @@ class Scenario:
             dist = self.disturbance.describe()
         else:
             dist = {"kind": "custom"}
-        law = self.law.describe() if hasattr(self.law, "describe") else {"kind": "custom"}
         return {
             "name": self.name,
             "objectives": self.objectives.describe(),
             "topology": self.topology.describe(),
-            "law": law,
+            "law": self.law.describe(),
             "x0": self.x0.tolist(),
             "t0": self.t0,
             "tf": self.tf,
@@ -319,9 +317,6 @@ def _check_batch(scenarios) -> None:
             if not _same(getattr(s, name), getattr(lead, name)):
                 raise ValueError(f"batch members must share {name}; member {b} differs "
                                  "from member 0")
-        if len(scenarios) > 1 and type(s.law) is not ControlLaw:
-            raise ValueError(f"law: a batch of {len(scenarios)} members needs a ControlLaw "
-                             f"for each; member {b} has {type(s.law).__name__}")
 
 
 def _fields(scenarios):
@@ -330,10 +325,8 @@ def _fields(scenarios):
     ``y`` is the ``(B * n_nodes, m)`` stack of the B members' validated
     states, and the family is tiled B times, so each kernel runs on a 2-D
     array as for one member.  Every call returns a fresh array that the
-    caller may update in place.  A :class:`ControlLaw` is applied in place on
-    the fresh coupling array, with the operations of :meth:`ControlLaw.apply`;
-    any other law (a batch of one only) has its result copied unless adding
-    the disturbance already made a new array.
+    caller may update in place: each member's :class:`ControlLaw`,
+    ``gain * n - g``, is applied in place on the fresh coupling array.
     """
     lead = scenarios[0]
     copies, m = len(scenarios), lead.m
@@ -341,18 +334,8 @@ def _fields(scenarios):
     if copies > 1:
         objectives = ObjectiveSet(objectives.components * copies)
     grad = objectives.stacked_grad
-    law, disturbance = lead.law, lead.disturbance
+    disturbance = lead.disturbance
     folded = (copies, lead.n_nodes, m)
-
-    if type(law) is not ControlLaw:
-        def make(graph):
-            coupling = _coupling(graph, m)
-
-            def field(t, y):
-                u = law.apply(coupling(y), grad(y))
-                return np.array(u) if disturbance is None else u + disturbance(t)
-            return field
-        return make
 
     # a gain of 1 multiplies exactly and is skipped; unequal gains form a column
     # (n_nodes rows per member); a 0-d array multiplies faster than a float

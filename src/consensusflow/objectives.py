@@ -3,10 +3,10 @@
 All evaluators broadcast: points may be a single vector of length ``m`` or
 any batch shaped ``(..., m)``.  Projections return the input unchanged (bit
 for bit) on points already inside the set, so gradients vanish exactly on
-minimizers.  :class:`Point`, :class:`Ball` and :class:`Quadratic` also take a
-leading node axis (centres ``(N, m)``, radii ``(N,)``, matrices ``(N, m, m)``):
-one object then evaluates points ``(..., N, m)`` row by row, bit for bit as
-the N single objects would (a quadratic's value aside, see the README).
+minimizers.  :class:`Point`, :class:`Ball`, :class:`Box` and :class:`Quadratic`
+also take a leading node axis (centres and bounds ``(N, m)``, radii ``(N,)``,
+matrices ``(N, m, m)``): one object then evaluates points ``(..., N, m)`` row
+by row, bit for bit as the N single objects would (a quadratic's value aside).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ class UnsupportedRepresentationError(ValueError):
 def _vector(v, name="vector", rows=False):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 and not (rows and arr.ndim == 2):
-        raise ValueError(f"{name} must be one-dimensional" + (" or (N, m)" if rows else ""))
+        rows = " or (N, m) rows on a node axis" if rows else ""
+        raise ValueError(f"{name} must be one-dimensional{rows}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
@@ -161,15 +162,15 @@ class Box(ConvexSet):
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper must be vectors of equal length")
+        if self.lower.ndim not in (1, 2) or self.lower.shape != self.upper.shape:
+            raise ValueError("lower and upper must share a shape, (m,) or (N, m) on a node axis")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("box bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box needs lower <= upper componentwise")
         self.lower.flags.writeable = False
         self.upper.flags.writeable = False
-        self.dim = self.lower.shape[0]
+        self.dim = self.lower.shape[-1]
 
     def project(self, x):
         x = _check_dim(x, self.dim)
@@ -281,8 +282,8 @@ class SquaredDistance(ConvexComponent):
         return 0.5 * self.target.distance(x) ** 2
 
     def grad(self, x):
-        x = _check_dim(x, self.dim)
-        return x - self.target.project(x)
+        with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
+            return self._grad(_check_dim(x, self.dim))
 
     def _grad(self, x):
         """Gradient at validated points, the stacked gradient's kernel."""
@@ -394,16 +395,32 @@ def _ball_team_kernel(balls: Ball, pts):
     return out
 
 
+_FIELDS = {Quadratic: ("matrix", "center"), Ball: ("center", "radius"),
+           Box: ("lower", "upper"), Point: ("c",), Sum: None}
+
+
+def _stack(kind, comps):
+    """Summands of one kind as one component with a node axis, stacking the
+    arrays ``_FIELDS`` names (sums as a nested :class:`ObjectiveSet`)."""
+    if kind not in _FIELDS:
+        raise TypeError(f"unsupported objective kind: {kind.__name__}")
+    if kind is Sum:
+        return ObjectiveSet(comps)
+    objs = comps if kind is Quadratic else [c.target for c in comps]
+    stack = kind(*(np.stack([getattr(o, f) for o in objs]) for f in _FIELDS[kind]))
+    return stack if kind is Quadratic else SquaredDistance(stack)
+
+
 class ObjectiveSet:
     """One convex component per node, all on a common R^m.
 
-    Stacked evaluators take states shaped ``(..., n_nodes, m)``.  ``stacked``
-    is the family as one component with a node axis (a :class:`Quadratic`, or
-    a :class:`SquaredDistance` to a :class:`Ball`), or None for any other
-    family, which is evaluated node by node.  ``team`` is the team objective
-    ``F(z) = sum_i f_i(z)`` at a common point ``z``, a :class:`Sum` that adds
-    the components in node order; :meth:`team_value` evaluates it on many
-    points at once.
+    Stacked evaluators take states shaped ``(..., n_nodes, m)``.  Gradient
+    layer k stacks every node's k-th summand (a :class:`Sum`'s part, else the
+    component) into one component per kind, with its node indices; layer 0
+    writes and later layers add, as ``Sum`` does (a summand that is a sum nests
+    a set), so row i is ``components[i].grad`` bit for bit.  ``stacked`` is a
+    family of one kind as one component with a node axis, else None.  ``team``
+    is ``F(z) = sum_i f_i(z)``, a :class:`Sum` in node order.
     """
 
     def __init__(self, components):
@@ -417,18 +434,21 @@ class ObjectiveSet:
         self.n_nodes = len(comps)
         self._shape = (self.n_nodes, self.m)
 
-        self.stacked = None
-        if all(isinstance(c, Quadratic) for c in comps):
-            self.stacked = Quadratic(np.stack([c.matrix for c in comps]),
-                                     np.stack([c.center for c in comps]))
-        elif all(isinstance(c, SquaredDistance) and isinstance(c.target, Ball) for c in comps):
-            self.stacked = SquaredDistance(Ball(np.stack([c.target.center for c in comps]),
-                                                [c.target.radius for c in comps]))
-        # stacking rejects a component with a node axis; the per-node loop would broadcast it
-        elif np.ndim(self.team.value(np.zeros(self.m))):
-            raise ValueError("each component must be one node's, without a node axis")
+        parts = [c.parts if type(c) is Sum else (c,) for c in comps]
+        self._layers = []  # a component with a node axis fails to stack
+        for k in range(max(map(len, parts))):
+            groups = {}
+            for i, p in enumerate(parts):
+                if k < len(p):
+                    kind = type(p[k].target) if type(p[k]) is SquaredDistance else type(p[k])
+                    groups.setdefault(kind, []).append(i)
+            self._layers.append([(_stack(kind, [parts[i][k] for i in idx]), np.array(idx))
+                                 for kind, idx in groups.items()])
+        single = len(self._layers) == len(self._layers[0]) == 1
+        first = self._layers[0][0][0]
+        self.stacked = first if single and Sum not in map(type, comps) else None
         # the family's gradient kernel, for states stacked_grad has validated
-        self._grad = self._node_grads if self.stacked is None else self.stacked._grad
+        self._grad = first._grad if single else self._layered_grad
 
     def stacked_grad(self, x):
         """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``.
@@ -445,10 +465,12 @@ class ObjectiveSet:
                 )
         return self._grad(x)
 
-    def _node_grads(self, x):
+    def _layered_grad(self, x):
         out = np.empty_like(x)
-        for i, c in enumerate(self.components):
-            out[..., i, :] = c.grad(x[..., i, :])
+        for k, layer in enumerate(self._layers):
+            for group, idx in layer:
+                g = group._grad(x.take(idx, axis=-2))
+                out[..., idx, :] = out[..., idx, :] + g if k else g
         return out
 
     def team_value(self, x):
@@ -458,7 +480,7 @@ class ObjectiveSet:
         inside every ball get the exact ``+0.0`` the kernel would return, and
         the rest go through the kernel in blocks of about 1 MB.
         """
-        if not isinstance(self.stacked, SquaredDistance):
+        if not isinstance(getattr(self.stacked, "target", None), Ball):
             return self.team.value(x)
         balls = self.stacked.target
         x = _check_dim(x, self.m)

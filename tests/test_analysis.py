@@ -200,10 +200,12 @@ def test_node_optimum_residuals_match_node_loop():
     mixed = ObjectiveSet([quads.components[0], balls.components[1],
                           SquaredDistance(Box([-1.0, 0.0], [0.0, 1.0])),
                           SquaredDistance(Point(centers[3]))])
+    boxes = ObjectiveSet([SquaredDistance(Box(c - 0.5, c + [0.5, np.inf])) for c in centers])
+    points = ObjectiveSet([SquaredDistance(Point(c)) for c in centers])
     states = rng.uniform(-3.0, 3.0, (9, 4, 2))
     states[0] = centers  # inside every argmin set
     traj = Trajectory(np.arange(9.0), states)
-    for obj in (balls, quads, mixed):
+    for obj in (balls, quads, mixed, boxes, points):
         loop = [s.distance(states[:, i, :]) for i, s in enumerate(obj.argmin_sets())]
         res = node_optimum_residuals(traj, obj).values
         assert res.tobytes() == np.stack(loop, axis=1).tobytes()

@@ -8,6 +8,7 @@ import pytest
 from consensusflow import (
     Ball,
     Box,
+    ConvexComponent,
     GlobalMinimum,
     ObjectiveSet,
     Point,
@@ -32,6 +33,7 @@ from conftest import (
     gradient_fd_worst,
     nonexpansiveness_worst,
     projector_inequality_worst,
+    random_component,
     random_convex_set,
 )
 
@@ -186,6 +188,9 @@ def test_component_validation_errors():
         Ball(np.zeros((2, 3, 2)), np.ones((2, 3)))
     with pytest.raises(ValueError, match="point"):
         Point(np.zeros((2, 3, 2)))
+    for lower, upper in ((np.zeros((2, 3, 2)), np.ones((2, 3, 2))), (np.zeros((3, 2)), np.ones(2))):
+        with pytest.raises(ValueError, match="lower and upper"):
+            Box(lower, upper)
     with pytest.raises(ValueError):
         Ball([np.inf, 0.0], 1.0)
     mats = np.stack([np.eye(2)] * 3)
@@ -213,26 +218,32 @@ def test_objective_set_validation():
         ObjectiveSet([Ball([0.0], 1.0)])
     with pytest.raises(ValueError):
         ObjectiveSet([Quadratic([[1.0]], [0.0]), Quadratic(np.eye(2), [0.0, 0.0])])
-    # a stacked component would broadcast through the per-node loop
-    with pytest.raises(ValueError, match="node axis"):
-        ObjectiveSet([Quadratic(np.eye(2)[None], np.zeros((1, 2))),
-                      SquaredDistance(Ball([0.0, 0.0], 1.0))])
+    # a component with a node axis does not stack, nor does one inside a sum
+    for comps in ([Quadratic(np.eye(1)[None], np.zeros((1, 1))), SquaredDistance(Ball([0.0], 1.0))],
+                  [Sum([SquaredDistance(Point([0.0])), Sum([SquaredDistance(Box([[0.0]], [[1]]))])])]):
+        with pytest.raises(ValueError, match="node axis"):
+            ObjectiveSet(comps)
+    # a kind without a stacked kernel is named, a subclass too
+    flat = type("Flat", (ConvexComponent,), {"dim": 1})()
+    with pytest.raises(TypeError, match="unsupported objective kind: Flat"):
+        ObjectiveSet([Quadratic([[1.0]], [0.0]), Sum([Quadratic([[1.0]], [0.0]), flat])])
+    with pytest.raises(TypeError, match="unsupported objective kind: Slab"):
+        ObjectiveSet([SquaredDistance(type("Slab", (Box,), {})([0.0], [1.0]))])
 
 
 # --- stacked evaluation -----------------------------------------------------
-
-def _generic_clone(objectives):
-    # wrapping in single-part sums defeats the homogeneous fast paths
-    return ObjectiveSet([Sum([c]) for c in objectives.components])
-
 
 def _node_rows(fn, x):
     # per-node results stacked along the node axis
     return np.stack([fn(i, x[..., i, :]) for i in range(x.shape[-2])], axis=x.ndim - 2)
 
 
+def _public_grads(objectives, x):
+    return _node_rows(lambda i, xi: objectives.components[i].grad(xi), x)
+
+
 def _assert_sets_match(stack, sets, x):
-    for name in ("project", "distance"):
+    for name in ("project", "distance", "interior_margin"):
         rows = _node_rows(lambda i, xi: getattr(sets[i], name)(xi), x)
         assert getattr(stack, name)(x).tobytes() == rows.tobytes(), name
 
@@ -245,10 +256,9 @@ def test_quadratic_fast_path_matches_loop():
             a = rng.uniform(-1.0, 1.0, (m, m))
             comps.append(Quadratic(a.T @ a + 0.2 * np.eye(m), rng.uniform(-1, 1, m)))
         fast = ObjectiveSet(comps)
-        slow = _generic_clone(fast)
-        assert isinstance(fast.stacked, Quadratic) and slow.stacked is None
+        assert isinstance(fast.stacked, Quadratic)
         for x in (rng.uniform(-2.0, 2.0, (4, m)), rng.uniform(-2.0, 2.0, (7, 4, m))):
-            assert fast.stacked_grad(x).tobytes() == slow.stacked_grad(x).tobytes()
+            assert fast.stacked_grad(x).tobytes() == _public_grads(fast, x).tobytes()
             value = _node_rows(lambda i, xi: comps[i].value(xi), x)
             # einsum picks its summation order from the operand shapes: for
             # m = 2 and an (N, m) state the stacked value can round an ulp apart
@@ -258,26 +268,56 @@ def test_quadratic_fast_path_matches_loop():
 
 
 def test_ball_fast_path_matches_loop():
+    # and the box and point stacks, with unbounded box sides
     rng = np.random.default_rng(13)
     for m in (1, 2, 3):
         balls = [Ball(rng.uniform(-1, 1, m), float(rng.uniform(0.3, 2.0))) for _ in range(4)]
         balls.append(Ball(rng.uniform(-1, 1, m), 0.0))
-        comps = [SquaredDistance(b) for b in balls]
-        fast = ObjectiveSet(comps)
-        slow = _generic_clone(fast)
-        assert isinstance(fast.stacked.target, Ball) and slow.stacked is None
+        lower = rng.uniform(-2.0, 0.0, (5, m))
+        upper = lower + rng.uniform(0.0, 2.0, (5, m))
         states = rng.uniform(-3.0, 3.0, (6, 5, m))
-        # at each centre, on each sphere, and non-finite
+        # at each centre, on each sphere, on each box corner, and non-finite
         states[0] = [b.center for b in balls]
         states[1] = [b.center + np.eye(m)[0] * b.radius for b in balls]
-        states[2, 0], states[2, 1] = np.nan, np.inf
-        for x in (states[1], states):
-            # inf * 0 in the shrink makes the infinite state NaN, on both paths alike
-            with np.errstate(invalid="ignore"):
-                assert fast.stacked_grad(x).tobytes() == slow.stacked_grad(x).tobytes()
-                value = _node_rows(lambda i, xi: comps[i].value(xi), x)
-                assert fast.stacked.value(x).tobytes() == value.tobytes()
-                _assert_sets_match(fast.stacked.target, balls, x)
+        states[2, 0], states[2, 1], states[3] = np.nan, np.inf, lower
+        lower[0, 0], upper[1, -1], upper[2] = -np.inf, np.inf, np.inf
+        for sets in (balls, [Box(lo, hi) for lo, hi in zip(lower, upper)],
+                     [Point(b.center) for b in balls]):
+            fast = ObjectiveSet([SquaredDistance(s) for s in sets])
+            assert type(fast.stacked.target) is type(sets[0])
+            for x in (states[1], states):
+                # inf * 0 or inf - inf makes the infinite state NaN, on both paths alike
+                with np.errstate(invalid="ignore"):
+                    assert fast.stacked_grad(x).tobytes() == _public_grads(fast, x).tobytes()
+                    value = _node_rows(lambda i, xi: fast.components[i].value(xi), x)
+                    assert fast.stacked.value(x).tobytes() == value.tobytes()
+                    _assert_sets_match(fast.stacked.target, sets, x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_grouped_grad_matches_public_grads(m):
+    rng = np.random.default_rng(60 + m)
+
+    def leaf():
+        return random_component(rng, m, allow_sum=False)
+
+    # every kind alone, and sums with nested sums first, between, last, of one summand
+    unbounded = SquaredDistance(Box(np.full(m, -np.inf), np.zeros(m)))
+    comps = [leaf() for _ in range(6)] + [
+        unbounded, Sum([leaf(), Sum([leaf(), unbounded])]),
+        Sum([Sum([leaf(), leaf()]), leaf(), leaf()]),
+        Sum([leaf(), Sum([unbounded]), leaf(), Sum([leaf(), leaf(), Sum([leaf(), leaf()])])])]
+    # and one kind, each in a sum of one: a single group, but no `stacked`
+    families = (ObjectiveSet(comps), ObjectiveSet([Sum([comps[0]])] * len(comps)))
+    assert families[0].stacked is None is families[1].stacked
+    states = rng.uniform(-3.0, 3.0, (6, len(comps), m))
+    states[0], states[1], states[2] = np.nan, np.inf, -np.inf
+    states[3, ::2], states[3, 1::2, 0] = np.inf, np.nan
+    # the kernels' inf * 0 and inf - inf, which the public grad keeps to itself
+    with np.errstate(invalid="ignore"):
+        for x in (states[5], states[1], states):
+            for obj in families:
+                assert obj.stacked_grad(x).tobytes() == _public_grads(obj, x).tobytes()
 
 
 def _norm_projection(center, radius, x):
@@ -361,6 +401,12 @@ def test_ball_projection_core_edges(m):
         grads = _node_rows(lambda i, xi: obj.components[i].grad(xi), inf_rows)
         assert grads.tobytes() == (inf_rows - expected).tobytes()
         assert SquaredDistance(stack).grad(inf_rows).tobytes() == (inf_rows - expected).tobytes()
+        # box and point gradients keep their inf - inf to themselves too
+        for f in (SquaredDistance(Box(np.full((n, m), -np.inf), stack.center)),
+                  SquaredDistance(Point(stack.center))):
+            with np.errstate(invalid="ignore"):
+                parent = inf_rows - f.target.project(inf_rows)
+            assert f.grad(inf_rows).tobytes() == parent.tobytes()
 
 
 def _ball_family(rng, n, m):
@@ -482,10 +528,12 @@ def test_team_value_families():
     x = rng.uniform(-4.0, 4.0, (20, 5, 9))
     slow = obj.team.value(x)
     assert np.abs(obj.team_value(x) - slow).max() <= 64 * np.finfo(float).eps * (1.0 + slow.max())
-    # quadratic and mixed families evaluate the Sum itself
+    # quadratic, box, point and mixed families evaluate the Sum itself
     quad = ObjectiveSet([Quadratic([[2.0]], [1.0]), Quadratic([[1.0]], [-1.0])])
     mixed = ObjectiveSet([Quadratic([[2.0]], [1.0]), SquaredDistance(Ball([0.0], 0.5))])
-    for obj in (quad, mixed):
+    boxes = ObjectiveSet([SquaredDistance(Box([0.0], [1.0])), SquaredDistance(Box([2.0], [3.0]))])
+    points = ObjectiveSet([SquaredDistance(Point([0.0])), SquaredDistance(Point([1.0]))])
+    for obj in (quad, mixed, boxes, points):
         x = rng.uniform(-3.0, 3.0, (4, 2, 1))
         assert obj.team_value(x).tobytes() == obj.team.value(x).tobytes()
 
