@@ -30,11 +30,6 @@ def _vector(v, name="vector", rows=False):
     return arr
 
 
-def _ball_distance(center, radius, x):
-    """Distance from validated points to balls given by validated arrays."""
-    return np.maximum(np.linalg.norm(x - center, axis=-1) - radius, 0.0)
-
-
 def _check_dim(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
@@ -48,15 +43,18 @@ class ConvexSet:
     dim: int
 
     def project(self, x):
-        raise NotImplementedError
+        x = _check_dim(x, self.dim)
+        with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
+            return self._project(x)
 
     def _project(self, x):
-        """Projection of validated points (a set with a leaner core overrides it)."""
-        return self.project(x)
+        """Projection of validated points, shared by :meth:`project` and the gradient."""
+        raise NotImplementedError
 
     def distance(self, x):
         x = _check_dim(x, self.dim)
-        return np.linalg.norm(x - self.project(x), axis=-1)
+        with np.errstate(invalid="ignore"):  # inf - inf along an unbounded box side
+            return np.linalg.norm(x - self._project(x), axis=-1)
 
     def interior_margin(self, x):
         """Radius of the largest ball around ``x`` inside the set (<= 0 outside)."""
@@ -77,9 +75,10 @@ class Point(ConvexSet):
         self.c.flags.writeable = False
         self.dim = self.c.shape[-1]
 
-    def project(self, x):
-        x = _check_dim(x, self.dim)
-        return np.broadcast_to(self.c, x.shape).copy()
+    def _project(self, x):
+        out = np.empty_like(x)
+        out[...] = self.c
+        return out
 
     def distance(self, x):
         x = _check_dim(x, self.dim)
@@ -117,11 +116,6 @@ class Ball(ConvexSet):
         self._rcol = radius[..., None]
         self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
 
-    def project(self, x):
-        x = _check_dim(x, self.dim)
-        with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 shrink
-            return self._project(x)
-
     def _project(self, x):
         """Projection of validated points; :meth:`project` and the gradient share it.
 
@@ -140,7 +134,8 @@ class Ball(ConvexSet):
         return d
 
     def distance(self, x):
-        return _ball_distance(self.center, self.radius, _check_dim(x, self.dim))
+        x = _check_dim(x, self.dim)
+        return np.maximum(np.linalg.norm(x - self.center, axis=-1) - self.radius, 0.0)
 
     def interior_margin(self, x):
         x = _check_dim(x, self.dim)
@@ -172,8 +167,7 @@ class Box(ConvexSet):
         self.upper.flags.writeable = False
         self.dim = self.lower.shape[-1]
 
-    def project(self, x):
-        x = _check_dim(x, self.dim)
+    def _project(self, x):
         return np.clip(x, self.lower, self.upper)
 
     def interior_margin(self, x):
@@ -334,7 +328,7 @@ class Sum(ConvexComponent):
 
 
 _FLOAT = np.dtype(float)  # native float64 is one object, so ``dtype is _FLOAT`` tests it
-_TEAM_CHUNK = 1 << 17  # entries per block of the stacked ball kernels: 1 MB temporaries
+_TEAM_CHUNK = 1 << 17  # entries per block of the ball team value and separation: 1 MB
 _U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
 _FINITE_SQUARES = 2.0 ** 500  # lengths below this have finite squares
 
@@ -399,16 +393,29 @@ _FIELDS = {Quadratic: ("matrix", "center"), Ball: ("center", "radius"),
            Box: ("lower", "upper"), Point: ("c",), Sum: None}
 
 
-def _stack(kind, comps):
-    """Summands of one kind as one component with a node axis, stacking the
-    arrays ``_FIELDS`` names (sums as a nested :class:`ObjectiveSet`)."""
-    if kind not in _FIELDS:
-        raise TypeError(f"unsupported objective kind: {kind.__name__}")
+def _stack(kind, objs):
+    """Objects of one kind as one with a node axis, stacking the arrays
+    ``_FIELDS`` names: a squared distance stacks its target, and sums nest
+    an :class:`ObjectiveSet`."""
     if kind is Sum:
-        return ObjectiveSet(comps)
-    objs = comps if kind is Quadratic else [c.target for c in comps]
-    stack = kind(*(np.stack([getattr(o, f) for o in objs]) for f in _FIELDS[kind]))
-    return stack if kind is Quadratic else SquaredDistance(stack)
+        return ObjectiveSet(objs)
+    sqdist = type(objs[0]) is SquaredDistance
+    sets = [o.target for o in objs] if sqdist else objs
+    stack = kind(*(np.array([getattr(s, f) for s in sets]) for f in _FIELDS[kind]))
+    return SquaredDistance(stack) if sqdist else stack
+
+
+def _grouped(objs, nodes):
+    """``[(stack, node indices)]``: the objects stacked by kind, in order of first appearance."""
+    groups = {}
+    for o, i in zip(objs, nodes):
+        kind = type(o.target) if type(o) is SquaredDistance else type(o)
+        if kind not in _FIELDS:
+            what = "set" if isinstance(o, ConvexSet) else "objective"
+            raise TypeError(f"unsupported {what} kind: {kind.__name__}")
+        groups.setdefault(kind, []).append((o, i))
+    return [(_stack(kind, [o for o, _ in g]), np.array([i for _, i in g]))
+            for kind, g in groups.items()]
 
 
 class ObjectiveSet:
@@ -437,13 +444,8 @@ class ObjectiveSet:
         parts = [c.parts if type(c) is Sum else (c,) for c in comps]
         self._layers = []  # a component with a node axis fails to stack
         for k in range(max(map(len, parts))):
-            groups = {}
-            for i, p in enumerate(parts):
-                if k < len(p):
-                    kind = type(p[k].target) if type(p[k]) is SquaredDistance else type(p[k])
-                    groups.setdefault(kind, []).append(i)
-            self._layers.append([(_stack(kind, [parts[i][k] for i in idx]), np.array(idx))
-                                 for kind, idx in groups.items()])
+            nodes = [i for i, p in enumerate(parts) if k < len(p)]
+            self._layers.append(_grouped([parts[i][k] for i in nodes], nodes))
         single = len(self._layers) == len(self._layers[0]) == 1
         first = self._layers[0][0][0]
         self.stacked = first if single and Sum not in map(type, comps) else None
@@ -510,46 +512,43 @@ class IntersectionResult:
 
 
 def _representative(s: ConvexSet) -> np.ndarray:
-    if isinstance(s, Point):
-        return s.c.copy()
-    if isinstance(s, Ball):
-        return s.center.copy()
-    if isinstance(s, Box):
+    """A point of ``s``, one per row of a stacked set."""
+    if type(s) is Box:
         return np.clip(np.zeros(s.dim), s.lower, s.upper)
-    return np.zeros(s.dim)
+    return s.c if type(s) is Point else s.center
 
 
-def _balls_apart(ca, ra, cb, rb):
-    """Ball pairs certainly disjoint: centres farther apart than the radii sum."""
+def _rows(s: ConvexSet, sl) -> ConvexSet:
+    """Rows ``sl`` of a stacked set, as a set of its kind."""
+    return type(s)(*(getattr(s, f)[sl] for f in _FIELDS[type(s)]))
+
+
+def _apart(a: ConvexSet, b: ConvexSet) -> np.ndarray:
+    """Exact separation certificate for every pair of rows of two stacked
+    sets, ``(rows of a, rows of b)``; False means unknown."""
+    if type(a) is Point:
+        return b.distance(a.c[:, None]) > 1e-12
+    if type(b) is Point or (type(a), type(b)) == (Box, Ball):
+        return _apart(b, a).T
+    if type(b) is Box:
+        if type(a) is Box:
+            return (np.maximum(a.lower[:, None], b.lower)
+                    > np.minimum(a.upper[:, None], b.upper)).any(axis=-1)
+        return b.distance(a.center[:, None]) > a.radius[:, None]
     # axis=-1 sums the squares in component order; without it numpy
     # takes a dot product, which can round differently
-    return np.linalg.norm(ca - cb, axis=-1) > ra + rb
-
-
-def _pair_disjoint(a: ConvexSet, b: ConvexSet) -> bool:
-    """Exact separation certificate; False means unknown."""
-    if isinstance(a, Point):
-        return bool(b.distance(a.c) > 1e-12)
-    if isinstance(b, Point):
-        return _pair_disjoint(b, a)
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return bool(_balls_apart(a.center, a.radius, b.center, b.radius))
-    if isinstance(a, Box) and isinstance(b, Box):
-        return bool(np.any(np.maximum(a.lower, b.lower) > np.minimum(a.upper, b.upper)))
-    if isinstance(a, Ball) and isinstance(b, Box):
-        return bool(b.distance(a.center) > a.radius)
-    if isinstance(a, Box) and isinstance(b, Ball):
-        return _pair_disjoint(b, a)
-    return False
+    return np.linalg.norm(a.center[:, None] - b.center, axis=-1) > a.radius[:, None] + b.radius
 
 
 def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
     """Decide whether closed convex sets share a point.
 
-    Box-only and two-ball families are decided exactly.  Otherwise a cyclic
-    projection pass either produces a witness within ``tol`` of every set, or
-    an exact pairwise separation certificate proves emptiness; anything else
-    is reported as undecided rather than guessed.
+    The sets are stacked by kind (``Ball``, ``Box`` or ``Point``; any other
+    kind is a ``TypeError`` naming it).  An exact separation certificate on
+    some pair proves emptiness.  Otherwise box-only and two-ball families
+    are decided exactly, and a cyclic projection pass either produces a
+    witness within ``tol`` of every set, or the result is reported as
+    undecided rather than guessed.
     """
     sets = list(sets)
     if not sets:
@@ -557,35 +556,32 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
     dims = {s.dim for s in sets}
     if len(dims) != 1:
         raise ValueError("all sets must share one dimension")
+    n, m = len(sets), dims.pop()
+    groups = _grouped(sets, range(n))
+    start = np.empty((n, m))
+    for g, idx in groups:
+        start[idx] = _representative(g)
+    if n == 1:
+        return IntersectionResult("nonempty", start[0])
 
-    if len(sets) == 1:
-        return IntersectionResult("nonempty", _representative(sets[0]))
+    # a block of rows against the rest of its group from the block's first
+    # row on, and against every later group: each pair is compared once, and
+    # the mirrored pairs and the diagonal also in the block decide the same or never
+    rows = max(1, _TEAM_CHUNK // (n * m))
+    for k, (a, idx) in enumerate(groups):
+        for lo in range(0, len(idx), rows):
+            tail = _rows(a, slice(lo, None)) if lo else a
+            block = _rows(tail, slice(rows)) if len(idx) - lo > rows else tail
+            if any(_apart(block, b).any() for b in [tail] + [b for b, _ in groups[k + 1:]]):
+                return IntersectionResult("empty")
 
-    if all(isinstance(s, Box) for s in sets):
-        lo = np.max([s.lower for s in sets], axis=0)
-        hi = np.min([s.upper for s in sets], axis=0)
-        if np.all(lo <= hi):
-            mid = np.clip(np.zeros(sets[0].dim), lo, hi)
-            return IntersectionResult("nonempty", mid)
-        return IntersectionResult("empty")
-
-    balls = all(isinstance(s, Ball) for s in sets)
-    if balls:
-        # a block of rows against every ball from the block's first on: each
-        # pair i < j is compared once, and the mirrored pairs and the diagonal
-        # also in the block decide the same or never
-        c = np.stack([s.center for s in sets])
-        r = np.array([s.radius for s in sets])
-        n, m = c.shape
-        rows = max(1, _TEAM_CHUNK // (n * m))
-        apart = (_balls_apart(c[lo:lo + rows, None], r[lo:lo + rows, None], c[None, lo:], r[lo:])
-                 .any() for lo in range(0, n, rows))
-    else:
-        apart = (_pair_disjoint(a, b) for i, a in enumerate(sets) for b in sets[i + 1:])
-    if any(apart):
-        return IntersectionResult("empty")
-
-    if balls and len(sets) == 2:
+    kinds = [type(g) for g, _ in groups]
+    if kinds == [Box]:
+        # boxes that meet pairwise share the box of their tightest bounds
+        box = groups[0][0]
+        return IntersectionResult("nonempty", np.clip(np.zeros(m), box.lower.max(axis=0),
+                                                      box.upper.min(axis=0)))
+    if kinds == [Ball] and n == 2:
         a, b = sets
         gap = b.center - a.center
         d = float(np.linalg.norm(gap, axis=-1))
@@ -595,14 +591,10 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
         t = np.clip((d + a.radius - b.radius) / (2.0 * d), 0.0, 1.0)
         return IntersectionResult("nonempty", a.center + t * gap)
 
-    if balls:
-        def worst(x):
-            return float(_ball_distance(c, r, x).max())
-    else:
-        def worst(x):
-            return max(float(s.distance(x)) for s in sets)
+    def worst(x):
+        return max(float(g.distance(x).max()) for g, _ in groups)
 
-    x = np.mean([_representative(s) for s in sets], axis=0)
+    x = start.mean(axis=0)
     for _ in range(max_iter):
         if worst(x) <= 0.1 * tol:
             break

@@ -25,7 +25,6 @@ from consensusflow.objectives import (
     _TEAM_CHUNK,
     _ball_team_kernel,
     _inside_every_ball,
-    _pair_disjoint,
 )
 
 from conftest import (
@@ -107,6 +106,12 @@ def test_projection_batch_shapes():
     d = ball.distance(pts)
     assert d.shape == (2, 2)
     assert d[1, 0] == 2.0
+    # every kind's public projection validates and returns a new writable array
+    for s in (ball, Box([-1.0, -1.0], [1.0, 1.0]), Point([1.0, 2.0])):
+        out = s.project(pts)
+        assert out.shape == pts.shape and out.flags.writeable
+        with pytest.raises(ValueError, match="dimension"):
+            s.project([1.0])
 
 
 def test_interior_margin_signs():
@@ -401,12 +406,24 @@ def test_ball_projection_core_edges(m):
         grads = _node_rows(lambda i, xi: obj.components[i].grad(xi), inf_rows)
         assert grads.tobytes() == (inf_rows - expected).tobytes()
         assert SquaredDistance(stack).grad(inf_rows).tobytes() == (inf_rows - expected).tobytes()
-        # box and point gradients keep their inf - inf to themselves too
-        for f in (SquaredDistance(Box(np.full((n, m), -np.inf), stack.center)),
-                  SquaredDistance(Point(stack.center))):
+        # box and point gradients, distances and values keep their inf - inf
+        # to themselves too, and so does a box family's team value
+        lower = np.full((n, m), -np.inf)
+        box = Box(lower, stack.center)
+        for f, proj in ((SquaredDistance(box), np.clip(inf_rows, box.lower, box.upper)),
+                        (SquaredDistance(Point(stack.center)), stack.center)):
             with np.errstate(invalid="ignore"):
-                parent = inf_rows - f.target.project(inf_rows)
+                parent = inf_rows - proj
             assert f.grad(inf_rows).tobytes() == parent.tobytes()
+            dist = np.linalg.norm(parent, axis=-1)
+            assert f.target.distance(inf_rows).tobytes() == dist.tobytes()
+            assert f.value(inf_rows).tobytes() == (0.5 * dist ** 2).tobytes()
+        boxes = ObjectiveSet([SquaredDistance(Box(lower[0], c)) for c in stack.center])
+        with np.errstate(invalid="ignore"):
+            team = sum(0.5 * np.linalg.norm(inf_rows - np.clip(inf_rows, lower[0], c), axis=-1) ** 2
+                       for c in stack.center)
+        assert np.isnan(team).any()
+        assert boxes.team_value(inf_rows).tobytes() == team.tobytes()
 
 
 def _ball_family(rng, n, m):
@@ -620,9 +637,73 @@ def test_tangent_triple_is_undecided():
     assert r.status == "undecided"
 
 
+def _pair_disjoint(a, b):
+    # the per-pair separation certificate, one pair of single sets at a time
+    if isinstance(a, Point):
+        return bool(b.distance(a.c) > 1e-12)
+    if isinstance(b, Point):
+        return _pair_disjoint(b, a)
+    if isinstance(a, Ball) and isinstance(b, Ball):
+        return bool(np.linalg.norm(a.center - b.center, axis=-1) > a.radius + b.radius)
+    if isinstance(a, Box) and isinstance(b, Box):
+        return bool(np.any(np.maximum(a.lower, b.lower) > np.minimum(a.upper, b.upper)))
+    if isinstance(a, Ball):
+        return bool(b.distance(a.center) > a.radius)
+    return _pair_disjoint(b, a)
+
+
 def _loop_certificate(sets):
     return any(_pair_disjoint(sets[i], sets[j])
                for i in range(len(sets)) for j in range(i + 1, len(sets)))
+
+
+def _touching_pair(rng, m):
+    # two random sets within an ulp of touching (or of the points' 1e-12)
+    ulp = rng.choice([-1.0, 0.0, 1.0])
+    c = rng.uniform(-3.0, 3.0, m)
+    lo = c - rng.uniform(0.1, 2.0, m)
+    hi = c + rng.uniform(0.1, 2.0, m)
+    lo[rng.random(m) < 0.3] = -np.inf
+    k = int(rng.integers(m))
+    hi[k] = c[k] + 1.0
+    box = Box(lo, hi)
+    out = c.copy()
+    out[k] = hi[k] + rng.uniform(0.5, 2.0)
+    r = float(box.distance(out))
+    kind = int(rng.integers(4))
+    if kind == 0:  # boxes sharing a face
+        lo2, hi2 = lo.copy(), np.full(m, np.inf)
+        lo2[k] = hi[k] + ulp * np.spacing(hi[k])
+        return [box, Box(lo2, hi2)]
+    if kind == 1:  # a ball on a box face
+        return [Ball(out, r + ulp * np.spacing(r)), box]
+    if kind == 2:  # a point 1e-12 off a box face
+        out[k] = hi[k] + 1e-12 * (1.0 + ulp * np.finfo(float).eps)
+        return [Point(out), box]
+    # a point on a sphere
+    u = rng.normal(size=m)
+    u /= np.linalg.norm(u)
+    rad = float(rng.uniform(0.1, 2.0))
+    return [Ball(c, rad), Point(c + rad * (1.0 + ulp * np.finfo(float).eps) * u)]
+
+
+def _mixed_family(rng, m):
+    # the pair and more sets, most of them large enough to hold the pair
+    sets = _touching_pair(rng, m)
+    for _ in range(int(rng.integers(1, 7))):
+        c = rng.uniform(-3.0, 3.0, m)
+        big = 12.0 * (rng.random() < 0.75)
+        kind = int(rng.choice(3, p=[0.45, 0.45, 0.1]))
+        if kind == 0:
+            sets.append(Ball(c, big + float(rng.uniform(0.0, 4.0))))
+        elif kind == 1:
+            lo, hi = c - big - rng.uniform(0.0, 4.0, m), c + big + rng.uniform(0.0, 4.0, m)
+            lo[rng.random(m) < 0.3] = -np.inf
+            hi[rng.random(m) < 0.3] = np.inf
+            sets.append(Box(lo, hi))
+        else:
+            sets.append(Point(c))
+    return [sets[i] for i in rng.permutation(len(sets))]
 
 
 def test_ball_separation_rows_match_pair_loop(monkeypatch):
@@ -650,17 +731,21 @@ def test_ball_separation_rows_match_pair_loop(monkeypatch):
         r[-2] = d / 2.0
         r[-1] = rng.choice([np.nextafter(d - r[-2], 0.0), d - r[-2], np.nextafter(d - r[-2], 9.0)])
         families.append([Ball(ci, ri) for ci, ri in zip(c, r)])
+    # balls, boxes with infinite sides and points, each family with a pair
+    # within an ulp of touching, in any order of kinds
+    families += [f(rng, m) for m in (1, 2, 3) for f in [_mixed_family] * 40 + [_touching_pair] * 10]
     decisions = []
     for sets in families:
         decisions.append(intersection_nonempty(sets, max_iter=50).status == "empty")
         assert decisions[-1] == _loop_certificate(sets)
-    # row blocks of one to a few balls decide the same
-    for chunk in (1, 7):
+    # row blocks of one to a few sets decide the same
+    for chunk in (1, 7, 64):
         monkeypatch.setattr(objectives, "_TEAM_CHUNK", chunk)
         assert decisions == [intersection_nonempty(sets, max_iter=50).status == "empty"
                              for sets in families]
     assert decisions[:5] == [False, False, True, False, False]
-    assert 5 <= sum(decisions[5:]) <= 25
+    assert 5 <= sum(decisions[5:35]) <= 25
+    assert 20 <= sum(decisions[35:]) <= len(families) - 55
     assert np.array_equal(intersection_nonempty(tangent).witness, [0.0, 0.0])
 
 
@@ -673,7 +758,7 @@ def test_stacked_ball_distance_matches_per_ball():
         c, r = np.stack([b.center for b in balls]), np.array([b.radius for b in balls])
         for x in rng.uniform(-3.0, 3.0, (20, m)):
             rows = np.array([b.distance(x) for b in balls])
-            assert objectives._ball_distance(c, r, x).tobytes() == rows.tobytes()
+            assert Ball(c, r).distance(x).tobytes() == rows.tobytes()
 
 
 def test_single_set_and_validation():
@@ -683,6 +768,10 @@ def test_single_set_and_validation():
         intersection_nonempty([])
     with pytest.raises(ValueError):
         intersection_nonempty([Ball([0.0], 1.0), Ball([0.0, 0.0], 1.0)])
+    slab = type("Slab", (Box,), {})([0.0], [1.0])
+    for sets in ([Ball([0.0], 1.0), slab], [slab]):
+        with pytest.raises(TypeError, match="unsupported set kind: Slab"):
+            intersection_nonempty(sets)
 
 
 def test_interior_simplex_properties():
