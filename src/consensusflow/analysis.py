@@ -12,11 +12,11 @@ from .objectives import (
     GlobalMinimum,
     ObjectiveSet,
     Quadratic,
-    SquaredDistance,
     Sum,
     UnsupportedRepresentationError,
     _FINITE_SQUARES,
     _U,
+    _grouped,
     global_min,
     intersection_nonempty,
 )
@@ -163,12 +163,13 @@ def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> MetricSeries
 
 
 def node_optimum_residuals(trajectory, objectives: ObjectiveSet) -> MetricSeries:
-    """Per-node distance to the node's own argmin set."""
+    """Per-node distance to the node's own argmin set, the sets stacked by kind."""
     x = trajectory.states
-    if objectives.stacked is not None:
-        return MetricSeries(trajectory.times, objectives.stacked.argmin_set().distance(x))
-    cols = [s.distance(x[:, i, :]) for i, s in enumerate(objectives.argmin_sets())]
-    return MetricSeries(trajectory.times, np.stack(cols, axis=1))
+    out = np.empty(x.shape[:-1])
+    for group, idx in _grouped(objectives.argmin_sets(), range(objectives.n_nodes)):
+        # a group of every node holds them in node order: no gather
+        out[..., idx] = group.distance(x if idx.size == out.shape[-1] else x.take(idx, axis=-2))
+    return MetricSeries(trajectory.times, out)
 
 
 def gradient_norm_series(trajectory, objectives: ObjectiveSet) -> MetricSeries:
@@ -222,7 +223,7 @@ def stationary_oracle_unmet(objectives: ObjectiveSet, topology):
         return "topology", "a fixed topology"
     if not topology.has_symmetric_weights(tol=0.0):
         return "topology", "a bidirectional topology with symmetric weights"
-    if not isinstance(objectives.stacked, Quadratic):
+    if not all(isinstance(c, Quadratic) for c in objectives.components):
         return "objectives", "all-quadratic objectives"
     return None
 

@@ -6,7 +6,7 @@ for bit) on points already inside the set, so gradients vanish exactly on
 minimizers.  :class:`Point`, :class:`Ball`, :class:`Box` and :class:`Quadratic`
 also take a leading node axis (centres and bounds ``(N, m)``, radii ``(N,)``,
 matrices ``(N, m, m)``): one object then evaluates points ``(..., N, m)`` row
-by row, bit for bit as the N single objects would (a quadratic's value aside).
+by row, bit for bit as the N single objects would.
 """
 
 from __future__ import annotations
@@ -134,8 +134,13 @@ class Ball(ConvexSet):
         return d
 
     def distance(self, x):
+        # squares summed in component order, as np.linalg.norm sums fewer than 8
         x = _check_dim(x, self.dim)
-        return np.maximum(np.linalg.norm(x - self.center, axis=-1) - self.radius, 0.0)
+        d = np.zeros(np.broadcast_shapes(x.shape, self.center.shape)[:-1])
+        for k in range(self.dim):
+            dk = x[..., k] - self.center[..., k]
+            d += dk * dk  # a scalar's ** 2 is pow, which can round off the square
+        return np.maximum(np.sqrt(d, out=d) - self.radius, 0.0)
 
     def interior_margin(self, x):
         x = _check_dim(x, self.dim)
@@ -234,14 +239,15 @@ class Quadratic(ConvexComponent):
         return self._eig_min > 1e-10
 
     def value(self, x):
-        e = _check_dim(x, self.dim) - self.center
-        return 0.5 * np.einsum("...i,...ij,...j->...", e, self.matrix, e)
+        # 0.5 sum_k e_k (Q e)_k along the last axis: one order for every shape
+        x = _check_dim(x, self.dim)
+        return 0.5 * np.add.reduce((x - self.center) * self._grad(x), axis=-1)
 
     def grad(self, x):
         return self._grad(_check_dim(x, self.dim))
 
     def _grad(self, x):
-        """Gradient at validated points, shared with the stacked gradient."""
+        """Gradient at validated points, shared with the stacked gradient and the value."""
         return np.einsum("...ij,...j->...i", self.matrix, x - self.center)
 
     def argmin_set(self):
@@ -273,7 +279,7 @@ class SquaredDistance(ConvexComponent):
         self.dim = target.dim
 
     def value(self, x):
-        return 0.5 * self.target.distance(x) ** 2
+        return 0.5 * np.square(self.target.distance(x))  # a scalar's ** 2 is pow
 
     def grad(self, x):
         with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
@@ -328,7 +334,7 @@ class Sum(ConvexComponent):
 
 
 _FLOAT = np.dtype(float)  # native float64 is one object, so ``dtype is _FLOAT`` tests it
-_TEAM_CHUNK = 1 << 17  # entries per block of the ball team value and separation: 1 MB
+_TEAM_CHUNK = 1 << 14  # entries per block of the team value and separation: 128 kB
 _U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
 _FINITE_SQUARES = 2.0 ** 500  # lengths below this have finite squares
 
@@ -339,14 +345,14 @@ def _inside_every_ball(balls: Ball, pts):
     The anchor ``z`` is the centroid of the centres and ``rho = min_i (r_i -
     |z - c_i|)`` its depth; a point with ``|p - z| <= rho - delta`` is inside
     every ball by the triangle inequality, and stays inside after rounding:
-    the kernel's computed ``|p - c_i|`` is at most ``r_i``.  Each computed
+    ``Ball.distance``'s computed ``|p - c_i|`` is at most ``r_i``.  Each computed
     norm (m differences, m squares, m - 1 additions and a root) is within
     ``eta = (m + 4) u`` of the exact one, plus ``2**-535`` where squares
     underflow.  ``rho``, ``|p - z|`` and ``|p - c_i|`` are three such norms,
     ``rho`` and ``rho - delta`` take one more rounding each, and for a marked
     point every term is at most ``r_max``; so the rounding errors sum to less
     than ``(3 eta + 2 u) r_max + 3 * 2**-535``, which ``delta`` covers.  Radii
-    below ``2**500`` keep every square the kernel forms finite.  NaN and
+    below ``2**500`` keep every square ``Ball.distance`` forms finite.  NaN and
     infinite points are never marked; with ``rho <= delta`` nothing is.
     """
     c, r = balls.center, balls.radius
@@ -357,36 +363,7 @@ def _inside_every_ball(balls: Ball, pts):
     delta = 4 * (m + 4) * (_U * r_max + 2.0 ** -535)
     if not (rho > delta and r_max < _FINITE_SQUARES):
         return np.zeros(pts.shape[0], dtype=bool)
-    return np.linalg.norm(pts - z, axis=-1) <= rho - delta
-
-
-def _ball_team_kernel(balls: Ball, pts):
-    """Team value of a stacked ball family at each point of ``pts`` ``(P, m)``.
-
-    Squared differences are summed one component at a time, in component
-    order as ``np.linalg.norm`` sums them for ``m < 8`` (numpy sums longer
-    vectors pairwise, so there the two differ by a few ulp), and the
-    per-ball values are added in node order, as :class:`Sum` adds them.
-    """
-    n, m = balls.center.shape
-    out = np.empty(pts.shape[0])
-    step = max(1, _TEAM_CHUNK // n)
-    for lo in range(0, pts.shape[0], step):
-        p = pts[lo:lo + step]
-        sq = np.zeros((n, p.shape[0]))
-        for k in range(m):
-            d = p[:, k] - balls.center[:, k, None]
-            d *= d
-            sq += d
-        v = np.sqrt(sq, out=sq)
-        v -= balls.radius[:, None]
-        np.maximum(v, 0.0, out=v)
-        v *= v
-        v *= 0.5
-        # reducing a single column sums pairwise; two columns add row by row
-        w = v if v.shape[1] > 1 else np.repeat(v, 2, axis=1)
-        out[lo:lo + step] = np.add.reduce(w, axis=0)[:v.shape[1]]
-    return out
+    return Ball(z, 0.0).distance(pts) <= rho - delta  # |p - z|, summed as |p - c_i| is
 
 
 _FIELDS = {Quadratic: ("matrix", "center"), Ball: ("center", "radius"),
@@ -425,9 +402,9 @@ class ObjectiveSet:
     layer k stacks every node's k-th summand (a :class:`Sum`'s part, else the
     component) into one component per kind, with its node indices; layer 0
     writes and later layers add, as ``Sum`` does (a summand that is a sum nests
-    a set), so row i is ``components[i].grad`` bit for bit.  ``stacked`` is a
-    family of one kind as one component with a node axis, else None.  ``team``
-    is ``F(z) = sum_i f_i(z)``, a :class:`Sum` in node order.
+    a set), so row i is ``components[i].grad`` bit for bit; the team value
+    walks the same layers.  ``team`` is ``F(z) = sum_i f_i(z)``, a
+    :class:`Sum` in node order.
     """
 
     def __init__(self, components):
@@ -448,9 +425,10 @@ class ObjectiveSet:
             self._layers.append(_grouped([parts[i][k] for i in nodes], nodes))
         single = len(self._layers) == len(self._layers[0]) == 1
         first = self._layers[0][0][0]
-        self.stacked = first if single and Sum not in map(type, comps) else None
-        # the family's gradient kernel, for states stacked_grad has validated
+        # the family's gradient kernel, for states stacked_grad has validated,
+        # and a family of one ball group, whose team value has a certificate
         self._grad = first._grad if single else self._layered_grad
+        self._balls = first.target if single and type(getattr(first, "target", None)) is Ball else None
 
     def stacked_grad(self, x):
         """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``.
@@ -476,21 +454,40 @@ class ObjectiveSet:
         return out
 
     def team_value(self, x):
-        """Team objective ``F`` at every point of ``x`` shaped ``(..., m)``.
-
-        Equal to ``team.value(x)``.  For a ball family, points certainly
-        inside every ball get the exact ``+0.0`` the kernel would return, and
-        the rest go through the kernel in blocks of about 1 MB.
+        """Team objective ``F`` at every point of ``x`` shaped ``(..., m)``,
+        ``team.value(x)`` bit for bit: blocks of points (128 kB of values) add
+        their per-node values (:meth:`_values`) in node order from ``+0.0``, as
+        :class:`Sum` adds.  For a family of one ball group, points certainly
+        inside every ball get that exact ``+0.0`` first.
         """
-        if not isinstance(getattr(self.stacked, "target", None), Ball):
-            return self.team.value(x)
-        balls = self.stacked.target
         x = _check_dim(x, self.m)
         pts = x.reshape(-1, self.m)
         out = np.zeros(pts.shape[0])
-        rest = np.flatnonzero(~_inside_every_ball(balls, pts))
-        out[rest] = _ball_team_kernel(balls, pts[rest])
+        rest = (np.arange(pts.shape[0]) if self._balls is None
+                else np.flatnonzero(~_inside_every_ball(self._balls, pts)))
+        step = max(1, _TEAM_CHUNK // self.n_nodes)
+        for lo in range(0, rest.size, step):
+            block = rest[lo:lo + step]
+            v = self._values(pts[block])
+            # columns add row by row, but a single column would sum pairwise:
+            # that one is accumulated, and plus 0.0 drops a -0.0 as 0.0 + does
+            out[block] = (np.add.reduce(v, axis=0, initial=0.0) if v.shape[1] > 1
+                          else np.add.accumulate(v[:, 0])[-1] + 0.0)
         return out.reshape(x.shape[:-1])[()]
+
+    def _values(self, pts):
+        """Per-node values ``(n_nodes, P)`` at the points ``(P, m)``, each group's
+        from its ``value``: layer 0 writes and later layers add, as ``Sum`` adds
+        up to the sign of a zero, which the team's sum from ``+0.0`` drops."""
+        out = np.empty((self.n_nodes, pts.shape[0]))
+        for k, layer in enumerate(self._layers):
+            for group, idx in layer:
+                v = (group._values(pts) if type(group) is ObjectiveSet
+                     else group.value(pts[:, None, :]).T)
+                # a group of every node holds them in node order: no scatter
+                rows = slice(None) if idx.size == self.n_nodes else idx
+                out[rows] = out[rows] + v if k else v
+        return out
 
     def argmin_sets(self):
         return [c.argmin_set() for c in self.components]
@@ -645,7 +642,7 @@ def global_min(objectives: ObjectiveSet, grad_tol=1e-10, max_iter=200000) -> Glo
     fixed-step gradient descent driven to the requested gradient norm.
     """
     comps, team = objectives.components, objectives.team
-    if isinstance(objectives.stacked, Quadratic):
+    if all(isinstance(c, Quadratic) for c in comps):
         q_total = np.sum([c.matrix for c in comps], axis=0)
         eigs = np.linalg.eigvalsh(q_total)
         if eigs[0] > 1e-10:

@@ -15,7 +15,9 @@ from consensusflow import (
     Quadratic,
     Scenario,
     SquaredDistance,
+    Sum,
     Trajectory,
+    UnsupportedRepresentationError,
     WeightedDigraph,
     audit_assumptions,
     check_disagreement_bound,
@@ -210,7 +212,11 @@ def test_node_optimum_residuals_match_node_loop():
         res = node_optimum_residuals(traj, obj).values
         assert res.tobytes() == np.stack(loop, axis=1).tobytes()
         assert not res[0].any()
-    assert mixed.stacked is None
+    # a sum's argmin set is not represented, nested or not
+    nested = ObjectiveSet([Sum([points.components[0], Sum([balls.components[1]])]),
+                           *mixed.components[1:]])
+    with pytest.raises(UnsupportedRepresentationError):
+        node_optimum_residuals(traj, nested)
 
 
 def test_optimality_gap_at_large_gain_stationary_point():

@@ -21,11 +21,7 @@ from consensusflow import (
     intersection_nonempty,
 )
 from consensusflow import objectives
-from consensusflow.objectives import (
-    _TEAM_CHUNK,
-    _ball_team_kernel,
-    _inside_every_ball,
-)
+from consensusflow.objectives import _inside_every_ball
 
 from conftest import (
     first_order_convexity_worst,
@@ -261,15 +257,37 @@ def test_quadratic_fast_path_matches_loop():
             a = rng.uniform(-1.0, 1.0, (m, m))
             comps.append(Quadratic(a.T @ a + 0.2 * np.eye(m), rng.uniform(-1, 1, m)))
         fast = ObjectiveSet(comps)
-        assert isinstance(fast.stacked, Quadratic)
+        stack = Quadratic(np.stack([c.matrix for c in comps]), np.stack([c.center for c in comps]))
         for x in (rng.uniform(-2.0, 2.0, (4, m)), rng.uniform(-2.0, 2.0, (7, 4, m))):
             assert fast.stacked_grad(x).tobytes() == _public_grads(fast, x).tobytes()
+            assert stack.grad(x).tobytes() == _public_grads(fast, x).tobytes()
             value = _node_rows(lambda i, xi: comps[i].value(xi), x)
-            # einsum picks its summation order from the operand shapes: for
-            # m = 2 and an (N, m) state the stacked value can round an ulp apart
-            eps = np.finfo(float).eps
-            assert np.allclose(fast.stacked.value(x), value, rtol=4 * eps, atol=0.0)
-            _assert_sets_match(fast.stacked.argmin_set(), [c.argmin_set() for c in comps], x)
+            assert stack.value(x).tobytes() == value.tobytes()
+            _assert_sets_match(stack.argmin_set(), [c.argmin_set() for c in comps], x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_value_is_batch_independent(m):
+    # 0.5 sum_k e_k (Q e)_k is summed along the last axis in one order for
+    # every shape; a 3-operand einsum picks its order from the operand shapes
+    q = Quadratic([[2.0, 1.0], [1.0, 3.0]], [0.1, 0.2])
+    x = np.array([[0.26, 2.61], [1.9, -2.98], [2.14, -2.8], [1.38, -1.95]])
+    assert q.value(x)[0] == q.value(x[0]) == 9.123349999999999
+    # a lone distance is squared as a batch's is: a scalar's ** 2 is pow,
+    # which rounds this one an ulp above the square
+    a = float.fromhex("0x1.079c2b3bb0737p+2")
+    for f in (SquaredDistance(Point([0.0])), SquaredDistance(Ball([0.0], 0.0))):
+        assert f.value([a]) == f.value([[a]])[0] == 0.5 * (a * a)
+    rng = np.random.default_rng(70 + m)
+    for _ in range(50):
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        q = Quadratic(a.T @ a + 0.1 * np.eye(m), rng.uniform(-2.0, 2.0, m))
+        x = rng.uniform(-3.0, 3.0, (6, m))
+        x[0] = q.center
+        for f in (q, SquaredDistance(random_convex_set(rng, m))):
+            rows = np.array([f.value(xi) for xi in x])
+            for batch in (x, x.reshape(2, 3, m), x[:, None, :]):
+                assert f.value(batch).tobytes() == rows.tobytes()
 
 
 def test_ball_fast_path_matches_loop():
@@ -286,17 +304,18 @@ def test_ball_fast_path_matches_loop():
         states[1] = [b.center + np.eye(m)[0] * b.radius for b in balls]
         states[2, 0], states[2, 1], states[3] = np.nan, np.inf, lower
         lower[0, 0], upper[1, -1], upper[2] = -np.inf, np.inf, np.inf
-        for sets in (balls, [Box(lo, hi) for lo, hi in zip(lower, upper)],
-                     [Point(b.center) for b in balls]):
+        centers = np.stack([b.center for b in balls])
+        for sets, stack in ((balls, Ball(centers, [b.radius for b in balls])),
+                            ([Box(lo, hi) for lo, hi in zip(lower, upper)], Box(lower, upper)),
+                            ([Point(c) for c in centers], Point(centers))):
             fast = ObjectiveSet([SquaredDistance(s) for s in sets])
-            assert type(fast.stacked.target) is type(sets[0])
             for x in (states[1], states):
                 # inf * 0 or inf - inf makes the infinite state NaN, on both paths alike
                 with np.errstate(invalid="ignore"):
                     assert fast.stacked_grad(x).tobytes() == _public_grads(fast, x).tobytes()
                     value = _node_rows(lambda i, xi: fast.components[i].value(xi), x)
-                    assert fast.stacked.value(x).tobytes() == value.tobytes()
-                    _assert_sets_match(fast.stacked.target, sets, x)
+                    assert SquaredDistance(stack).value(x).tobytes() == value.tobytes()
+                    _assert_sets_match(stack, sets, x)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
@@ -312,9 +331,8 @@ def test_grouped_grad_matches_public_grads(m):
         unbounded, Sum([leaf(), Sum([leaf(), unbounded])]),
         Sum([Sum([leaf(), leaf()]), leaf(), leaf()]),
         Sum([leaf(), Sum([unbounded]), leaf(), Sum([leaf(), leaf(), Sum([leaf(), leaf()])])])]
-    # and one kind, each in a sum of one: a single group, but no `stacked`
+    # and one kind, each in a sum of one: a single group
     families = (ObjectiveSet(comps), ObjectiveSet([Sum([comps[0]])] * len(comps)))
-    assert families[0].stacked is None is families[1].stacked
     states = rng.uniform(-3.0, 3.0, (6, len(comps), m))
     states[0], states[1], states[2] = np.nan, np.inf, -np.inf
     states[3, ::2], states[3, 1::2, 0] = np.inf, np.nan
@@ -432,23 +450,57 @@ def _ball_family(rng, n, m):
                          for _ in range(n)])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_ball_team_value_is_sum_bitwise(m):
+def _team_families(rng, m):
+    """Families of every kind alone, and of every kind mixed with nested sums."""
+    def leaf():
+        return random_component(rng, m, allow_sum=False)
+
+    quads = []
+    for _ in range(4):
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        quads.append(Quadratic(a.T @ a + 0.1 * np.eye(m), rng.uniform(-2.0, 2.0, m)))
+    lower = rng.uniform(-2.0, 0.0, (4, m))
+    upper = lower + 1.0
+    lower[0, 0], lower[1], upper[2] = -np.inf, -np.inf, np.inf
+    boxes = [SquaredDistance(Box(lo, hi)) for lo, hi in zip(lower, upper)]
+    points = [SquaredDistance(Point(c)) for c in rng.uniform(-2.0, 2.0, (4, m))]
+    mixed = [leaf() for _ in range(4)] + [
+        quads[0], boxes[0], Sum([leaf(), Sum([leaf(), boxes[1]])]),
+        Sum([Sum([leaf(), quads[1]]), leaf()]), Sum([points[0]])]
+    families = [_ball_family(rng, n, m) for n in (1, 2, 7)]
+    return families + [ObjectiveSet(f) for f in (quads, boxes, points, mixed)]
+
+
+def _probes(c):
+    """A quadratic's, a ball's or a point's centre as given, and a point on a ball's sphere."""
+    if type(c) is Sum:
+        return [p for part in c.parts for p in _probes(part)]
+    s = c if type(c) is Quadratic else c.target
+    if type(s) is Ball:
+        return [s.center, s.center + np.eye(s.dim)[0] * s.radius]
+    return [s.center] if type(s) is Quadratic else [s.c] if type(s) is Point else []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
+def test_team_value_is_sum_bitwise(m, monkeypatch):
     rng = np.random.default_rng(14 + m)
-    for n in (1, 2, 7):
-        obj = _ball_family(rng, n, m)
-        # inside, on and outside every ball, and non-finite states
-        probes = [c.target.center for c in obj.components]
-        probes += [c.target.center + np.eye(m)[0] * c.target.radius for c in obj.components]
-        probes += [c.target.center + rng.normal(size=m) * 3.0 for c in obj.components]
-        probes += [np.full(m, np.nan), np.full(m, np.inf), np.full(m, -0.0)]
-        step = _TEAM_CHUNK // n
-        pts = rng.uniform(-4.0, 4.0, (step + 13, m))  # more than one block, not a multiple
+    # one block, and blocks of one point or of a few, with a single-column last block
+    chunks = (objectives._TEAM_CHUNK, 1, 7)
+    for obj in _team_families(rng, m):
+        n = obj.n_nodes
+        # non-finite and signed-zero points, and every centre given exactly
+        probes = [np.full(m, v) for v in (-0.0, np.nan, np.inf, -np.inf)]
+        probes += [p for c in obj.components for p in _probes(c)]
+        pts = rng.uniform(-4.0, 4.0, (3 * n + len(probes), m))
         pts[:len(probes)] = probes
-        for x in (pts[0], pts[:n], pts[:(pts.shape[0] // n) * n].reshape(-1, n, m), pts):
-            fast, slow = obj.team_value(x), obj.team.value(x)
-            assert np.shape(fast) == np.shape(slow) == x.shape[:-1]
-            assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+        for chunk in chunks:
+            monkeypatch.setattr(objectives, "_TEAM_CHUNK", chunk)
+            for x in (pts[0], pts[len(probes) - 1], pts, pts[:(len(pts) // n) * n].reshape(-1, n, m)):
+                # inf - inf and inf * 0 on both paths alike
+                with np.errstate(invalid="ignore"):
+                    fast, slow = obj.team_value(x), obj.team.value(x)
+                assert np.shape(fast) == np.shape(slow) == x.shape[:-1]
+                assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
 
 
 def _nested_family(rng, n, m, slack=2.0):
@@ -458,15 +510,17 @@ def _nested_family(rng, n, m, slack=2.0):
                          for ci in c])
 
 
+def _balls(obj):
+    return Ball(np.stack([c.target.center for c in obj.components]),
+                [c.target.radius for c in obj.components])
+
+
 def _certified(obj, pts):
-    """The certificate's mask, after checking it against the kernel and ``team.value``."""
-    balls = obj.stacked.target
-    marked = _inside_every_ball(balls, pts)
-    kernel = _ball_team_kernel(balls, pts)
+    """The certificate's mask, after checking it against ``team.value``."""
+    marked = _inside_every_ball(_balls(obj), pts)
     slow = obj.team.value(pts)
-    assert kernel.tobytes() == slow.tobytes()
-    # a marked point is one the kernel scores +0.0
-    assert kernel[marked].tobytes() == np.zeros(marked.sum()).tobytes()
+    # a marked point is one the team value scores +0.0
+    assert slow[marked].tobytes() == np.zeros(marked.sum()).tobytes()
     assert obj.team_value(pts).tobytes() == slow.tobytes()
     return marked
 
@@ -477,7 +531,7 @@ def test_gap_certificate_is_bitwise_sound(m):
     eps = np.finfo(float).eps
     for n in (1, 2, 9):
         obj = _nested_family(rng, n, m)
-        balls = obj.stacked.target
+        balls = _balls(obj)
         probes = [balls.center.mean(axis=0), np.full(m, np.nan), np.full(m, np.inf),
                   np.full(m, -np.inf), np.full(m, -0.0)]
         # a few ulp inside and outside each sphere: in a random direction,
@@ -486,16 +540,16 @@ def test_gap_certificate_is_bitwise_sound(m):
             for u in (rng.normal(size=m), probes[0] - c + eps):
                 u /= np.linalg.norm(u)
                 probes += [c + r * (1.0 + k * eps) * u for k in (-4, -1, 0, 1, 4)]
-        step = _TEAM_CHUNK // n
+        step = objectives._TEAM_CHUNK // n
         pts = rng.uniform(-6.0, 6.0, (2 * step + 1, m))
         pts[:len(probes)] = probes
         marked = _certified(obj, pts)
         # the anchor and -0.0 are deep inside, non-finite points never marked
         assert marked[0] and marked[4] and not marked[1:4].any()
-        assert (~marked).sum() > step  # the kernel still walks more than one block
-        # the kernel's last block holds a single point, which must not sum pairwise
+        assert (~marked).sum() > step  # the rest still takes more than one block
+        # the last block holds a single point, which must not sum pairwise
         rest = pts[~marked][:step + 1]
-        assert _ball_team_kernel(balls, rest).tobytes() == obj.team.value(rest).tobytes()
+        assert obj.team_value(rest).tobytes() == obj.team.value(rest).tobytes()
         assert obj.team_value(rest[-1]).tobytes() == obj.team.value(rest[-1]).tobytes()
         # a converged cloud near the origin is marked whole
         cloud = rng.uniform(-0.25, 0.25, (500, m))
@@ -505,7 +559,7 @@ def test_gap_certificate_is_bitwise_sound(m):
 def test_gap_certificate_rounding_bound():
     # points within a few ulp of the certified radius rho about the anchor, on
     # the side of the shallowest ball; without the rounding bound some of
-    # them are marked although the kernel scores them above 0
+    # them are marked although `team.value` scores them above 0
     rng = np.random.default_rng(45)
     eps = np.finfo(float).eps
     for _ in range(300):
@@ -528,7 +582,7 @@ def test_gap_certificate_steps_aside():
                    [Ball([0.0, 0.0], 5.0), Ball([0.5, 0.5], 0.0)],
                    [Ball([0.5, 0.5], 0.0)]):
         obj = ObjectiveSet([SquaredDistance(b) for b in family])
-        pts[0] = obj.stacked.target.center.mean(axis=0)
+        pts[0] = _balls(obj).center.mean(axis=0)
         assert not _certified(obj, pts).any()
     # random families, with and without a common interior
     for k in range(60):
@@ -536,23 +590,6 @@ def test_gap_certificate_steps_aside():
         obj = (_nested_family(rng, n, m, slack=float(rng.uniform(0.0, 1.0))) if k % 2
                else _ball_family(rng, n, m))
         _certified(obj, rng.uniform(-2.0, 2.0, (300, m)))
-
-
-def test_team_value_families():
-    rng = np.random.default_rng(18)
-    # numpy's norm sums m >= 8 components pairwise, the kernel in order
-    obj = _ball_family(rng, 5, 9)
-    x = rng.uniform(-4.0, 4.0, (20, 5, 9))
-    slow = obj.team.value(x)
-    assert np.abs(obj.team_value(x) - slow).max() <= 64 * np.finfo(float).eps * (1.0 + slow.max())
-    # quadratic, box, point and mixed families evaluate the Sum itself
-    quad = ObjectiveSet([Quadratic([[2.0]], [1.0]), Quadratic([[1.0]], [-1.0])])
-    mixed = ObjectiveSet([Quadratic([[2.0]], [1.0]), SquaredDistance(Ball([0.0], 0.5))])
-    boxes = ObjectiveSet([SquaredDistance(Box([0.0], [1.0])), SquaredDistance(Box([2.0], [3.0]))])
-    points = ObjectiveSet([SquaredDistance(Point([0.0])), SquaredDistance(Point([1.0]))])
-    for obj in (quad, mixed, boxes, points):
-        x = rng.uniform(-3.0, 3.0, (4, 2, 1))
-        assert obj.team_value(x).tobytes() == obj.team.value(x).tobytes()
 
 
 def test_total_value_and_grad():
