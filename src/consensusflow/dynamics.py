@@ -29,12 +29,13 @@ class DivergenceError(RuntimeError):
 
     ``time`` is the end of the failing step, ``node`` the node at fault (the
     one holding the first non-finite entry, else the largest magnitude) and
-    ``state`` the last finite stacked state, the one the step started from.
+    ``state`` a copy of the last finite stacked state, the one the step
+    started from, so a caught error holds no integrator buffer.
     """
 
     def __init__(self, time, bad, state):
         self.time = float(time)
-        self.state = state
+        self.state = np.array(state)
         nonfinite = ~np.isfinite(bad)
         if nonfinite.any():
             entry, why = np.argmax(nonfinite), "a non-finite entry"
@@ -381,9 +382,10 @@ def integrate_batch(scenarios) -> list[Trajectory]:
     gain.  They are folded into the node axis: the batch state is one
     ``(B * n_nodes, m)`` array on the B-fold disjoint union of each segment's
     graph, so every member's trajectory is bit-identical to its own
-    :func:`integrate` run.  If the batch diverges, the members are rerun one
-    at a time, so the error raised is the one the first member to diverge on
-    its own raises.
+    :func:`integrate` run.  The members' ``states`` are views into one
+    ``(T, B * n_nodes, m)`` buffer, and they share one ``times`` array.  If
+    the batch diverges, the members are rerun one at a time, so the error
+    raised is the one the first member to diverge on its own raises.
     """
     scenarios = list(scenarios)
     _check_batch(scenarios)
@@ -395,30 +397,38 @@ def integrate_batch(scenarios) -> list[Trajectory]:
         for s in scenarios:
             _rk4([s])
         raise
-    return [Trajectory(np.array(times), blocks[b], s.fingerprint, dict(stats))
+    return [Trajectory(times, blocks[b], s.fingerprint, dict(stats))
             for b, s in enumerate(scenarios)]
 
 
 def _rk4(scenarios):
-    """The integrator loop over the folded members: ``(times, states per member, stats)``."""
+    """The integrator loop over the folded members: ``(times, states per member, stats)``.
+
+    Every segment's substep count is fixed before the loop, so the ``T``
+    samples are written once each, in place, into preallocated ``(T,)`` times
+    and ``(T, B * n_nodes, m)`` states; row 0 holds the members' ``x0`` in
+    member order.  Beyond that buffer a step holds only its O(B * n_nodes * m)
+    stage arrays.
+    """
     lead = scenarios[0]
     t0, tf, h = lead.t0, lead.tf, lead.step
     if isinstance(lead.topology, SwitchingSignal):
         segments = lead.topology.segments(t0, tf)
     else:
         segments = [(t0, tf, lead.topology)]
-    copies = len(scenarios)
+    copies, n, m = len(scenarios), lead.n_nodes, lead.m
     fields = _fields(scenarios)
+    subs = [max(1, int(math.ceil((b - a) / h - 1e-9))) for a, b, _ in segments]
+    steps = sum(subs)
 
-    # rebound, never mutated: each state is stored once
-    x = lead.x0 if copies == 1 else np.concatenate([s.x0 for s in scenarios])
-    times = [t0]
-    states = [x]
-    steps = 0
+    times = np.empty(1 + steps)
+    states = np.empty((1 + steps, copies * n, m))
+    times[0] = t0
+    x = np.concatenate([s.x0 for s in scenarios], out=states[0])
+    row = 0
 
-    for a, b, graph in segments:
+    for (a, b, graph), n_sub in zip(segments, subs):
         fieldfn = fields(graph)
-        n_sub = max(1, int(math.ceil((b - a) / h - 1e-9)))
         for k in range(n_sub):
             t_k = a + k * h
             t_next = b if k == n_sub - 1 else a + (k + 1) * h
@@ -435,15 +445,14 @@ def _rk4(scenarios):
             k2 += k3
             k2 += k4
             k2 *= hk / 6.0
-            x = x + k2
+            row += 1
+            x = np.add(x, k2, out=states[row])
             if not np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT:  # NaN fails too
-                raise DivergenceError(t_next, x, states[-1])
-            times.append(t_next)
-            states.append(x)
-        steps += n_sub
+                raise DivergenceError(t_next, x, states[row - 1])
+            times[row] = t_next
 
-    # (B, T, n_nodes, m): member b's states are a view into the (T, B * n_nodes, m) stack
-    blocks = np.stack(states).reshape(len(states), copies, lead.n_nodes, lead.m).swapaxes(0, 1)
+    # (B, T, n_nodes, m): member b's states are a view into the (T, B * n_nodes, m) buffer
+    blocks = states.reshape(1 + steps, copies, n, m).swapaxes(0, 1)
     stats = {
         "steps": steps,
         "rhs_evaluations": 4 * steps,

@@ -471,7 +471,7 @@ class RunReport:
         }
 
 
-_TRACE_BLOCK = 1024  # trace rows formatted per string operation
+_TRACE_BLOCK = 1024  # trace rows per string operation, in whole samples (at least one)
 
 
 def write_trace(path, trajectory, extras=None) -> list:
@@ -479,6 +479,8 @@ def write_trace(path, trajectory, extras=None) -> list:
 
     Floats are printed with 17 significant digits so re-reading reproduces
     them bit for bit.  ``extras`` maps column names to (T, n_nodes) arrays.
+    The bytes are ``np.savetxt``'s; the rows are formatted a block of samples
+    at a time, so the writer holds one block beyond its inputs.
     """
     path = Path(path)
     extras = dict(extras or {})
@@ -488,18 +490,18 @@ def write_trace(path, trajectory, extras=None) -> list:
         if extras[key].shape != (trajectory.times.shape[0], n):
             raise ValueError(f"extra column '{key}' must be shaped (T, n_nodes)")
     header = ["t", "node"] + [f"comp_{k}" for k in range(m)] + sorted(extras)
-    n_samples = trajectory.times.shape[0]
-    table = np.column_stack(
-        [np.repeat(trajectory.times, n), np.tile(np.arange(n), n_samples),
-         trajectory.states.reshape(n_samples * n, m)]
-        + [extras[k].reshape(-1) for k in sorted(extras)])
-    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(header) - 2)) + "\r\n"
+    columns = [trajectory.states] + [extras[k][..., None] for k in sorted(extras)]
+    # np.savetxt's row "%.17g,%d,%.17g,...": a sample's time is formatted once
+    # and joins node i's tail ",i,%.17g,...,%.17g\r\n"
+    tails = [f",{i}" + ",%.17g" * (len(header) - 2) + "\r\n" for i in range(n)]
+    per = max(1, _TRACE_BLOCK // n)
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        # np.savetxt's row format, applied to a block of rows per % operation
-        for lo in range(0, table.shape[0], _TRACE_BLOCK):
-            block = table[lo:lo + _TRACE_BLOCK]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        for lo in range(0, trajectory.times.shape[0], per):
+            block = np.concatenate([c[lo:lo + per] for c in columns], axis=-1)
+            stamps = ["%.17g" % t for t in trajectory.times[lo:lo + per].tolist()]
+            row = "".join(t + t.join(tails) for t in stamps)
+            fh.write(row % tuple(block.ravel().tolist()))
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps({
         "fingerprint": trajectory.fingerprint,

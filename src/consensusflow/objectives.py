@@ -37,6 +37,16 @@ def _check_dim(x, dim):
     return x
 
 
+def _length(x, c):
+    """``|x - c|`` over the last axis, the squares summed in component order:
+    ``np.linalg.norm``'s order, and so its bits, for fewer than 8 components."""
+    d = np.zeros(np.broadcast_shapes(x.shape, c.shape)[:-1])
+    for k in range(x.shape[-1]):
+        dk = x[..., k] - c[..., k]
+        d += dk * dk  # a scalar's ** 2 is pow, which can round off the square
+    return np.sqrt(d, out=d)[()]  # a scalar for one point
+
+
 class ConvexSet:
     """Closed convex set with an exact Euclidean projector."""
 
@@ -54,7 +64,7 @@ class ConvexSet:
     def distance(self, x):
         x = _check_dim(x, self.dim)
         with np.errstate(invalid="ignore"):  # inf - inf along an unbounded box side
-            return np.linalg.norm(x - self._project(x), axis=-1)
+            return _length(x, self._project(x))
 
     def interior_margin(self, x):
         """Radius of the largest ball around ``x`` inside the set (<= 0 outside)."""
@@ -81,8 +91,7 @@ class Point(ConvexSet):
         return out
 
     def distance(self, x):
-        x = _check_dim(x, self.dim)
-        return np.linalg.norm(x - self.c, axis=-1)
+        return _length(_check_dim(x, self.dim), self.c)
 
     def interior_margin(self, x):
         return -self.distance(x)
@@ -134,13 +143,7 @@ class Ball(ConvexSet):
         return d
 
     def distance(self, x):
-        # squares summed in component order, as np.linalg.norm sums fewer than 8
-        x = _check_dim(x, self.dim)
-        d = np.zeros(np.broadcast_shapes(x.shape, self.center.shape)[:-1])
-        for k in range(self.dim):
-            dk = x[..., k] - self.center[..., k]
-            d += dk * dk  # a scalar's ** 2 is pow, which can round off the square
-        return np.maximum(np.sqrt(d, out=d) - self.radius, 0.0)
+        return np.maximum(_length(_check_dim(x, self.dim), self.center) - self.radius, 0.0)
 
     def interior_margin(self, x):
         x = _check_dim(x, self.dim)

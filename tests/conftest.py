@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from consensusflow import (
@@ -46,6 +48,16 @@ def alternating_signal() -> SwitchingSignal:
     g1 = WeightedDigraph.from_arcs(3, [(0, 1), (1, 2)])
     g2 = WeightedDigraph.from_arcs(3, [(2, 0)])
     return SwitchingSignal([(0.0, g1), (0.5, g2)], dwell=0.5, period=1.0)
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak bytes traced while it ran)``; the result counts too."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

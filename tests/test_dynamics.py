@@ -33,6 +33,7 @@ from conftest import (
     alternating_signal,
     ball_objectives,
     cycle_with_chords,
+    traced_peak,
     two_node_graph,
     two_node_quadratics,
 )
@@ -537,6 +538,37 @@ def test_divergence_guard():
     assert err.value.node == 2
     assert np.array_equal(err.value.state, scen.x0)
     assert "node 2 has a non-finite entry" in str(err.value)
+
+
+@pytest.mark.parametrize("gains", [(1000.0,), (1.0, 1000.0)])
+def test_divergence_error_owns_a_copy_of_the_last_finite_sample(gains):
+    # pair at gain 1000 leaves the limit in its third step; a batch raises the
+    # diverging member's own error
+    with pytest.raises(DivergenceError) as err:
+        integrate_batch([_two_node_scenario(gain=k, tf=5.0) for k in gains])
+    assert err.value.time == 0.03 and err.value.node == 1
+    assert str(err.value) == ("state diverged at t=0.03: node 1 has |x| = 2.530e+11 "
+                              "beyond 1e+08")
+    last = integrate(_two_node_scenario(gain=1000.0, tf=0.02)).terminal_state
+    assert err.value.state.tobytes() == last.tobytes()
+    assert [v.hex() for v in err.value.state.ravel().tolist()] == [
+        "-0x1.5d45dc3db90afp+25", "0x1.5d45ddbdb90afp+25"]
+    assert err.value.state.base is None
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_integration_holds_one_trajectory_buffer(count):
+    # 5001 samples of 5 nodes: the traced peak is the (T, B * N, m) buffer and
+    # the times, not one array per sample and then their stack
+    rng = np.random.default_rng(12)
+    obj = ball_objectives(rng.uniform(-2.0, 2.0, (5, 2)), 0.5)
+    members = [Scenario(obj, cycle_with_chords(5), rng.uniform(-5.0, 5.0, (5, 2)), tf=50.0)
+               for _ in range(count)]
+    run = (lambda: [integrate(members[0])]) if count == 1 else (lambda: integrate_batch(members))
+    trajs, peak = traced_peak(run)
+    assert trajs[0].times.shape == (5001,)
+    buffer = sum(traj.states.nbytes for traj in trajs)
+    assert peak <= buffer + 2 * trajs[0].times.nbytes + (512 << 10)
 
 
 def test_scenario_validation():

@@ -27,6 +27,8 @@ from consensusflow import (
 from consensusflow.cli import main
 from consensusflow.harness import _gain_runs
 
+from conftest import traced_peak
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -320,27 +322,46 @@ def test_trace_golden_bytes(tmp_path):
     assert extras["v"].tobytes() == extra.tobytes()
 
 
-def test_trace_blocks_match_savetxt(tmp_path):
-    # 7 samples of 300 nodes: 2100 rows, over two blocks and not a multiple of one
+@pytest.mark.parametrize("with_extra", [True, False], ids=["extra", "bare"])
+@pytest.mark.parametrize("n, t", [(300, 7), (1, 1), (1, 3), (1, 2049), (1024, 1), (1024, 3),
+                                  (1025, 1), (1025, 3)])
+def test_trace_blocks_match_savetxt(tmp_path, n, t, with_extra):
+    # 300 nodes: 3 samples per block, 7 samples over three blocks, the last one
+    # short; 1 node: 1024 samples per block; 1024 and 1025 nodes: one sample
     rng = np.random.default_rng(40)
     specials = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
                 -1.7976931348623157e308, np.nan, np.inf, -np.inf]
-    states = rng.normal(size=(7, 300, 2)) * 10.0 ** rng.integers(-300, 300, (7, 300, 2))
-    states.reshape(-1)[::97][:len(specials)] = specials
-    extra = rng.normal(size=(7, 300))
-    extra.reshape(-1)[-len(specials):] = specials
-    traj = Trajectory(np.linspace(0.0, 0.6, 7), states)
-    path = write_trace(tmp_path / "run.csv", traj, extras={"v": extra})[0]
-    table = np.column_stack([np.repeat(traj.times, 300), np.tile(np.arange(300), 7),
-                             states.reshape(-1, 2), extra.reshape(-1)])
+    states = rng.normal(size=(t, n, 2)) * 10.0 ** rng.integers(-300, 300, (t, n, 2))
+    head = states.reshape(-1)[::97][:len(specials)]
+    head[...] = specials[:head.size]
+    extra = rng.normal(size=(t, n))
+    tail = extra.reshape(-1)[-len(specials):]
+    tail[...] = specials[-tail.size:]
+    traj = Trajectory(np.linspace(0.0, 0.6, t), states)
+    extras = {"v": extra} if with_extra else {}
+    path = write_trace(tmp_path / "run.csv", traj, extras=extras)[0]
+    table = np.column_stack([np.repeat(traj.times, n), np.tile(np.arange(n), t),
+                             states.reshape(-1, 2)] + [e.reshape(-1) for e in extras.values()])
     reference = io.StringIO(newline="")
-    reference.write("t,node,comp_0,comp_1,v\r\n")
-    np.savetxt(reference, table, fmt=["%.17g", "%d", "%.17g", "%.17g", "%.17g"],
+    reference.write(",".join(["t", "node", "comp_0", "comp_1", *extras]) + "\r\n")
+    np.savetxt(reference, table, fmt=["%.17g", "%d"] + ["%.17g"] * (table.shape[1] - 2),
                delimiter=",", newline="\r\n")
     assert (tmp_path / "run.csv").read_bytes() == reference.getvalue().encode()
-    times, back, extras = read_trace(path)
+    times, back, back_extras = read_trace(path)
+    assert times.tobytes() == traj.times.tobytes()
     assert back.tobytes() == states.tobytes()
-    assert extras["v"].tobytes() == extra.tobytes()
+    assert back_extras.keys() == extras.keys()
+    assert all(back_extras[k].tobytes() == extras[k].tobytes() for k in extras)
+
+
+def test_trace_write_holds_one_block(tmp_path):
+    # 101 samples of 300 nodes and 3 extra columns, written a block of samples
+    # at a time: a (T * N, 6) table of the rows alone would be 1.45 MB
+    rng = np.random.default_rng(41)
+    traj = Trajectory(np.linspace(0.0, 1.0, 101), rng.normal(size=(101, 300, 2)))
+    extras = {k: rng.normal(size=(101, 300)) for k in ("gap", "residual", "v")}
+    _, peak = traced_peak(write_trace, tmp_path / "run.csv", traj, extras)
+    assert peak <= 1 << 20
 
 
 def test_trace_extras_shape_check(tmp_path):

@@ -798,6 +798,25 @@ def test_stacked_ball_distance_matches_per_ball():
             assert Ball(c, r).distance(x).tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_set_distances_sum_as_linalg_norm_below_8_components(m):
+    # every set kind sums the squares in component order, which is
+    # np.linalg.norm's order, and so its bits, for fewer than 8 components
+    rng = np.random.default_rng(90 + m)
+    n = 6
+    c = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, (n, m))
+    lower = c - rng.uniform(0.0, 2.0, (n, m))
+    r = rng.uniform(0.0, 2.0, n)
+    x = rng.normal(size=(30, n, m)) * 10.0 ** rng.integers(-150, 150, (30, n, m))
+    cases = [(Point(c), Point(c[0]), np.linalg.norm(x - c, axis=-1)),
+             (Box(lower, c), Box(lower[0], c[0]), np.linalg.norm(x - np.clip(x, lower, c), axis=-1)),
+             (Ball(c, r), Ball(c[0], r[0]), np.maximum(np.linalg.norm(x - c, axis=-1) - r, 0.0))]
+    for stacked, single, reference in cases:
+        assert stacked.distance(x).tobytes() == reference.tobytes()
+        assert single.distance(x[:, 0]).tobytes() == reference[:, 0].tobytes()
+        assert single.distance(x[0, 0]) == reference[0, 0]
+
+
 def test_single_set_and_validation():
     r = intersection_nonempty([Box([0.0], [1.0])])
     assert r.status == "nonempty" and r.nonempty
