@@ -109,6 +109,12 @@ class Scenario:
         Fixed integrator step (default 0.01).
     disturbance : callable, optional
         Maps ``t`` to an additive ``(n_nodes, m)`` forcing term.
+
+    Attributes
+    ----------
+    segments : list
+        ``topology.segments(t0, tf)``, the ``(a, b, graph)`` stretches the
+        integrator walks; the topology rejects a window outside its schedule.
     """
 
     def __init__(self, objectives, topology, x0, tf, t0=0.0, law=None,
@@ -146,11 +152,7 @@ class Scenario:
         self.step = float(step)
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError("step must be a positive real")
-        if isinstance(topology, SwitchingSignal):
-            if self.t0 < topology.start_time:
-                raise ValueError("t0 precedes the schedule start")
-            if topology.horizon is not None and self.tf > topology.horizon:
-                raise ValueError("tf exceeds the schedule horizon")
+        self.segments = topology.segments(self.t0, self.tf)
         self.disturbance = disturbance
         self.name = str(name)
 
@@ -187,8 +189,6 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def graph_at(self, t) -> WeightedDigraph:
-        if isinstance(self.topology, WeightedDigraph):
-            return self.topology
         return self.topology.graph_at(t)
 
 
@@ -228,46 +228,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _coupling(graph: WeightedDigraph, m: int, copies: int = 1):
-    """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
-
-    Differences are formed per arc, so exact consensus states give exactly
-    zero (no cancellation error).  They are scatter-added into their
-    entering node by one ``bincount`` over the flattened ``(E, m)`` array,
-    which sums each node's in-arcs in arc order: O(N + E) memory, and
-    deterministic.  Each call returns a fresh array.  With ``copies = B``
-    the kernel couples ``(B * N, m)`` states on the B-fold disjoint union of
-    the graph: copy b's arcs are ``src + b*N -> dst + b*N``, copy by copy, so
-    every copy's nodes sum their in-arcs in the same order as one graph.
-    The kernel is built once per ``(graph, m, copies)`` and kept on the
-    (immutable) graph.
-    """
-    kernel = graph._couplings.get((m, copies))
-    if kernel is None:
-        kernel = graph._couplings[m, copies] = _build_coupling(graph, m, copies)
-    return kernel
-
-
-def _build_coupling(graph: WeightedDigraph, m: int, copies: int):
-    src, dst, w = graph.arc_arrays()
-    if src.size == 0:
-        return np.zeros_like
-    n = graph.n_nodes * copies
-    if copies > 1:
-        shift = graph.n_nodes * np.arange(copies)[:, None]
-        src, dst, w = (src + shift).ravel(), (dst + shift).ravel(), np.tile(w, copies)
-    slot = (dst[:, None] * m + np.arange(m)).ravel()
-    wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
-
-    def coupling(x):
-        per_arc = x.take(src, axis=0) - x.take(dst, axis=0)
-        if wcol is not None:
-            per_arc *= wcol
-        return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
-
-    return coupling
-
-
 def _as_state(x, n_nodes) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != n_nodes:
@@ -278,7 +238,7 @@ def _as_state(x, n_nodes) -> np.ndarray:
 def neighbor_info(graph: WeightedDigraph, x) -> np.ndarray:
     """Weighted in-neighbor disagreement ``n_i = sum_j a_ij (x_j - x_i)``."""
     x = _as_state(x, graph.n_nodes)
-    return _coupling(graph, x.shape[1])(x)
+    return graph.coupling(x.shape[1])(x)
 
 
 def rhs(scenario: Scenario, t, x) -> np.ndarray:
@@ -347,7 +307,7 @@ def _fields(scenarios):
         gain = None if gains[0] == 1.0 else np.array(gains[0], dtype=float)
 
     def make(graph):
-        coupling = _coupling(graph, m, copies)
+        coupling = graph.coupling(m, copies)
 
         def field(t, y):
             u = coupling(y)
@@ -411,14 +371,10 @@ def _rk4(scenarios):
     stage arrays.
     """
     lead = scenarios[0]
-    t0, tf, h = lead.t0, lead.tf, lead.step
-    if isinstance(lead.topology, SwitchingSignal):
-        segments = lead.topology.segments(t0, tf)
-    else:
-        segments = [(t0, tf, lead.topology)]
+    t0, h = lead.t0, lead.step
     copies, n, m = len(scenarios), lead.n_nodes, lead.m
     fields = _fields(scenarios)
-    subs = [max(1, int(math.ceil((b - a) / h - 1e-9))) for a, b, _ in segments]
+    subs = [max(1, int(math.ceil((b - a) / h - 1e-9))) for a, b, _ in lead.segments]
     steps = sum(subs)
 
     times = np.empty(1 + steps)
@@ -427,7 +383,7 @@ def _rk4(scenarios):
     x = np.concatenate([s.x0 for s in scenarios], out=states[0])
     row = 0
 
-    for (a, b, graph), n_sub in zip(segments, subs):
+    for (a, b, graph), n_sub in zip(lead.segments, subs):
         fieldfn = fields(graph)
         for k in range(n_sub):
             t_k = a + k * h
@@ -448,7 +404,9 @@ def _rk4(scenarios):
             row += 1
             x = np.add(x, k2, out=states[row])
             if not np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT:  # NaN fails too
-                raise DivergenceError(t_next, x, states[row - 1])
+                err = DivergenceError(t_next, x, states[row - 1])
+                del times, states, x  # the traceback keeps this frame: let the buffers go
+                raise err
             times[row] = t_next
 
     # (B, T, n_nodes, m): member b's states are a view into the (T, B * n_nodes, m) buffer
@@ -456,6 +414,6 @@ def _rk4(scenarios):
     stats = {
         "steps": steps,
         "rhs_evaluations": 4 * steps,
-        "segments": len(segments),
+        "segments": len(lead.segments),
     }
     return times, blocks, stats

@@ -64,7 +64,7 @@ class WeightedDigraph:
         self._src = np.array([a[0] for a in arcs], dtype=np.intp)
         self._dst = np.array([a[1] for a in arcs], dtype=np.intp)
         self._w = np.array([cleaned[a] for a in arcs], dtype=float)
-        self._couplings = {}  # (m, copies) -> the coupling kernel, memoized by dynamics
+        self._couplings = {}  # (m, copies) -> the coupling kernel
 
     @classmethod
     def from_arcs(cls, n_nodes, arcs, weight=1.0, weight_bounds=None):
@@ -106,6 +106,48 @@ class WeightedDigraph:
     def arc_arrays(self):
         """Return ``(src, dst, weight)`` arrays sorted by arc."""
         return self._src, self._dst, self._w
+
+    def coupling(self, m: int, copies: int = 1):
+        """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
+
+        Differences are formed per arc, so exact consensus states give exactly
+        zero (no cancellation error).  They are scatter-added into their
+        entering node by one ``bincount`` over the flattened ``(E, m)`` array,
+        which sums each node's in-arcs in arc order: O(N + E) memory, and
+        deterministic.  Each call returns a fresh array.  With ``copies = B``
+        the kernel couples ``(B * N, m)`` states on the B-fold disjoint union of
+        the graph: copy b's arcs are ``src + b*N -> dst + b*N``, copy by copy, so
+        every copy's nodes sum their in-arcs in the same order as one graph.
+        The kernel is built once per ``(graph, m, copies)`` and kept on the
+        (immutable) graph.
+        """
+        if (m, copies) in self._couplings:
+            return self._couplings[m, copies]
+        src, dst, w = self._src, self._dst, self._w
+        n = self._n * copies
+        if copies > 1:
+            shift = self._n * np.arange(copies)[:, None]
+            src, dst, w = (src + shift).ravel(), (dst + shift).ravel(), np.tile(w, copies)
+        slot = (dst[:, None] * m + np.arange(m)).ravel()
+        wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
+
+        def coupling(x):
+            per_arc = x.take(src, axis=0) - x.take(dst, axis=0)
+            if wcol is not None:
+                per_arc *= wcol
+            return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
+
+        kernel = self._couplings[m, copies] = coupling if src.size else np.zeros_like
+        return kernel
+
+    def segments(self, t1, t2) -> list:
+        """A fixed graph is a one-stretch schedule: ``[(t1, t2, self)]``, or
+        ``[]`` when ``t2 <= t1``."""
+        t1, t2 = float(t1), float(t2)
+        return [(t1, t2, self)] if t2 > t1 else []
+
+    def graph_at(self, t) -> WeightedDigraph:
+        return self
 
     def aggregation_matrix(self) -> np.ndarray:
         """0/1 matrix mapping per-arc values to their entering node.

@@ -189,10 +189,6 @@ def _parse_arcs(d, n, path):
         w = _float_list(d["weights"], f"{path}.weights", len(pairs))
     else:
         w = [_number(d.get("weight", 1.0), f"{path}.weight")] * len(pairs)
-    for i, val in enumerate(w):
-        if val <= 0.0:
-            raise ConfigError(f"weights must be positive, got {val}",
-                              f"{path}.weights[{i}]" if "weights" in d else f"{path}.weight")
     bounds = None
     if "weight_bounds" in d:
         b = _float_list(d["weight_bounds"], f"{path}.weight_bounds", 2)
@@ -296,14 +292,7 @@ class ScenarioConfig:
         _check_keys(integ, {"h", "t0", "tf"}, {"tf"}, "integrator")
         t0 = _number(integ.get("t0", 0.0), "integrator.t0")
         tf = _number(integ["tf"], "integrator.tf")
-        if tf <= t0:
-            raise ConfigError("tf must exceed t0", "integrator.tf")
         step = _number(integ.get("h", 0.01), "integrator.h", positive=True)
-        if isinstance(topology, SwitchingSignal):
-            if t0 < topology.start_time:
-                raise ConfigError("t0 precedes the schedule start", "integrator.t0")
-            if topology.horizon is not None and tf > topology.horizon:
-                raise ConfigError("tf exceeds the schedule horizon", "integrator.tf")
 
         seed = _int(raw.get("seed", 0), "seed", minimum=0)
 
@@ -359,8 +348,13 @@ class ScenarioConfig:
                 tols[k] = _number(v, f"analysis.tolerances.{k}", positive=True)
         analysis["tolerances"] = tols
 
-        return cls(raw, name, objectives, topology, law, t0, tf, step, seed,
-                   x0_spec, dist, analysis)
+        config = cls(raw, name, objectives, topology, law, t0, tf, step, seed,
+                     x0_spec, dist, analysis)
+        try:  # the scenario and its topology judge the run window
+            config.build_scenario()
+        except ValueError as err:
+            raise ConfigError(str(err), "integrator") from None
+        return config
 
     @property
     def tolerances(self) -> dict:
@@ -624,6 +618,7 @@ def _suite_exact(config, seed, step):
     if stationary_oracle_unmet(config.objectives, config.topology) is None:
         sp = stationary_quadratic(config.objectives, config.topology, scenario.law.gain)
         mismatch = float(np.abs(traj.terminal_state - sp.states).max())
+        oracle_diam = consensus_diameter(sp.states)
         claims.append(_threshold_claim(
             "terminal-matches-stationary",
             "the run settles on the stationary point of the penalized objective",
@@ -631,8 +626,8 @@ def _suite_exact(config, seed, step):
         claims.append(_threshold_claim(
             "diameter-matches-oracle",
             "simulated disagreement matches the stationary solve",
-            abs(diam - consensus_diameter(sp.states)), tols["oracle_diameter_match"],
-            detail=f"oracle diameter {consensus_diameter(sp.states):.6e}"))
+            abs(diam - oracle_diam), tols["oracle_diameter_match"],
+            detail=f"oracle diameter {oracle_diam:.6e}"))
     return claims, [(traj, extras, "")]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
-from consensusflow import dynamics
 from consensusflow.dynamics import DIVERGENCE_LIMIT
 
 from conftest import (
@@ -148,13 +148,13 @@ def test_neighbor_info_exactly_zero_on_consensus():
 
 def test_coupling_kernel_is_built_once_per_graph_and_dimension():
     g = cycle_with_chords()
-    assert dynamics._coupling(g, 2) is dynamics._coupling(g, 2)
-    assert dynamics._coupling(g, 3) is not dynamics._coupling(g, 2)
+    assert g.coupling(2) is g.coupling(2)
+    assert g.coupling(3) is not g.coupling(2)
     # an equal graph is another object with its own kernel, computing the same
     twin = cycle_with_chords()
-    assert twin == g and dynamics._coupling(twin, 2) is not dynamics._coupling(g, 2)
+    assert twin == g and twin.coupling(2) is not g.coupling(2)
     x = np.arange(10.0).reshape(5, 2)
-    assert dynamics._coupling(twin, 2)(x).tobytes() == neighbor_info(g, x).tobytes()
+    assert twin.coupling(2)(x).tobytes() == neighbor_info(g, x).tobytes()
 
 
 def test_neighbor_info_shape_check():
@@ -556,6 +556,26 @@ def test_divergence_error_owns_a_copy_of_the_last_finite_sample(gains):
     assert err.value.state.base is None
 
 
+@pytest.mark.parametrize("gains", [(1000.0,), (1000.0, 1.0)])
+def test_caught_divergence_error_holds_no_integrator_buffer(gains):
+    # 10**6 steps preallocate 8 MB of times alone; the error's traceback keeps
+    # the integrator's frame, which must not keep its buffers.  The diverging
+    # member goes first, as a batch reruns its members until one diverges.
+    members = [_two_node_scenario(gain=k, tf=1e4) for k in gains]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            integrate_batch(members)
+        except DivergenceError as err:
+            caught = err
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert caught.time == 0.03
+    assert held < 2**20
+
+
 @pytest.mark.parametrize("count", [1, 2])
 def test_integration_holds_one_trajectory_buffer(count):
     # 5001 samples of 5 nodes: the traced peak is the (T, B * N, m) buffer and
@@ -602,10 +622,18 @@ def test_scenario_respects_schedule_horizon():
     g = WeightedDigraph.directed_cycle(3)
     sig = SwitchingSignal([(0.0, g)], dwell=0.5, horizon=2.0)
     obj = ball_objectives([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], slack=0.5)
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match="window end 3.0 is outside the schedule horizon 2.0"):
         Scenario(obj, sig, np.zeros((3, 2)), tf=3.0)
-    with pytest.raises(ValueError, match="start"):
+    with pytest.raises(ValueError, match="time -1.0 precedes the schedule start 0.0"):
         Scenario(obj, sig, np.zeros((3, 2)), tf=1.0, t0=-1.0)
+    # the scenario keeps the stretches its topology gives for [t0, tf]
+    periodic = alternating_signal()
+    for topology, t0, tf in ((sig, 0.25, 2.0), (periodic, 0.25, 3.6)):
+        scen = Scenario(obj, topology, np.zeros((3, 2)), tf=tf, t0=t0)
+        assert scen.segments == topology.segments(t0, tf)
+    assert len(scen.segments) == 8
+    scen = Scenario(obj, g, np.zeros((3, 2)), tf=1.5, t0=0.5)
+    assert scen.segments == [(0.5, 1.5, g)]
 
 
 def test_scenario_fingerprint_tracks_content():

@@ -180,6 +180,11 @@ def test_switch_times_enumeration():
                                       (1.0, 1.5, g1), (1.5, 2.0, g2)]
     assert sig.segments(0.25, 0.75) == [(0.25, 0.5, g1), (0.5, 0.75, g2)]
     assert sig.segments(0.5, 0.5) == []
+    # a fixed graph is a one-stretch schedule
+    g = WeightedDigraph.directed_cycle(3)
+    assert g.segments(0.25, 0.75) == [(0.25, 0.75, g)]
+    assert g.segments(1.0, 1.0) == []
+    assert g.graph_at(0.3) is g
     # instants a few ulp from the window end or start are that end or start
     below, above = 1.0 - 2.0 * math.ulp(1.0), 1.0 + 2.0 * math.ulp(1.0)
     assert sig.segments(0.5, above) == [(0.5, above, g2)]

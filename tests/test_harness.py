@@ -137,7 +137,8 @@ def test_unknown_keys_are_rejected_with_paths():
 def test_weight_positivity_error_message():
     bad = quad_config()
     bad["topology"]["weights"] = [1.0, 0.0]
-    with pytest.raises(ConfigError, match="weights must be positive, got 0.0"):
+    with pytest.raises(ConfigError,
+                       match=r"^topology: arc \(1, 0\): weights must be positive, got 0.0$"):
         ScenarioConfig.from_dict(bad)
 
 
@@ -208,7 +209,7 @@ def test_structural_count_checks():
 def test_integrator_and_seed_validation():
     with pytest.raises(ConfigError, match="missing required key 'tf'"):
         ScenarioConfig.from_dict(quad_config(integrator={}))
-    with pytest.raises(ConfigError, match="tf must exceed t0"):
+    with pytest.raises(ConfigError, match="^integrator: tf must exceed t0$"):
         ScenarioConfig.from_dict(quad_config(integrator={"tf": 0.0}))
     with pytest.raises(ConfigError, match="positive"):
         ScenarioConfig.from_dict(quad_config(integrator={"tf": 1.0, "h": 0.0}))
@@ -634,15 +635,31 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         path = _write(tmp_path, cfg, name)
         for command in (["verify", "eps-optimal"], ["sweep-k"]):
             assert main(command + ["--config", path, "--quiet"]) == 1
-    # a run outside its schedule: tf past a finite horizon, t0 before the start
+    # a run outside its schedule (tf past a finite horizon, t0 before the
+    # start), a window with tf <= t0 and a zero weight: the owner of each rule
+    # words the error, and every command exits 1 at load
     finite = switching_config(tf=3.0)
     del finite["topology"]["period"]
     finite["topology"]["horizon"] = 2.0
     early = switching_config(integrator={"t0": -0.5, "tf": 2.0})
-    for name, cfg in (("finite.json", finite), ("early.json", early)):
+    empty = switching_config(integrator={"t0": 1.0, "tf": 1.0})
+    weightless = switching_config()
+    weightless["topology"]["intervals"][0]["weight"] = 0.0
+    capsys.readouterr()
+    for name, cfg, message in (
+            ("finite.json", finite,
+             "integrator: window end 3.0 is outside the schedule horizon 2.0"),
+            ("early.json", early, "integrator: time -0.5 precedes the schedule start 0.0"),
+            ("empty.json", empty, "integrator: tf must exceed t0"),
+            ("weightless.json", weightless,
+             "topology.intervals[0]: arc (0, 1): weights must be positive, got 0.0")):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        assert str(err.value) == message
         path = _write(tmp_path, cfg, name)
-        assert main(["sim", "--config", path, "--quiet"]) == 1
-        assert main(["verify", "switching", "--config", path, "--quiet"]) == 1
+        for command in (["sim"], ["verify", "switching"], ["check-graph"], ["oracle"]):
+            assert main(command + ["--config", path, "--quiet"]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
     # a bad override names its flag instead of ending in a traceback
     sweep = _write(tmp_path, quad_config(analysis={"k_grid": [1.0]}), "sweep.json")
     capsys.readouterr()
