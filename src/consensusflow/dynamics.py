@@ -22,6 +22,10 @@ from .graphs import SwitchingSignal, WeightedDigraph
 from .objectives import ObjectiveSet
 
 DIVERGENCE_LIMIT = 1e8
+# RK4's stability interval on the negative real axis is [-2.785, 0]; the disc
+# |z + r| <= r lies in its stability region for r up to 1.3926 (Hairer & Wanner,
+# Solving ODEs II, 1996), so this bound covers complex eigenvalues too
+RK4_STABILITY_BOUND = 2.785
 
 
 class DivergenceError(RuntimeError):
@@ -44,6 +48,18 @@ class DivergenceError(RuntimeError):
             why = f"|x| = {float(np.abs(bad).max()):.3e} beyond {DIVERGENCE_LIMIT:.0e}"
         self.node = int(np.unravel_index(entry, bad.shape)[0])
         super().__init__(f"state diverged at t={time}: node {self.node} has {why}")
+
+
+class StepStabilityError(ArithmeticError):
+    """The step fails RK4's stability certificate for a member of the run.
+
+    Every eigenvalue of the flow's Jacobian on a segment lies in a disc
+    ``|z + rho/2| <= rho/2`` with ``rho = max_i(2 K d_i + Lip_i)`` (block
+    Gershgorin), where ``d_i`` is node i's weighted in-degree and ``Lip_i``
+    its gradient's Lipschitz constant.  RK4 is stable on that disc while
+    ``h * rho <= RK4_STABILITY_BOUND``; past it the run is refused before
+    any step.
+    """
 
 
 @dataclass(frozen=True)
@@ -343,22 +359,44 @@ def integrate_batch(scenarios) -> list[Trajectory]:
     ``(B * n_nodes, m)`` array on the B-fold disjoint union of each segment's
     graph, so every member's trajectory is bit-identical to its own
     :func:`integrate` run.  The members' ``states`` are views into one
-    ``(T, B * n_nodes, m)`` buffer, and they share one ``times`` array.  If
-    the batch diverges, the members are rerun one at a time, so the error
-    raised is the one the first member to diverge on its own raises.
+    ``(T, B * n_nodes, m)`` buffer, and they share one ``times`` array.
+
+    Before any step, each member in member order must pass the stability
+    certificate (:class:`StepStabilityError`); its ``h * rho``, the largest
+    over segments, is ``stats["h_rho"]``.  If the batch diverges, the error
+    raised is that of the member that diverged first in time (ties go to the
+    first in member order): the :class:`DivergenceError` its own
+    :func:`integrate` run raises, with the same time, node, state and message.
     """
     scenarios = list(scenarios)
     _check_batch(scenarios)
-    try:
-        times, blocks, stats = _rk4(scenarios)
-    except DivergenceError:
-        if len(scenarios) == 1:
-            raise
-        for s in scenarios:
-            _rk4([s])
-        raise
-    return [Trajectory(times, blocks[b], s.fingerprint, dict(stats))
+    margins = _stability_margins(scenarios)
+    times, blocks, stats = _rk4(scenarios)
+    return [Trajectory(times, blocks[b], s.fingerprint, {**stats, "h_rho": margins[b]})
             for b, s in enumerate(scenarios)]
+
+
+def _stability_margins(scenarios) -> list[float]:
+    """Each member's largest ``h * rho`` over the segments, in member order;
+    the first member past :data:`RK4_STABILITY_BOUND` raises
+    :class:`StepStabilityError`.  O(N + E) per segment."""
+    lead = scenarios[0]
+    h, n = lead.step, lead.n_nodes
+    lip = np.array([c.gradient_lipschitz() for c in lead.objectives.components])
+    degrees = [np.bincount(dst, w, minlength=n)
+               for _, dst, w in (g.arc_arrays() for _, _, g in lead.segments)]
+    margins = []
+    for s in scenarios:
+        gain = s.law.gain
+        rho = max(float((2.0 * gain * d + lip).max()) for d in degrees)
+        if rho > 0.0 and h > RK4_STABILITY_BOUND / rho:
+            raise StepStabilityError(
+                f"step {h} fails RK4's stability certificate at gain {gain}: "
+                f"rho = max_i(2*K*d_i + Lip_i) = {rho:.6g} and h*rho = {h * rho:.4g} "
+                f"> {RK4_STABILITY_BOUND}; the largest step that passes is "
+                f"{RK4_STABILITY_BOUND / rho!r}")
+        margins.append(h * rho)
+    return margins
 
 
 def _rk4(scenarios):
@@ -404,7 +442,9 @@ def _rk4(scenarios):
             row += 1
             x = np.add(x, k2, out=states[row])
             if not np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT:  # NaN fails too
-                err = DivergenceError(t_next, x, states[row - 1])
+                # the error of the first failing member in member order, on its own rows
+                lo = np.argmax(~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)) // n * n
+                err = DivergenceError(t_next, x[lo:lo + n], states[row - 1, lo:lo + n])
                 del times, states, x  # the traceback keeps this frame: let the buffers go
                 raise err
             times[row] = t_next

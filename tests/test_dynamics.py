@@ -27,7 +27,7 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
-from consensusflow.dynamics import DIVERGENCE_LIMIT
+from consensusflow.dynamics import DIVERGENCE_LIMIT, StepStabilityError
 
 from conftest import (
     alternating_signal,
@@ -48,6 +48,14 @@ def _two_node_scenario(gain=1.0, tf=10.0, x0=(0.0, 3.0), step=0.01):
         law=ControlLaw(gain),
         step=step,
     )
+
+
+def _forced_pair(x0=(0.0, 3.0), gain=1.0, tf=5.0):
+    # a divergence the stability certificate lets through (h*rho = 0.03 at gain
+    # 1): node 1's forcing of 1e9 takes it past the limit at t=0.12 from (0, 3)
+    return Scenario(two_node_quadratics(), two_node_graph(), np.asarray(x0, dtype=float),
+                    tf=tf, law=ControlLaw(gain),
+                    disturbance=ExponentialDecayDisturbance([[0.0], [1e9]], rate=0.1))
 
 
 def _linear_solution(times, x0, gain=1.0):
@@ -311,7 +319,8 @@ def test_final_substep_is_truncated():
 
 def test_stats_fields():
     traj = integrate(_two_node_scenario(tf=1.0))
-    assert traj.stats == {"steps": 100, "rhs_evaluations": 400, "segments": 1}
+    assert traj.stats == {"steps": 100, "rhs_evaluations": 400, "segments": 1,
+                          "h_rho": 0.03}
 
 
 # --- the in-place step against an out-of-place reference ---------------------
@@ -408,7 +417,10 @@ def test_integrate_matches_out_of_place_reference(kind, m):
         assert traj.states.tobytes() == states.tobytes()
     assert np.array_equal(cached, np.full((n, m), 0.5))
 
-    diverging = Scenario(obj, cycle_with_chords(n), x0, tf=5.0, law=ControlLaw(1e3))
+    forcing = np.zeros((n, m))
+    forcing[3, m - 1] = 1e9
+    diverging = Scenario(obj, cycle_with_chords(n), x0, tf=5.0,
+                         disturbance=ExponentialDecayDisturbance(forcing, rate=0.1))
     with pytest.raises(DivergenceError) as err:
         integrate(diverging)
     with pytest.raises(DivergenceError) as ref:
@@ -494,38 +506,46 @@ def test_integrate_batch_rejects_members_that_do_not_share_a_run():
     integrate_batch([Scenario(**base, disturbance=shared)] * 2)  # one object is shared
 
 
-def test_batch_divergence_raises_the_sequential_error():
-    # the batch first fails on gain 1000 at t=0.03; in member order gain 140
-    # comes first and fails on its own at t=4.85, so that is the error
-    members = [_two_node_scenario(gain=k, tf=6.0) for k in (1.0, 140.0, 1000.0)]
-    with pytest.raises(DivergenceError) as ref:
-        for scen in members:
-            integrate(scen)
-    assert ref.value.time > 1.0
-    for order in (members, members[::-1]):
-        with pytest.raises(DivergenceError) as seq:
-            for scen in order:
-                integrate(scen)
+def _assert_same_error(err, own):
+    assert err.time == own.time and err.node == own.node
+    assert err.state.tobytes() == own.state.tobytes()
+    assert str(err) == str(own)
+
+
+def test_batch_divergence_raises_the_first_in_time_error():
+    # from (0, -9e7) the forced pair diverges at t=0.2, from (0, 5e7) at t=0.06:
+    # in either order the batch raises the t=0.06 member's own error
+    late, early = _forced_pair(x0=(0.0, -9e7)), _forced_pair(x0=(0.0, 5e7))
+    with pytest.raises(DivergenceError) as own:
+        integrate(early)
+    assert own.value.time == 0.06
+    for order in ([late, early], [early, late]):
         with pytest.raises(DivergenceError) as err:
             integrate_batch(order)
-        assert err.value.time == seq.value.time and err.value.node == seq.value.node
-        assert err.value.state.tobytes() == seq.value.state.tobytes()
-        assert str(err.value) == str(seq.value)
+        _assert_same_error(err.value, own.value)
+    # gains 1 and 2 both leave the limit at t=0.12, with different states:
+    # the tie goes to the first member in member order
+    for gains in ((1.0, 2.0), (2.0, 1.0)):
+        with pytest.raises(DivergenceError) as own:
+            integrate(_forced_pair(gain=gains[0]))
+        with pytest.raises(DivergenceError) as err:
+            integrate_batch([_forced_pair(gain=k) for k in gains])
+        assert err.value.time == 0.12
+        _assert_same_error(err.value, own.value)
 
 
 # --- divergence and validation -----------------------------------------------
 
 def test_divergence_guard():
-    scen = _two_node_scenario(gain=1000.0, tf=5.0)
     with pytest.raises(DivergenceError) as err:
-        integrate(scen)
-    assert err.value.time > 0.0
+        integrate(_forced_pair())
+    assert err.value.time == 0.12
     assert "diverged" in str(err.value)
     # the last finite state is the sample before the failing step
     assert np.isfinite(err.value.state).all()
     assert np.abs(err.value.state).max() <= DIVERGENCE_LIMIT
-    assert err.value.node in (0, 1)
-    assert f"node {err.value.node}" in str(err.value)
+    assert err.value.node == 1
+    assert "node 1 has |x| = 1.063e+08" in str(err.value)
 
     # without arcs the NaN stays at node 2 (on a cycle it reaches node 0 in one step)
     forcing = np.zeros((4, 2))
@@ -540,28 +560,78 @@ def test_divergence_guard():
     assert "node 2 has a non-finite entry" in str(err.value)
 
 
-@pytest.mark.parametrize("gains", [(1000.0,), (1.0, 1000.0)])
+def test_stability_certificate_refuses_the_step_before_integrating():
+    # pair: d_i = 1 and Lip_i = 1, so rho = 2K + 1; at h = 0.01 gain 135 has
+    # h*rho = 2.71 and passes, gain 140 has 2.81 and gain 1000 has 20.01
+    assert integrate(_two_node_scenario(gain=135.0, tf=0.1)).stats["h_rho"] == 2.71
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return np.zeros((2, 1))
+
+    def member(gain):
+        return Scenario(two_node_quadratics(), two_node_graph(), [0.0, 3.0], tf=5.0,
+                        law=ControlLaw(gain), disturbance=forcing)
+
+    # the first member in member order that fails the certificate names the error
+    for gains, message in (
+            ((1.0, 1000.0, 140.0), "at gain 1000.0: rho = max_i(2*K*d_i + Lip_i) = 2001 and "
+                                   "h*rho = 20.01 > 2.785; the largest step that passes is "
+                                   "0.0013918040979510246"),
+            ((1.0, 140.0, 1000.0), "at gain 140.0: rho = max_i(2*K*d_i + Lip_i) = 281 and "
+                                   "h*rho = 2.81 > 2.785; the largest step that passes is "
+                                   "0.009911032028469751")):
+        with pytest.raises(StepStabilityError) as err:
+            integrate_batch([member(k) for k in gains])
+        assert str(err.value) == "step 0.01 fails RK4's stability certificate " + message
+        # an ArithmeticError, which the CLI maps to exit 2 (a ValueError is a config error)
+        assert isinstance(err.value, ArithmeticError) and not isinstance(err.value, ValueError)
+        # the largest step that passes does, and the next float up does not
+        largest = float(message.rsplit(" ", 1)[1])
+        integrate(_two_node_scenario(gain=gains[1], tf=0.01, step=largest))
+        with pytest.raises(StepStabilityError):
+            integrate(_two_node_scenario(gain=gains[1], tf=0.01,
+                                         step=np.nextafter(largest, 1.0)))
+    assert calls == []  # refused before any step
+
+    # h*rho is the largest over the segments: rho is 3 on the unit pair and 11 on
+    # the pair of weight 5
+    heavy = WeightedDigraph(2, {(0, 1): 5.0, (1, 0): 5.0})
+    schedule = SwitchingSignal([(0.0, two_node_graph()), (0.5, heavy)], dwell=0.5, horizon=1.0)
+    scen = Scenario(two_node_quadratics(), schedule, [0.0, 3.0], tf=1.0)
+    assert integrate(scen).stats["h_rho"] == 0.01 * 11.0
+    with pytest.raises(StepStabilityError, match="at gain 30.0: rho .* = 301 "):
+        integrate(Scenario(two_node_quadratics(), schedule, [0.0, 3.0], tf=1.0,
+                           law=ControlLaw(30.0)))
+    # with no arcs and flat objectives rho is 0, and every step passes
+    flat = ObjectiveSet([Quadratic([[0.0]], [0.0])] * 2)
+    still = integrate(Scenario(flat, WeightedDigraph(2), [1.0, 2.0], tf=20.0, step=10.0))
+    assert still.stats["h_rho"] == 0.0
+
+
+@pytest.mark.parametrize("gains", [(1.0,), (10.0, 1.0)])
 def test_divergence_error_owns_a_copy_of_the_last_finite_sample(gains):
-    # pair at gain 1000 leaves the limit in its third step; a batch raises the
-    # diverging member's own error
+    # the forced pair at gain 1 leaves the limit in its 12th step, before gain
+    # 10 does (t=0.17); a batch raises the diverging member's own error
     with pytest.raises(DivergenceError) as err:
-        integrate_batch([_two_node_scenario(gain=k, tf=5.0) for k in gains])
-    assert err.value.time == 0.03 and err.value.node == 1
-    assert str(err.value) == ("state diverged at t=0.03: node 1 has |x| = 2.530e+11 "
+        integrate_batch([_forced_pair(gain=k) for k in gains])
+    assert err.value.time == 0.12 and err.value.node == 1
+    assert str(err.value) == ("state diverged at t=0.12: node 1 has |x| = 1.063e+08 "
                               "beyond 1e+08")
-    last = integrate(_two_node_scenario(gain=1000.0, tf=0.02)).terminal_state
+    last = integrate(_forced_pair(tf=0.11)).terminal_state
     assert err.value.state.tobytes() == last.tobytes()
     assert [v.hex() for v in err.value.state.ravel().tolist()] == [
-        "-0x1.5d45dc3db90afp+25", "0x1.5d45ddbdb90afp+25"]
+        "0x1.3e6c30369f175p+22", "0x1.773e14b363958p+26"]
     assert err.value.state.base is None
 
 
-@pytest.mark.parametrize("gains", [(1000.0,), (1000.0, 1.0)])
+@pytest.mark.parametrize("gains", [(1.0,), (10.0, 1.0)])
 def test_caught_divergence_error_holds_no_integrator_buffer(gains):
     # 10**6 steps preallocate 8 MB of times alone; the error's traceback keeps
-    # the integrator's frame, which must not keep its buffers.  The diverging
-    # member goes first, as a batch reruns its members until one diverges.
-    members = [_two_node_scenario(gain=k, tf=1e4) for k in gains]
+    # the integrator's frame, which must not keep its buffers.  The member
+    # that diverges first comes last in the batch.
+    members = [_forced_pair(gain=k, tf=1e4) for k in gains]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -572,7 +642,7 @@ def test_caught_divergence_error_holds_no_integrator_buffer(gains):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert caught.time == 0.03
+    assert caught.time == 0.12
     assert held < 2**20
 
 

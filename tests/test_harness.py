@@ -75,6 +75,11 @@ def quad_config(tf=25.0, **extra):
     return cfg
 
 
+# node 1's forcing of 1e9 takes the pair past the divergence limit at t=0.12 at
+# gain 1, a step the stability certificate passes (h*rho = 0.03)
+FORCING = {"kind": "exponential", "vectors": [[0.0], [1e9]], "rate": 0.1}
+
+
 def switching_config(tf=80.0, **extra):
     cfg = {
         "name": "alt",
@@ -671,10 +676,14 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
 
 
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):
-    cfg = quad_config(tf=5.0, law={"kind": "jk", "K": 1000.0})
+    # a divergence the stability certificate lets through
+    cfg = quad_config(tf=5.0, disturbance=FORCING)
     path = _write(tmp_path, cfg)
     assert main(["sim", "--config", path, "--quiet"]) == 2
-    assert re.search(r"diverged at t=[0-9.]+: node \d", capsys.readouterr().err)
+    assert re.search(r"diverged at t=0\.12: node 1 ", capsys.readouterr().err)
+    stiff = _write(tmp_path, quad_config(tf=5.0, law={"kind": "jk", "K": 1000.0}), "stiff.json")
+    assert main(["sim", "--config", stiff, "--quiet"]) == 2
+    assert "fails RK4's stability certificate at gain 1000.0" in capsys.readouterr().err
     singular = quad_config(tf=1.0, analysis={"k_grid": [0.0, 1.0]})
     for obj in singular["objectives"]:
         obj["matrix"] = [[0.0]]
@@ -695,15 +704,17 @@ def test_gain_runs_match_single_runs(tmp_path):
         assert traj.fingerprint == single.fingerprint and traj.stats == single.stats
 
 
-def test_gain_grid_divergence_is_the_sequential_error(tmp_path, capsys):
+def test_gain_grid_divergence_is_the_first_in_time_error(tmp_path, capsys):
+    # forced, the pair diverges at t=0.17 at gain 10, at t=0.12 at gain 1 and at
+    # t=0.22 at gain 100: the batch raises gain 1's error, though gain 10 comes first
     cfg = json.loads((CONFIGS / "pair.json").read_text())
-    cfg["analysis"]["k_grid"] = [1.0, 1000.0, 140.0]
+    cfg["analysis"]["k_grid"] = [10.0, 1.0, 100.0]
+    cfg["disturbance"] = FORCING
     path = _write(tmp_path, cfg, "pair.json")
     config = load_config(path)
     with pytest.raises(DivergenceError) as ref:
-        for k in cfg["analysis"]["k_grid"]:
-            integrate(config.build_scenario(gain=k))
-    assert str(ref.value).startswith("state diverged at t=0.03: node 1 ")
+        integrate(config.build_scenario(gain=1.0))
+    assert str(ref.value).startswith("state diverged at t=0.12: node 1 ")
     calls = [lambda: list(_gain_runs(config, cfg["analysis"]["k_grid"], None, None)),
              lambda: sweep_k(config), lambda: run(config, "eps-optimal")]
     for call in calls:
@@ -717,6 +728,39 @@ def test_gain_grid_divergence_is_the_sequential_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical failure: {ref.value}\n"
+
+
+def test_steps_past_the_stability_certificate_exit_2(tmp_path, capsys):
+    # pair at h = 0.01 has h*rho = 0.01 * (2K + 1): 20.01 at K = 1000, 2.81 at
+    # K = 140; in member order gain 1000 is the first to fail
+    cfg = json.loads((CONFIGS / "pair.json").read_text())
+    cfg["analysis"]["k_grid"] = [1.0, 1000.0, 140.0]
+    path = _write(tmp_path, cfg, "pair.json")
+    message = ("numerical failure: step 0.01 fails RK4's stability certificate at gain "
+               "1000.0: rho = max_i(2*K*d_i + Lip_i) = 2001 and h*rho = 20.01 > 2.785; "
+               "the largest step that passes is 0.0013918040979510246\n")
+    for command in (["sweep-k"], ["verify", "eps-optimal"]):
+        assert main(command + ["--config", path]) == 2
+        assert capsys.readouterr() == ("", message)
+    # complete(300) with radius-2 balls at gain 1: d_i = 299, so h*rho = 5.99
+    n = 300
+    centers = np.random.default_rng(0).uniform(-5.0, 5.0, (n, 2)).tolist()
+    dense = _write(tmp_path, {
+        "name": "complete", "m": 2, "nodes": n,
+        "objectives": [{"kind": "sqdist", "set": {"kind": "ball", "center": c, "radius": 2.0}}
+                       for c in centers],
+        "topology": {"kind": "fixed",
+                     "arcs": [[j, i] for j in range(n) for i in range(n) if i != j]},
+        "integrator": {"tf": 0.45}, "x0": {"kind": "uniform_box"}, "seed": 1}, "complete.json")
+    assert main(["sim", "--config", dense, "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: step 0.01 fails RK4's stability certificate at gain 1.0: "
+        "rho = max_i(2*K*d_i + Lip_i) = 599 and h*rho = 5.99 > 2.785; the largest step "
+        "that passes is 0.004649415692821369\n")
+    assert not list(tmp_path.glob("complete_*"))  # refused before any trace
+    # pair at K = 135 has h*rho = 2.71 and still passes
+    cfg["analysis"]["k_grid"] = [135.0]
+    assert main(["sweep-k", "--config", _write(tmp_path, cfg, "pair135.json"), "--quiet"]) == 0
 
 
 def test_cli_exit_code_claim_failure(tmp_path):
