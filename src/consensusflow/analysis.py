@@ -221,7 +221,7 @@ def stationary_oracle_unmet(objectives: ObjectiveSet, topology):
     """
     if not isinstance(topology, WeightedDigraph):
         return "topology", "a fixed topology"
-    if not topology.has_symmetric_weights(tol=0.0):
+    if not topology.has_symmetric_weights():
         return "topology", "a bidirectional topology with symmetric weights"
     if not all(isinstance(c, Quadratic) for c in objectives.components):
         return "objectives", "all-quadratic objectives"

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all claims pass, 1 configuration error, 2 numerical failure
-(divergence or a singular solve), 3 one or more claims failed.
+(divergence, a step refused by the stability certificate or a singular
+solve), 3 one or more claims failed.
 """
 
 from __future__ import annotations

@@ -262,77 +262,80 @@ def rhs(scenario: Scenario, t, x) -> np.ndarray:
     t = float(t)
     if not scenario.t0 <= t <= scenario.tf:
         raise ValueError(f"time {t} outside [{scenario.t0}, {scenario.tf}]")
-    field = _fields([scenario])(scenario.graph_at(t))
+    field = _fields([scenario])((scenario.graph_at(t),))
     return field(t, _as_state(x, scenario.n_nodes))
 
 
-_SHARED = ("objectives", "topology", "t0", "tf", "step", "disturbance")
-
-
-def _same(a, b) -> bool:
-    """Whether two members' values of a shared field give the same run: one
-    object, or one type with the same description (as the fingerprint writes
-    it); ``repr`` tells ``-0.0`` from ``0.0``."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, float):
-        return repr(a) == repr(b)
-    return hasattr(a, "describe") and (json.dumps(a.describe(), sort_keys=True)
-                                       == json.dumps(b.describe(), sort_keys=True))
-
-
 def _check_batch(scenarios) -> None:
+    """The members are of one shape: ``n_nodes``, ``m``, ``step`` and the
+    segment boundaries (``t0``, ``tf`` and every switch instant), floats by
+    their bits, so ``-0.0`` is not ``0.0``."""
     if not scenarios:
         raise ValueError("integrate_batch needs at least one scenario")
-    lead = scenarios[0]
+    lead = None
     for b, s in enumerate(scenarios):
         if not isinstance(s, Scenario):
             raise TypeError(f"member {b} is not a Scenario")
-        for name in _SHARED:
-            if not _same(getattr(s, name), getattr(lead, name)):
-                raise ValueError(f"batch members must share {name}; member {b} differs "
-                                 "from member 0")
+        shape = {"n_nodes": s.n_nodes, "m": s.m, "step": s.step.hex(),
+                 "segment instants": [(a.hex(), z.hex()) for a, z, _ in s.segments]}
+        lead = lead or shape
+        for name, value in shape.items():
+            if value != lead[name]:
+                raise ValueError(f"batch members must share one shape: member {b} differs "
+                                 f"from member 0 in {name}")
+
+
+def _union(graphs) -> WeightedDigraph:
+    """The disjoint union of the members' graphs: member b's arc ``(j, i)`` is
+    ``(j + b*n, i + b*n)``.  Its sorted arcs are member-major and keep each
+    member's arc order, so every node sums its in-arcs as in its own graph.
+    One graph is itself, with its memoised kernel."""
+    if len(graphs) == 1:
+        return graphs[0]
+    n = graphs[0].n_nodes
+    return WeightedDigraph(n * len(graphs), {(j + b * n, i + b * n): w
+                                             for b, g in enumerate(graphs)
+                                             for (j, i), w in g.weights.items()})
 
 
 def _fields(scenarios):
-    """``graph -> (t, y) -> dy/dt`` for the members folded into the node axis.
+    """``graphs -> (t, y) -> dy/dt`` for the members folded into the node axis.
 
     ``y`` is the ``(B * n_nodes, m)`` stack of the B members' validated
-    states, and the family is tiled B times, so each kernel runs on a 2-D
-    array as for one member.  Every call returns a fresh array that the
-    caller may update in place: each member's :class:`ControlLaw`,
-    ``gain * n - g``, is applied in place on the fresh coupling array.
+    states, the members' components are one family and ``graphs``, each
+    member's graph on one stretch, couple on their union, so each kernel runs
+    on a 2-D array as for one member; member b's forcing goes to its own rows.
+    Every call returns a fresh array that the caller may update in place:
+    each member's :class:`ControlLaw`, ``gain * n - g``, is applied in place
+    on the fresh coupling array.
     """
-    lead = scenarios[0]
-    copies, m = len(scenarios), lead.m
-    objectives = lead.objectives
-    if copies > 1:
-        objectives = ObjectiveSet(objectives.components * copies)
-    grad = objectives.stacked_grad
-    disturbance = lead.disturbance
-    folded = (copies, lead.n_nodes, m)
+    n, m = scenarios[0].n_nodes, scenarios[0].m
+    grad = ObjectiveSet([c for s in scenarios for c in s.objectives.components]).stacked_grad
+    forcing = [(b * n, s.disturbance) for b, s in enumerate(scenarios)
+               if s.disturbance is not None]
 
     # a gain of 1 multiplies exactly and is skipped; unequal gains form a column
     # (n_nodes rows per member); a 0-d array multiplies faster than a float
     gains = [s.law.gain for s in scenarios]
     if len(set(gains)) > 1:
-        gain = np.repeat(np.array(gains, dtype=float), lead.n_nodes)[:, None]
+        gain = np.repeat(np.array(gains, dtype=float), n)[:, None]
     else:
         gain = None if gains[0] == 1.0 else np.array(gains[0], dtype=float)
+    couplings = {}  # one union per distinct tuple of graph objects
 
-    def make(graph):
-        coupling = graph.coupling(m, copies)
+    def make(graphs):
+        key = tuple(map(id, graphs))
+        if key not in couplings:
+            couplings[key] = _union(graphs).coupling(m)
+        coupling = couplings[key]
 
         def field(t, y):
             u = coupling(y)
             if gain is not None:
                 u *= gain
             u -= grad(y)
-            if disturbance is not None:
-                w = u.reshape(folded)  # a view: each member takes the same forcing
-                w += disturbance(t)
+            for lo, disturbance in forcing:
+                u[lo:lo + n] += disturbance(t)
             return u
         return field
     return make
@@ -352,12 +355,13 @@ def integrate(scenario: Scenario) -> Trajectory:
 def integrate_batch(scenarios) -> list[Trajectory]:
     """Integrate several scenarios in one RK4 pass; one :class:`Trajectory` each.
 
-    The members share ``objectives``, ``topology``, ``t0``, ``tf``, ``step``
-    and ``disturbance`` (the same object, or one of the same kind and
-    description), and may differ in ``x0`` and in a :class:`ControlLaw`'s
-    gain.  They are folded into the node axis: the batch state is one
-    ``(B * n_nodes, m)`` array on the B-fold disjoint union of each segment's
-    graph, so every member's trajectory is bit-identical to its own
+    The members share one shape (``n_nodes``, ``m``, ``step`` and the segment
+    boundaries, by their bits) and may differ in everything else: family,
+    topology, disturbance, ``x0`` and a :class:`ControlLaw`'s gain.
+    They are folded into the node axis: the batch state is one
+    ``(B * n_nodes, m)`` array, coupled on each stretch on the disjoint
+    union of the members' graphs, with each member's forcing on its own
+    rows, so every member's trajectory is bit-identical to its own
     :func:`integrate` run.  The members' ``states`` are views into one
     ``(T, B * n_nodes, m)`` buffer, and they share one ``times`` array.
 
@@ -377,18 +381,21 @@ def integrate_batch(scenarios) -> list[Trajectory]:
 
 
 def _stability_margins(scenarios) -> list[float]:
-    """Each member's largest ``h * rho`` over the segments, in member order;
+    """Each member's largest ``h * rho`` over its segments, in member order;
     the first member past :data:`RK4_STABILITY_BOUND` raises
-    :class:`StepStabilityError`.  O(N + E) per segment."""
-    lead = scenarios[0]
-    h, n = lead.step, lead.n_nodes
-    lip = np.array([c.gradient_lipschitz() for c in lead.objectives.components])
-    degrees = [np.bincount(dst, w, minlength=n)
-               for _, dst, w in (g.arc_arrays() for _, _, g in lead.segments)]
+    :class:`StepStabilityError`.  One O(N + E) in-degree ``bincount`` per
+    distinct graph object."""
+    h = scenarios[0].step
+    degrees = {}  # id(graph) -> its weighted in-degrees
     margins = []
     for s in scenarios:
-        gain = s.law.gain
-        rho = max(float((2.0 * gain * d + lip).max()) for d in degrees)
+        gain, graphs = s.law.gain, {id(g): g for _, _, g in s.segments}
+        lip = np.array([c.gradient_lipschitz() for c in s.objectives.components])
+        for key, g in graphs.items():
+            if key not in degrees:
+                _, dst, w = g.arc_arrays()
+                degrees[key] = np.bincount(dst, w, minlength=g.n_nodes)
+        rho = max(float((2.0 * gain * degrees[key] + lip).max()) for key in graphs)
         if rho > 0.0 and h > RK4_STABILITY_BOUND / rho:
             raise StepStabilityError(
                 f"step {h} fails RK4's stability certificate at gain {gain}: "
@@ -410,19 +417,20 @@ def _rk4(scenarios):
     """
     lead = scenarios[0]
     t0, h = lead.t0, lead.step
-    copies, n, m = len(scenarios), lead.n_nodes, lead.m
+    members, n, m = len(scenarios), lead.n_nodes, lead.m
     fields = _fields(scenarios)
     subs = [max(1, int(math.ceil((b - a) / h - 1e-9))) for a, b, _ in lead.segments]
     steps = sum(subs)
 
     times = np.empty(1 + steps)
-    states = np.empty((1 + steps, copies * n, m))
+    states = np.empty((1 + steps, members * n, m))
     times[0] = t0
     x = np.concatenate([s.x0 for s in scenarios], out=states[0])
     row = 0
 
-    for (a, b, graph), n_sub in zip(lead.segments, subs):
-        fieldfn = fields(graph)
+    for n_sub, *stretch in zip(subs, *(s.segments for s in scenarios)):
+        a, b, _ = stretch[0]  # every member's (a, b) is the same
+        fieldfn = fields([g for _, _, g in stretch])
         for k in range(n_sub):
             t_k = a + k * h
             t_next = b if k == n_sub - 1 else a + (k + 1) * h
@@ -450,7 +458,7 @@ def _rk4(scenarios):
             times[row] = t_next
 
     # (B, T, n_nodes, m): member b's states are a view into the (T, B * n_nodes, m) buffer
-    blocks = states.reshape(1 + steps, copies, n, m).swapaxes(0, 1)
+    blocks = states.reshape(1 + steps, members, n, m).swapaxes(0, 1)
     stats = {
         "steps": steps,
         "rhs_evaluations": 4 * steps,

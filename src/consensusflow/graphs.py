@@ -64,7 +64,7 @@ class WeightedDigraph:
         self._src = np.array([a[0] for a in arcs], dtype=np.intp)
         self._dst = np.array([a[1] for a in arcs], dtype=np.intp)
         self._w = np.array([cleaned[a] for a in arcs], dtype=float)
-        self._couplings = {}  # (m, copies) -> the coupling kernel
+        self._couplings = {}  # m -> the coupling kernel
 
     @classmethod
     def from_arcs(cls, n_nodes, arcs, weight=1.0, weight_bounds=None):
@@ -107,27 +107,20 @@ class WeightedDigraph:
         """Return ``(src, dst, weight)`` arrays sorted by arc."""
         return self._src, self._dst, self._w
 
-    def coupling(self, m: int, copies: int = 1):
+    def coupling(self, m: int):
         """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
 
         Differences are formed per arc, so exact consensus states give exactly
         zero (no cancellation error).  They are scatter-added into their
         entering node by one ``bincount`` over the flattened ``(E, m)`` array,
         which sums each node's in-arcs in arc order: O(N + E) memory, and
-        deterministic.  Each call returns a fresh array.  With ``copies = B``
-        the kernel couples ``(B * N, m)`` states on the B-fold disjoint union of
-        the graph: copy b's arcs are ``src + b*N -> dst + b*N``, copy by copy, so
-        every copy's nodes sum their in-arcs in the same order as one graph.
-        The kernel is built once per ``(graph, m, copies)`` and kept on the
-        (immutable) graph.
+        deterministic.  Each call returns a fresh array.  The kernel is built
+        once per ``(graph, m)`` and kept on the (immutable) graph.
         """
-        if (m, copies) in self._couplings:
-            return self._couplings[m, copies]
+        if m in self._couplings:
+            return self._couplings[m]
         src, dst, w = self._src, self._dst, self._w
-        n = self._n * copies
-        if copies > 1:
-            shift = self._n * np.arange(copies)[:, None]
-            src, dst, w = (src + shift).ravel(), (dst + shift).ravel(), np.tile(w, copies)
+        n = self._n
         slot = (dst[:, None] * m + np.arange(m)).ravel()
         wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
 
@@ -137,7 +130,7 @@ class WeightedDigraph:
                 per_arc *= wcol
             return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
 
-        kernel = self._couplings[m, copies] = coupling if src.size else np.zeros_like
+        kernel = self._couplings[m] = coupling if src.size else np.zeros_like
         return kernel
 
     def segments(self, t1, t2) -> list:
@@ -201,12 +194,9 @@ class WeightedDigraph:
         """True iff the arc set is symmetric (weights may still differ)."""
         return all((i, j) in self._weights for (j, i) in self._weights)
 
-    def has_symmetric_weights(self, tol=0.0) -> bool:
-        if not self.is_bidirectional():
-            return False
-        return all(
-            abs(w - self._weights[(i, j)]) <= tol for (j, i), w in self._weights.items()
-        )
+    def has_symmetric_weights(self) -> bool:
+        """True iff every arc's reverse is present with the same weight."""
+        return all(self._weights.get((i, j)) == w for (j, i), w in self._weights.items())
 
     def lambda2(self) -> float:
         """Second-smallest Laplacian eigenvalue of a connected symmetric graph.
@@ -215,7 +205,7 @@ class WeightedDigraph:
         Laplacian is symmetric PSD and the spectrum is real.  Ties in the
         second eigenvalue are fine; the sorted value is returned.
         """
-        if not self.has_symmetric_weights(tol=0.0):
+        if not self.has_symmetric_weights():
             raise ValueError("lambda2 requires a bidirectional graph with symmetric weights")
         if not self.is_strongly_connected():
             raise ValueError("lambda2 requires a connected graph")

@@ -27,7 +27,7 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
-from consensusflow.dynamics import DIVERGENCE_LIMIT, StepStabilityError
+from consensusflow.dynamics import DIVERGENCE_LIMIT, StepStabilityError, _union
 
 from conftest import (
     alternating_signal,
@@ -163,6 +163,21 @@ def test_coupling_kernel_is_built_once_per_graph_and_dimension():
     assert twin == g and twin.coupling(2) is not g.coupling(2)
     x = np.arange(10.0).reshape(5, 2)
     assert twin.coupling(2)(x).tobytes() == neighbor_info(g, x).tobytes()
+
+
+def test_batch_union_couples_each_member_on_its_own_graph():
+    g = cycle_with_chords()
+    assert _union([g]) is g  # one graph keeps its memoised kernel
+    weighted = WeightedDigraph(5, {(j, (j + s) % 5): 0.5 + j + 0.25 * s
+                                   for j in range(5) for s in (1, 3)})
+    graphs = [g, WeightedDigraph(5), weighted, g]
+    union = _union(graphs)
+    assert union.n_nodes == 20 and len(union.arcs) == 2 * 7 + 10
+    x = np.random.default_rng(33).normal(size=(20, 2))
+    n = union.coupling(2)(x)
+    for b, graph in enumerate(graphs):
+        rows = slice(5 * b, 5 * b + 5)
+        assert n[rows].tobytes() == graph.coupling(2)(x[rows]).tobytes()
 
 
 def test_neighbor_info_shape_check():
@@ -469,41 +484,79 @@ def test_batch_members_match_single_runs(kind, m):
     a, b = integrate_batch(twins)
     assert a.states.tobytes() == b.states.tobytes() and a.states is not b.states
 
+    # members of one shape that differ in everything else: a family of every
+    # kind (this one first), two schedules with the same instants, each its own
+    # forcing object, no forcing beside a forcing, a custom forcing, and gains
+    kinds = [kind] + [k for k in ("ball", "quadratic", "mixed", "box", "point", "sum")
+                      if k != kind]
+    families = [_family(k, rng, n, m) for k in kinds]
+    starts = rng.uniform(-5.0, 5.0, (len(kinds), n, m))
+    other = SwitchingSignal([(0.0, weighted), (0.13, WeightedDigraph(n)),
+                             (0.2, cycle_with_chords(n))], dwell=0.05, period=0.37)
+    cached = np.full((n, m), 0.25)
+    forcings = [ExponentialDecayDisturbance(rng.uniform(-1.0, 1.0, (n, m)), rate=0.7), None,
+                lambda t: cached, None,
+                ExponentialDecayDisturbance(rng.uniform(-1.0, 1.0, (n, m)), rate=1.3), None]
 
-def test_batch_members_may_hold_equal_copies_of_shared_fields():
-    # a config builds new objects for each member; equal descriptions share a run
-    members = [Scenario(two_node_quadratics(), two_node_graph(), x0, tf=1.0, law=ControlLaw(k),
-                        disturbance=ExponentialDecayDisturbance([[1.0], [-1.0]]))
-               for k, x0 in ((1.0, [0.0, 3.0]), (10.0, [1.0, 2.0]))]
-    for scen, traj in zip(members, integrate_batch(members)):
+    def members(forcings):
+        return [Scenario(obj, (schedule, other)[b % 2], x0, tf=0.6, step=0.03,
+                         law=ControlLaw((1.0, 2.5, 0.5)[b % 3]), disturbance=w)
+                for b, (obj, x0, w) in enumerate(zip(families, starts, forcings))]
+
+    mixed = members(forcings)
+    for scen, traj in zip(mixed, integrate_batch(mixed)):
         _assert_same_run(traj, integrate(scen))
+    # one member forced past the limit: the batch raises that member's own error
+    blowup = np.zeros((n, m))
+    blowup[3, m - 1] = 1e9
+    mixed = members(forcings[:3] + [ExponentialDecayDisturbance(blowup, rate=0.1)]
+                    + forcings[4:])
+    with pytest.raises(DivergenceError) as own:
+        integrate(mixed[3])
+    with pytest.raises(DivergenceError) as err:
+        integrate_batch(mixed)
+    _assert_same_error(err.value, own.value)
 
 
-def test_integrate_batch_rejects_members_that_do_not_share_a_run():
+def test_integrate_batch_rejects_members_that_differ_in_shape():
     base = dict(objectives=two_node_quadratics(), topology=two_node_graph(),
                 x0=[0.0, 3.0], tf=1.0)
     lead = Scenario(**base)
     with pytest.raises(ValueError, match="at least one scenario"):
         integrate_batch([])
-    other_topology = WeightedDigraph(2, {(0, 1): 2.0, (1, 0): 1.0})
+    with pytest.raises(TypeError, match="member 1 is not a Scenario"):
+        integrate_batch([lead, base])
     cases = {
-        "objectives": {"objectives": ObjectiveSet([Quadratic([[1.0]], [0.0]),
-                                                   Quadratic([[1.0]], [-0.0])])},
-        "topology": {"topology": other_topology},
-        "t0": {"t0": -0.0},
-        "tf": {"tf": 2.0},
+        "n_nodes": {"objectives": ObjectiveSet([Quadratic([[1.0]], [0.0])] * 3),
+                    "topology": WeightedDigraph.bidirectional_path(3), "x0": [0.0, 1.0, 2.0]},
+        "m": {"objectives": ObjectiveSet([Quadratic(np.eye(2), [0.0, 0.0])] * 2),
+              "x0": [[0.0, 1.0], [2.0, 3.0]]},
         "step": {"step": 0.02},
-        "disturbance": {"disturbance": ExponentialDecayDisturbance([[1.0], [0.0]])},
+        "segment instants": {"tf": 2.0},
     }
     for name, change in cases.items():
-        member = Scenario(**{**base, **change})
-        with pytest.raises(ValueError, match=f"share {name}; member 1 differs"):
-            integrate_batch([lead, member])
-    shared = lambda t: np.zeros((2, 1))  # noqa: E731
-    with pytest.raises(ValueError, match="share disturbance"):
-        integrate_batch([Scenario(**base, disturbance=shared),
-                         Scenario(**base, disturbance=lambda t: np.zeros((2, 1)))])
-    integrate_batch([Scenario(**base, disturbance=shared)] * 2)  # one object is shared
+        with pytest.raises(ValueError, match=f"one shape: member 1 differs from member 0 "
+                                             f"in {name}"):
+            integrate_batch([lead, Scenario(**{**base, **change})])
+    # the instants are compared by their bits: t0 = -0.0 is not 0.0
+    with pytest.raises(ValueError, match="in segment instants"):
+        integrate_batch([lead, Scenario(**base, t0=-0.0)])
+    # one switch instant moved by one ulp
+    schedule = SwitchingSignal([(0.0, two_node_graph()), (0.5, WeightedDigraph(2))],
+                               dwell=0.1, horizon=1.0)
+    moved = SwitchingSignal([(0.0, two_node_graph()),
+                             (math.nextafter(0.5, 1.0), WeightedDigraph(2))],
+                            dwell=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match="in segment instants"):
+        integrate_batch([Scenario(**{**base, "topology": schedule}),
+                         Scenario(**{**base, "topology": moved})])
+    # members that differ in family, topology and forcing, but not in shape, run
+    periodic = SwitchingSignal([(0.0, two_node_graph()), (0.5, WeightedDigraph(2))],
+                               dwell=0.1, period=1.0)
+    points = ObjectiveSet([SquaredDistance(Point([1.0]))] * 2)
+    integrate_batch([Scenario(**{**base, "topology": schedule}),
+                     Scenario(**{**base, "topology": periodic, "objectives": points},
+                              disturbance=lambda t: np.ones((2, 1)))])
 
 
 def _assert_same_error(err, own):
