@@ -8,6 +8,7 @@ solve), 3 one or more claims failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -63,13 +64,11 @@ def _print_report(args, report):
 
 
 def _cmd_verify(args, config):
-    report = run(config, args.suite, out_dir=args.out_dir, seed=args.seed,
-                 step=args.step)
-    return _print_report(args, report)
+    return _print_report(args, run(config, args.suite, out_dir=args.out_dir))
 
 
 def _cmd_sweep(args, config):
-    rows = sweep_k(config, out_dir=args.out_dir, seed=args.seed, step=args.step)
+    rows = sweep_k(config, out_dir=args.out_dir)
     for row in rows:
         _emit(args, "  ".join(f"{k}={row[k]:.6g}" for k in
                               ("gain", "diameter", "oracle_disagreement", "bound_margin")))
@@ -138,19 +137,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        overrides = {}
         if args.step is not None:
-            _number(args.step, "--h", positive=True)
+            overrides["step"] = _number(args.step, "--h", positive=True)
         if args.seed is not None:
-            _int(args.seed, "--seed", minimum=0)
-        config = load_config(args.config)
+            overrides["seed"] = _int(args.seed, "--seed", minimum=0)
+        config = dataclasses.replace(load_config(args.config), **overrides)
         return _COMMANDS[args.command](args, config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except DivergenceError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, ArithmeticError) as err:
+    except (DivergenceError, np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 

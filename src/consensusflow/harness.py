@@ -1,8 +1,9 @@
 """Scenario configs, verification suites, and artifact writers.
 
 Configs are JSON documents; unknown keys are rejected so typos fail loudly.
-Suites turn one config into a list of claim checks with explicit margins,
-written out as a JSON report plus CSV traces that round-trip exactly.
+A loaded :class:`ScenarioConfig` is the record of one run.  Suites turn it
+into a list of claim checks with explicit margins, written out as a JSON
+report plus CSV traces that round-trip exactly.
 """
 
 from __future__ import annotations
@@ -246,23 +247,26 @@ def _parse_law(d, path):
     raise ConfigError(f"unknown law kind '{kind}'", path)
 
 
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario description plus analysis options."""
+    """One run: a validated scenario plus its analysis options.
 
-    def __init__(self, raw, name, objectives, topology, law, t0, tf, step,
-                 seed, x0_spec, disturbance_spec, analysis):
-        self.raw = raw
-        self.name = name
-        self.objectives = objectives
-        self.topology = topology
-        self.law = law
-        self.t0 = t0
-        self.tf = tf
-        self.step = step
-        self.seed = seed
-        self.x0_spec = x0_spec
-        self.disturbance_spec = disturbance_spec
-        self.analysis = analysis
+    Re-run it on another draw or step with ``dataclasses.replace(config,
+    seed=..., step=...)``, as the CLI's ``--seed`` and ``--h`` do.
+    """
+
+    raw: dict
+    name: str
+    objectives: ObjectiveSet
+    topology: WeightedDigraph | SwitchingSignal
+    law: ControlLaw
+    t0: float
+    tf: float
+    step: float
+    seed: int
+    x0_spec: list | dict
+    disturbance: ExponentialDecayDisturbance | None
+    analysis: dict
 
     @classmethod
     def from_dict(cls, raw, source="<dict>"):
@@ -324,8 +328,8 @@ class ScenarioConfig:
                 raise ConfigError(f"expected {n} disturbance vectors", "disturbance.vectors")
             vectors = [_float_list(v, f"disturbance.vectors[{i}]", m)
                        for i, v in enumerate(vectors)]
-            dist = {"kind": "exponential", "vectors": vectors,
-                    "rate": _number(dist.get("rate", 1.0), "disturbance.rate", positive=True)}
+            dist = ExponentialDecayDisturbance(
+                vectors, _number(dist.get("rate", 1.0), "disturbance.rate", positive=True))
 
         ana = _require_mapping(raw.get("analysis", {}), "analysis")
         _check_keys(ana, {"z_star", "k_grid", "ujsc_window", "tolerances"}, set(), "analysis")
@@ -377,28 +381,23 @@ class ScenarioConfig:
         if unmet is not None:
             raise ConfigError(f"{what} needs {unmet[1]}", unmet[0])
 
-    def content_hash(self, seed=None, step=None) -> str:
-        blob = json.dumps(self.raw, sort_keys=True)
-        blob += f"|seed={self.seed if seed is None else seed}"
-        blob += f"|step={self.step if step is None else step}"
+    def content_hash(self) -> str:
+        """Fingerprint of the run: the raw JSON plus its seed and step."""
+        blob = f"{json.dumps(self.raw, sort_keys=True)}|seed={self.seed}|step={self.step}"
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def build_scenario(self, seed=None, step=None, gain=None) -> Scenario:
+    def build_scenario(self, gain=None) -> Scenario:
+        """The scenario of this run, at ``gain`` in place of the law's when given."""
         n, m = self.objectives.n_nodes, self.objectives.m
         if isinstance(self.x0_spec, list):
             x0 = np.array(self.x0_spec, dtype=float)
         else:
-            rng = np.random.default_rng(self.seed if seed is None else seed)
+            rng = np.random.default_rng(self.seed)
             x0 = rng.uniform(self.x0_spec["low"], self.x0_spec["high"], size=(n, m))
-        disturbance = None
-        if self.disturbance_spec is not None:
-            disturbance = ExponentialDecayDisturbance(
-                self.disturbance_spec["vectors"], self.disturbance_spec["rate"])
         law = self.law if gain is None else ControlLaw(float(gain))
         return Scenario(
             self.objectives, self.topology, x0=x0, tf=self.tf, t0=self.t0,
-            law=law, step=self.step if step is None else float(step),
-            disturbance=disturbance, name=self.name,
+            law=law, step=self.step, disturbance=self.disturbance, name=self.name,
         )
 
 
@@ -552,9 +551,8 @@ def _witness(config):
     return None, result.status, ""
 
 
-def _suite_simulate(config, seed, step):
-    scenario = config.build_scenario(seed=seed, step=step)
-    traj = integrate(scenario)
+def _suite_simulate(config):
+    traj = integrate(config.build_scenario())
     status, t_conv = detect_convergence(traj, config.objectives)
     diam = float(consensus_diameter(traj.terminal_state))
     claim = ClaimResult(
@@ -563,7 +561,7 @@ def _suite_simulate(config, seed, step):
     return [claim], [(traj, None, "")]
 
 
-def _suite_exact(config, seed, step):
+def _suite_exact(config):
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("the exact suite needs a fixed topology", "topology")
     tols = config.tolerances
@@ -576,7 +574,7 @@ def _suite_exact(config, seed, step):
         config.topology.is_strongly_connected(), None, "checked by forward and "
         "reverse reachability"))
 
-    scenario = config.build_scenario(seed=seed, step=step)
+    scenario = config.build_scenario()
     traj = integrate(scenario)
     extras = {}
 
@@ -631,7 +629,7 @@ def _suite_exact(config, seed, step):
     return claims, [(traj, extras, "")]
 
 
-def _gain_runs(config, grid, seed, step):
+def _gain_runs(config, grid):
     """Oracle solve, disagreement bound and simulation for each gain of ``grid``.
 
     Yields ``(gain, point, bound, trajectory)``.  ``point`` and ``bound`` are
@@ -649,7 +647,7 @@ def _gain_runs(config, grid, seed, step):
         points = {k: stationary_quadratic(config.objectives, config.topology, k)
                   for k in grid}
         grad_sup = max(p.grad_norm for p in points.values())
-    members = [config.build_scenario(seed=seed, step=step, gain=k) for k in grid if k > 0.0]
+    members = [config.build_scenario(gain=k) for k in grid if k > 0.0]
     trajs = iter(integrate_batch(members) if members else [])
     for k in grid:
         sp = points.get(k)
@@ -662,13 +660,16 @@ def _gain_runs(config, grid, seed, step):
         yield k, sp, bound, traj
 
 
-def _suite_eps(config, seed, step):
+def _suite_eps(config):
     config.require_oracle("the eps-optimal suite")
     grid = config.analysis.get("k_grid")
     if not grid:
         raise ConfigError("the eps-optimal suite needs analysis.k_grid", "analysis")
+    if not any(k > 0.0 for k in grid):  # gain zero is the oracle's alone: no claim
+        raise ConfigError("the eps-optimal suite needs a positive gain in analysis.k_grid",
+                          "analysis")
     claims, runs = [], []
-    for k, sp, bc, traj in _gain_runs(config, grid, seed, step):
+    for k, sp, bc, traj in _gain_runs(config, grid):
         if traj is None:
             continue
         mismatch = float(np.abs(traj.terminal_state - sp.states).max())
@@ -685,7 +686,7 @@ def _suite_eps(config, seed, step):
     return claims, runs
 
 
-def _suite_switching(config, seed, step):
+def _suite_switching(config):
     if not isinstance(config.topology, SwitchingSignal):
         raise ConfigError("the switching suite needs a switching topology", "topology")
     tols = config.tolerances
@@ -701,8 +702,7 @@ def _suite_switching(config, seed, step):
         "common-minimizer-exists",
         "the node argmin sets must share a point",
         status == "nonempty", None, why or f"intersection status: {status}"))
-    scenario = config.build_scenario(seed=seed, step=step)
-    traj = integrate(scenario)
+    traj = integrate(config.build_scenario())
     extras = {}
     if status != "nonempty":
         return claims, [(traj, extras, "")]
@@ -746,7 +746,7 @@ def _suite_switching(config, seed, step):
     return claims, [(traj, extras, "")]
 
 
-def _suite_audit(config, seed, step):
+def _suite_audit(config):
     grid = config.analysis.get("k_grid", [0.5, 1.0, 10.0, 100.0])
     report = audit_assumptions(config.objectives, config.topology, grid)
     d = report.to_dict()
@@ -775,41 +775,36 @@ _SUITE_FUNCS = {
 }
 
 
-def run(config: ScenarioConfig, suite: str, out_dir=None, seed=None,
-        step=None) -> RunReport:
+def run(config: ScenarioConfig, suite: str, out_dir=None) -> RunReport:
     """Execute one verification suite and (optionally) write its artifacts."""
     if suite not in _SUITE_FUNCS:
         raise ConfigError(f"unknown suite '{suite}'; choose from {', '.join(SUITES)}")
     started = time.perf_counter()
-    claims, runs = _SUITE_FUNCS[suite](config, seed, step)
-    report = RunReport(config.name, suite, config.content_hash(seed, step), claims)
-    if out_dir is not None:
-        out = Path(out_dir)
+    claims, runs = _SUITE_FUNCS[suite](config)
+    report = RunReport(config.name, suite, config.content_hash(), claims)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         for traj, extras, tag in runs:
             report.artifacts += write_trace(
                 out / f"{config.name}_{suite}{tag}.csv", traj, extras)
-        report.wall_seconds = time.perf_counter() - started
+    report.wall_seconds = time.perf_counter() - started
+    if out is not None:
         report_path = out / f"{config.name}_{suite}_report.json"
         report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         report.artifacts.append(str(report_path))
-    else:
-        report.wall_seconds = time.perf_counter() - started
     return report
 
 
-def sweep_k(config: ScenarioConfig, k_grid=None, out_dir=None, seed=None,
-            step=None):
-    """Tabulate simulated and oracle disagreement across consensus gains.
+def sweep_k(config: ScenarioConfig, out_dir=None):
+    """Tabulate simulated and oracle disagreement across ``analysis.k_grid``.
 
     Gains of zero are solved by the oracle only (no simulation).  Returns a
     list of row dicts; also writes ``{name}_sweep.csv`` under ``out_dir``.
     """
-    grid = list(k_grid) if k_grid is not None else config.analysis.get("k_grid")
+    grid = config.analysis.get("k_grid")
     if not grid:
-        raise ConfigError("sweep needs a gain grid (analysis.k_grid or k_grid argument)")
-    if any(k < 0 for k in grid):
-        raise ConfigError("gains must be nonnegative", "analysis.k_grid")
+        raise ConfigError("sweep needs a gain grid in analysis.k_grid")
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("sweep needs a fixed topology", "topology")
 
@@ -820,7 +815,7 @@ def sweep_k(config: ScenarioConfig, k_grid=None, out_dir=None, seed=None,
         pass
 
     rows = []
-    for k, sp, bc, traj in _gain_runs(config, grid, seed, step):
+    for k, sp, bc, traj in _gain_runs(config, grid):
         row = {"gain": float(k), "diameter": float("nan"), "gap_max": float("nan"),
                "oracle_disagreement": float("nan"), "oracle_residual": float("nan"),
                "bound_margin": float("nan"), "terminal_mismatch": float("nan")}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import re
@@ -273,7 +274,7 @@ def test_build_scenario_seed_determinism():
     cfg = ScenarioConfig.from_dict(ball_config())
     a = cfg.build_scenario()
     b = cfg.build_scenario()
-    c = cfg.build_scenario(seed=8)
+    c = dataclasses.replace(cfg, seed=8).build_scenario()
     assert np.array_equal(a.x0, b.x0)
     assert not np.array_equal(a.x0, c.x0)
     assert np.abs(a.x0).max() <= 5.0
@@ -289,8 +290,8 @@ def test_build_scenario_gain_override():
 def test_content_hash_tracks_overrides():
     cfg = ScenarioConfig.from_dict(quad_config())
     assert cfg.content_hash() == cfg.content_hash()
-    assert cfg.content_hash(seed=1) != cfg.content_hash()
-    assert cfg.content_hash(step=0.02) != cfg.content_hash()
+    assert dataclasses.replace(cfg, seed=1).content_hash() != cfg.content_hash()
+    assert dataclasses.replace(cfg, step=0.02).content_hash() != cfg.content_hash()
 
 
 # --- trace round trip --------------------------------------------------------
@@ -554,6 +555,29 @@ def test_committed_config_report_hashes(config_file, suite, expected):
     assert report.report_hash == expected
 
 
+@pytest.mark.parametrize("argv, report, overrides, expected", [
+    (["verify", "exact", "--config", "balls.json", "--seed", "8", "--h", "0.02"],
+     "balls_exact_report.json", {"seed": 8, "step": 0.02},
+     "b05c0c19186ca17eb52ff1c508f886acc09446e8bcdc07ee8d070c532aec1e19"),
+    (["verify", "eps-optimal", "--config", "pair.json", "--seed", "3", "--h", "0.005"],
+     "pair_eps-optimal_report.json", {"seed": 3, "step": 0.005},
+     "c9b8ed8198bb6b6873940e75a286bc664a95685e55d72888c9c35737a71c2803"),
+    (["verify", "switching", "--config", "switching.json", "--seed", "11"],
+     "alt_switching_report.json", {"seed": 11},
+     "765b60bcb0eea429b6d819573fcf2d53a04027b3d4d34fbb6fbf1d6f99a8785b"),
+], ids=["exact-balls", "eps-optimal-pair", "switching"])
+def test_overrides_keep_report_hashes(tmp_path, argv, report, overrides, expected):
+    """``--seed`` and ``--h`` replace the config's fields; the report hashes
+    were recorded when they were passed to ``run`` as separate arguments."""
+    config = argv.index("--config") + 1
+    argv = argv[:config] + [str(CONFIGS / argv[config])] + argv[config + 1:]
+    assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 0
+    written = json.loads((tmp_path / report).read_text())
+    assert written["report_hash"] == expected
+    replaced = dataclasses.replace(load_config(argv[config]), **overrides)
+    assert run(replaced, argv[1]).report_hash == expected
+
+
 def test_run_writes_artifacts(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     report = run(cfg, "simulate", out_dir=tmp_path)
@@ -573,7 +597,8 @@ def test_run_writes_artifacts(tmp_path):
 def test_report_hash_is_reproducible():
     h1 = run(ScenarioConfig.from_dict(quad_config()), "exact").report_hash
     h2 = run(ScenarioConfig.from_dict(quad_config()), "exact").report_hash
-    h3 = run(ScenarioConfig.from_dict(quad_config()), "exact", step=0.02).report_hash
+    h3 = run(dataclasses.replace(ScenarioConfig.from_dict(quad_config()), step=0.02),
+             "exact").report_hash
     assert h1 == h2
     assert h1 != h3
 
@@ -602,11 +627,28 @@ def test_sweep_k_matches_closed_form(tmp_path):
     assert len(text) == 5
 
 
+def test_eps_optimal_needs_a_positive_gain(tmp_path, capsys):
+    # gain zero is solved by the oracle alone, so a zero-only grid has no claim
+    # to check: the suite refuses it, while sweep-k still tabulates the oracle
+    cfg = json.loads((CONFIGS / "pair.json").read_text())
+    cfg["analysis"]["k_grid"] = [0.0]
+    path = _write(tmp_path, cfg, "pair.json")
+    message = "analysis: the eps-optimal suite needs a positive gain in analysis.k_grid"
+    with pytest.raises(ConfigError) as err:
+        run(load_config(path), "eps-optimal")
+    assert str(err.value) == message
+    assert main(["verify", "eps-optimal", "--config", path, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert main(["sweep-k", "--config", path, "--quiet"]) == 0
+    [row] = sweep_k(load_config(path))
+    assert row["gain"] == 0.0 and np.isnan(row["diameter"])
+
+
 def test_sweep_k_preconditions():
     with pytest.raises(ConfigError, match="gain grid"):
         sweep_k(ScenarioConfig.from_dict(quad_config()))
     with pytest.raises(ConfigError, match="fixed topology"):
-        sweep_k(ScenarioConfig.from_dict(switching_config()), k_grid=[1.0])
+        sweep_k(ScenarioConfig.from_dict(switching_config(analysis={"k_grid": [1.0]})))
 
 
 # --- command line ------------------------------------------------------------
@@ -695,7 +737,7 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys):
 def test_gain_runs_match_single_runs(tmp_path):
     config = load_config(_write(tmp_path, quad_config(tf=5.0)))
     grid = [0.0, 10.0, 1.0, 10.0, 2.5]
-    runs = list(_gain_runs(config, grid, None, None))
+    runs = list(_gain_runs(config, grid))
     assert [k for k, *_ in runs] == grid and runs[0][3] is None
     for k, _, _, traj in runs[1:]:
         single = integrate(config.build_scenario(gain=k))
@@ -715,7 +757,7 @@ def test_gain_grid_divergence_is_the_first_in_time_error(tmp_path, capsys):
     with pytest.raises(DivergenceError) as ref:
         integrate(config.build_scenario(gain=1.0))
     assert str(ref.value).startswith("state diverged at t=0.12: node 1 ")
-    calls = [lambda: list(_gain_runs(config, cfg["analysis"]["k_grid"], None, None)),
+    calls = [lambda: list(_gain_runs(config, cfg["analysis"]["k_grid"])),
              lambda: sweep_k(config), lambda: run(config, "eps-optimal")]
     for call in calls:
         with pytest.raises(DivergenceError) as err:
