@@ -26,7 +26,6 @@ from .analysis import (
     stationary_quadratic,
 )
 from .dynamics import (
-    ControlLaw,
     DivergenceError,
     ExponentialDecayDisturbance,
     Scenario,
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionAudit", "Ball", "BoundCheck", "Box", "ClaimResult",
-    "ConfigError", "ControlLaw", "ConvexComponent", "ConvexSet",
+    "ConfigError", "ConvexComponent", "ConvexSet",
     "DEFAULT_TOLERANCES", "DiniCheck",
     "DivergenceError", "ExponentialDecayDisturbance", "GlobalMinimum",
     "IntersectionResult", "MetricSeries", "ObjectiveSet", "Point",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import SwitchingSignal, WeightedDigraph
+from .graphs import SwitchingSignal, WeightedDigraph, coupling_kernel
 from .objectives import ObjectiveSet
 
 DIVERGENCE_LIMIT = 1e8
@@ -62,25 +62,6 @@ class StepStabilityError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class ControlLaw:
-    """Velocity rule ``u = gain * n - g``.
-
-    ``gain=1`` is the plain disagreement-minus-gradient rule; larger gains
-    weight neighbor agreement more heavily.  With zero disagreement the rule
-    reduces to ``-g``, which is injective in the gradient argument.
-    """
-
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError("gain must be a positive real")
-
-    def describe(self) -> dict:
-        return {"kind": "gain-law", "gain": self.gain}
-
-
 class ExponentialDecayDisturbance:
     """Per-node forcing ``w_i(t) = exp(-rate * (t - t_ref)) * v_i``."""
 
@@ -114,8 +95,6 @@ class Scenario:
         One component per node.
     topology : WeightedDigraph or SwitchingSignal
         Fixed graph or piecewise-constant schedule covering ``[t0, tf]``.
-    law : ControlLaw, optional
-        The only kind of law (anything else is a ``TypeError``); default gain 1.
     x0 : array
         Initial stacked state, shape ``(n_nodes, m)`` (a flat vector of
         length ``n_nodes * m`` is accepted and reshaped).
@@ -123,6 +102,10 @@ class Scenario:
         Integration window, ``t0 < tf``.
     step : float, optional
         Fixed integrator step (default 0.01).
+    gain : positive real, optional
+        ``K`` of the velocity rule ``u = K * n - g`` (default 1, the paper's
+        J*; J_K is ``K``).  With zero disagreement the rule reduces to
+        ``-g``, which is injective in the gradient argument.  Kept as given.
     disturbance : callable, optional
         Maps ``t`` to an additive ``(n_nodes, m)`` forcing term.
 
@@ -133,7 +116,7 @@ class Scenario:
         integrator walks; the topology rejects a window outside its schedule.
     """
 
-    def __init__(self, objectives, topology, x0, tf, t0=0.0, law=None,
+    def __init__(self, objectives, topology, x0, tf, t0=0.0, gain=1.0,
                  step=0.01, disturbance=None, name=""):
         if not isinstance(objectives, ObjectiveSet):
             raise TypeError("objectives must be an ObjectiveSet")
@@ -146,9 +129,9 @@ class Scenario:
             )
         self.objectives = objectives
         self.topology = topology
-        self.law = ControlLaw() if law is None else law
-        if not isinstance(self.law, ControlLaw):
-            raise TypeError("law must be a ControlLaw")
+        if not (math.isfinite(gain) and gain > 0.0):
+            raise ValueError("gain must be a positive real")
+        self.gain = gain
 
         n, m = objectives.n_nodes, objectives.m
         x0 = np.asarray(x0, dtype=float)
@@ -191,7 +174,7 @@ class Scenario:
             "name": self.name,
             "objectives": self.objectives.describe(),
             "topology": self.topology.describe(),
-            "law": self.law.describe(),
+            "law": {"kind": "gain-law", "gain": self.gain},
             "x0": self.x0.tolist(),
             "t0": self.t0,
             "tf": self.tf,
@@ -285,17 +268,20 @@ def _check_batch(scenarios) -> None:
                                  f"from member 0 in {name}")
 
 
-def _union(graphs) -> WeightedDigraph:
-    """The disjoint union of the members' graphs: member b's arc ``(j, i)`` is
-    ``(j + b*n, i + b*n)``.  Its sorted arcs are member-major and keep each
-    member's arc order, so every node sums its in-arcs as in its own graph.
-    One graph is itself, with its memoised kernel."""
+def _union(graphs, m):
+    """The coupling kernel of the members' disjoint union: member b's arc
+    ``(j, i)`` is ``(j + b*n, i + b*n)``.  Each member's sorted arc arrays,
+    shifted by ``b*n`` and concatenated, are the union's sorted arrays, so
+    every node sums its in-arcs as in its own graph.  One graph uses its own
+    memoised kernel."""
     if len(graphs) == 1:
-        return graphs[0]
+        return graphs[0].coupling(m)
     n = graphs[0].n_nodes
-    return WeightedDigraph(n * len(graphs), {(j + b * n, i + b * n): w
-                                             for b, g in enumerate(graphs)
-                                             for (j, i), w in g.weights.items()})
+    src, dst, w = zip(*(g.arc_arrays() for g in graphs))
+    offsets = range(0, n * len(graphs), n)
+    return coupling_kernel(np.concatenate([a + o for a, o in zip(src, offsets)]),
+                           np.concatenate([a + o for a, o in zip(dst, offsets)]),
+                           np.concatenate(w), n * len(graphs), m)
 
 
 def _fields(scenarios):
@@ -306,8 +292,8 @@ def _fields(scenarios):
     member's graph on one stretch, couple on their union, so each kernel runs
     on a 2-D array as for one member; member b's forcing goes to its own rows.
     Every call returns a fresh array that the caller may update in place:
-    each member's :class:`ControlLaw`, ``gain * n - g``, is applied in place
-    on the fresh coupling array.
+    each member's rule, ``gain * n - g``, is applied in place on the fresh
+    coupling array.
     """
     n, m = scenarios[0].n_nodes, scenarios[0].m
     grad = ObjectiveSet([c for s in scenarios for c in s.objectives.components]).stacked_grad
@@ -316,7 +302,7 @@ def _fields(scenarios):
 
     # a gain of 1 multiplies exactly and is skipped; unequal gains form a column
     # (n_nodes rows per member); a 0-d array multiplies faster than a float
-    gains = [s.law.gain for s in scenarios]
+    gains = [s.gain for s in scenarios]
     if len(set(gains)) > 1:
         gain = np.repeat(np.array(gains, dtype=float), n)[:, None]
     else:
@@ -326,7 +312,7 @@ def _fields(scenarios):
     def make(graphs):
         key = tuple(map(id, graphs))
         if key not in couplings:
-            couplings[key] = _union(graphs).coupling(m)
+            couplings[key] = _union(graphs, m)
         coupling = couplings[key]
 
         def field(t, y):
@@ -357,7 +343,7 @@ def integrate_batch(scenarios) -> list[Trajectory]:
 
     The members share one shape (``n_nodes``, ``m``, ``step`` and the segment
     boundaries, by their bits) and may differ in everything else: family,
-    topology, disturbance, ``x0`` and a :class:`ControlLaw`'s gain.
+    topology, disturbance, ``x0`` and gain.
     They are folded into the node axis: the batch state is one
     ``(B * n_nodes, m)`` array, coupled on each stretch on the disjoint
     union of the members' graphs, with each member's forcing on its own
@@ -389,7 +375,7 @@ def _stability_margins(scenarios) -> list[float]:
     degrees = {}  # id(graph) -> its weighted in-degrees
     margins = []
     for s in scenarios:
-        gain, graphs = s.law.gain, {id(g): g for _, _, g in s.segments}
+        gain, graphs = s.gain, {id(g): g for _, _, g in s.segments}
         lip = np.array([c.gradient_lipschitz() for c in s.objectives.components])
         for key, g in graphs.items():
             if key not in degrees:

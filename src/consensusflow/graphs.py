@@ -12,6 +12,28 @@ import numpy as np
 Arc = tuple[int, int]
 
 
+def coupling_kernel(src, dst, w, n_nodes, m):
+    """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` over the arcs
+    ``(src[k], dst[k])`` of weight ``w[k]``, sorted by arc, on ``n_nodes`` nodes.
+
+    Differences are formed per arc, so exact consensus states give exactly
+    zero (no cancellation error).  They are scatter-added into their entering
+    node by one ``bincount`` over the flattened ``(E, m)`` array, which sums
+    each node's in-arcs in arc order: O(N + E) memory, and deterministic.
+    Each call returns a fresh array.
+    """
+    slot = (dst[:, None] * m + np.arange(m)).ravel()
+    wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
+
+    def coupling(x):
+        per_arc = x.take(src, axis=0) - x.take(dst, axis=0)
+        if wcol is not None:
+            per_arc *= wcol
+        return np.bincount(slot, per_arc.ravel(), minlength=n_nodes * m).reshape(n_nodes, m)
+
+    return coupling if src.size else np.zeros_like
+
+
 class WeightedDigraph:
     """Weighted directed graph on nodes ``0 .. n_nodes-1``.
 
@@ -108,30 +130,12 @@ class WeightedDigraph:
         return self._src, self._dst, self._w
 
     def coupling(self, m: int):
-        """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph.
-
-        Differences are formed per arc, so exact consensus states give exactly
-        zero (no cancellation error).  They are scatter-added into their
-        entering node by one ``bincount`` over the flattened ``(E, m)`` array,
-        which sums each node's in-arcs in arc order: O(N + E) memory, and
-        deterministic.  Each call returns a fresh array.  The kernel is built
-        once per ``(graph, m)`` and kept on the (immutable) graph.
-        """
-        if m in self._couplings:
-            return self._couplings[m]
-        src, dst, w = self._src, self._dst, self._w
-        n = self._n
-        slot = (dst[:, None] * m + np.arange(m)).ravel()
-        wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
-
-        def coupling(x):
-            per_arc = x.take(src, axis=0) - x.take(dst, axis=0)
-            if wcol is not None:
-                per_arc *= wcol
-            return np.bincount(slot, per_arc.ravel(), minlength=n * m).reshape(n, m)
-
-        kernel = self._couplings[m] = coupling if src.size else np.zeros_like
-        return kernel
+        """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph:
+        :func:`coupling_kernel` on its arc arrays, built once per ``(graph, m)``
+        and kept on the (immutable) graph."""
+        if m not in self._couplings:
+            self._couplings[m] = coupling_kernel(self._src, self._dst, self._w, self._n, m)
+        return self._couplings[m]
 
     def segments(self, t1, t2) -> list:
         """A fixed graph is a one-stretch schedule: ``[(t1, t2, self)]``, or

@@ -31,7 +31,6 @@ from .analysis import (
     stationary_quadratic,
 )
 from .dynamics import (
-    ControlLaw,
     ExponentialDecayDisturbance,
     Scenario,
     integrate,
@@ -234,16 +233,17 @@ def _parse_topology(d, n, path):
 
 
 def _parse_law(d, path):
+    """The law's gain: 1 for J* (``jstar``, the default) and K for J_K (``jk``)."""
     if d is None:
-        return ControlLaw(1.0)
+        return 1.0
     d = _require_mapping(d, path)
     kind = d.get("kind")
     if kind == "jstar":
         _check_keys(d, {"kind"}, {"kind"}, path)
-        return ControlLaw(1.0)
+        return 1.0
     if kind == "jk":
         _check_keys(d, {"kind", "K"}, {"kind", "K"}, path)
-        return ControlLaw(_number(d["K"], f"{path}.K", positive=True))
+        return _number(d["K"], f"{path}.K", positive=True)
     raise ConfigError(f"unknown law kind '{kind}'", path)
 
 
@@ -259,7 +259,7 @@ class ScenarioConfig:
     name: str
     objectives: ObjectiveSet
     topology: WeightedDigraph | SwitchingSignal
-    law: ControlLaw
+    gain: float
     t0: float
     tf: float
     step: float
@@ -290,7 +290,7 @@ class ScenarioConfig:
         objectives = ObjectiveSet(components)
 
         topology = _parse_topology(raw["topology"], n, "topology")
-        law = _parse_law(raw.get("law"), "law")
+        gain = _parse_law(raw.get("law"), "law")
 
         integ = _require_mapping(raw["integrator"], "integrator")
         _check_keys(integ, {"h", "t0", "tf"}, {"tf"}, "integrator")
@@ -352,7 +352,7 @@ class ScenarioConfig:
                 tols[k] = _number(v, f"analysis.tolerances.{k}", positive=True)
         analysis["tolerances"] = tols
 
-        config = cls(raw, name, objectives, topology, law, t0, tf, step, seed,
+        config = cls(raw, name, objectives, topology, gain, t0, tf, step, seed,
                      x0_spec, dist, analysis)
         try:  # the scenario and its topology judge the run window
             config.build_scenario()
@@ -387,17 +387,17 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def build_scenario(self, gain=None) -> Scenario:
-        """The scenario of this run, at ``gain`` in place of the law's when given."""
+        """The scenario of this run, at ``gain`` in place of the config's when given."""
         n, m = self.objectives.n_nodes, self.objectives.m
         if isinstance(self.x0_spec, list):
             x0 = np.array(self.x0_spec, dtype=float)
         else:
             rng = np.random.default_rng(self.seed)
             x0 = rng.uniform(self.x0_spec["low"], self.x0_spec["high"], size=(n, m))
-        law = self.law if gain is None else ControlLaw(float(gain))
         return Scenario(
             self.objectives, self.topology, x0=x0, tf=self.tf, t0=self.t0,
-            law=law, step=self.step, disturbance=self.disturbance, name=self.name,
+            gain=self.gain if gain is None else gain, step=self.step,
+            disturbance=self.disturbance, name=self.name,
         )
 
 
@@ -614,7 +614,7 @@ def _suite_exact(config):
         diam > tols["necessity_floor"], float(diam - tols["necessity_floor"]),
         f"exact agreement on one optimum is impossible here; terminal diameter {diam:.6e}"))
     if stationary_oracle_unmet(config.objectives, config.topology) is None:
-        sp = stationary_quadratic(config.objectives, config.topology, scenario.law.gain)
+        sp = stationary_quadratic(config.objectives, config.topology, scenario.gain)
         mismatch = float(np.abs(traj.terminal_state - sp.states).max())
         oracle_diam = consensus_diameter(sp.states)
         claims.append(_threshold_claim(

@@ -12,7 +12,6 @@ import itertools
 import numpy as np
 
 from consensusflow import (
-    ControlLaw,
     ExponentialDecayDisturbance,
     ObjectiveSet,
     Quadratic,
@@ -120,7 +119,7 @@ def test_large_gains_shrink_disagreement_as_predicted():
     worst_mismatch = 0.0
     min_margin = np.inf
     all_hold = True
-    members = [Scenario(obj, graph, [0.0, 3.0], tf=25.0, law=ControlLaw(k), step=0.01)
+    members = [Scenario(obj, graph, [0.0, 3.0], tf=25.0, gain=k, step=0.01)
                for k in gains]
     for k, traj in zip(gains, integrate_batch(members)):
         diam = float(consensus_diameter(traj.terminal_state))
@@ -221,7 +220,7 @@ def test_minimizer_hull_cube_is_invariant():
     starts += [rng.uniform(lo, hi, (3, 1)) for _ in range(4)]
 
     worst_exit = 0.0
-    members = [Scenario(obj, graph, x0, tf=20.0, law=ControlLaw(gain))
+    members = [Scenario(obj, graph, x0, tf=20.0, gain=gain)
                for gain in (0.5, 1.0, 10.0) for x0 in starts]
     for traj in integrate_batch(members):
         worst_exit = max(worst_exit,

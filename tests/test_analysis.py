@@ -8,7 +8,6 @@ import pytest
 from consensusflow import (
     Ball,
     Box,
-    ControlLaw,
     MetricSeries,
     ObjectiveSet,
     Point,

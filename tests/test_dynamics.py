@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from consensusflow import (
     Ball,
     Box,
-    ControlLaw,
     DivergenceError,
     ExponentialDecayDisturbance,
     ObjectiveSet,
@@ -24,6 +24,7 @@ from consensusflow import (
     WeightedDigraph,
     integrate,
     integrate_batch,
+    load_config,
     neighbor_info,
     rhs,
 )
@@ -45,7 +46,7 @@ def _two_node_scenario(gain=1.0, tf=10.0, x0=(0.0, 3.0), step=0.01):
         two_node_graph(),
         np.asarray(x0, dtype=float),
         tf=tf,
-        law=ControlLaw(gain),
+        gain=gain,
         step=step,
     )
 
@@ -54,7 +55,7 @@ def _forced_pair(x0=(0.0, 3.0), gain=1.0, tf=5.0):
     # a divergence the stability certificate lets through (h*rho = 0.03 at gain
     # 1): node 1's forcing of 1e9 takes it past the limit at t=0.12 from (0, 3)
     return Scenario(two_node_quadratics(), two_node_graph(), np.asarray(x0, dtype=float),
-                    tf=tf, law=ControlLaw(gain),
+                    tf=tf, gain=gain,
                     disturbance=ExponentialDecayDisturbance([[0.0], [1e9]], rate=0.1))
 
 
@@ -82,10 +83,13 @@ def test_control_law_anchors():
     assert np.array_equal(rhs(_two_node_scenario(gain=7.0), 0.0, [[1.0], [1.0]]), -g)
 
 
-def test_control_law_rejects_bad_gains():
+def test_scenario_rejects_bad_gains():
     for gain in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            ControlLaw(gain=gain)
+        with pytest.raises(ValueError, match="gain must be a positive real"):
+            _two_node_scenario(gain=gain)
+    for gain in ("2", lambda n, gr: n - gr):
+        with pytest.raises(TypeError):
+            _two_node_scenario(gain=gain)
 
 
 # --- neighbor aggregation ----------------------------------------------------
@@ -167,14 +171,12 @@ def test_coupling_kernel_is_built_once_per_graph_and_dimension():
 
 def test_batch_union_couples_each_member_on_its_own_graph():
     g = cycle_with_chords()
-    assert _union([g]) is g  # one graph keeps its memoised kernel
+    assert _union([g], 2) is g.coupling(2)  # one graph keeps its memoised kernel
     weighted = WeightedDigraph(5, {(j, (j + s) % 5): 0.5 + j + 0.25 * s
                                    for j in range(5) for s in (1, 3)})
     graphs = [g, WeightedDigraph(5), weighted, g]
-    union = _union(graphs)
-    assert union.n_nodes == 20 and len(union.arcs) == 2 * 7 + 10
     x = np.random.default_rng(33).normal(size=(20, 2))
-    n = union.coupling(2)(x)
+    n = _union(graphs, 2)(x)
     for b, graph in enumerate(graphs):
         rows = slice(5 * b, 5 * b + 5)
         assert n[rows].tobytes() == graph.coupling(2)(x[rows]).tobytes()
@@ -225,7 +227,7 @@ def test_rhs_is_negative_gradient_of_penalized_objective():
             a = rng.uniform(-1.0, 1.0, (m, m))
             comps.append(Quadratic(a.T @ a + 0.3 * np.eye(m), rng.uniform(-1, 1, m)))
         obj = ObjectiveSet(comps)
-        scen = Scenario(obj, graph, np.zeros((n_nodes, m)), tf=1.0, law=ControlLaw(gain))
+        scen = Scenario(obj, graph, np.zeros((n_nodes, m)), tf=1.0, gain=gain)
 
         src, dst, w = graph.arc_arrays()
         once = src < dst  # count each undirected pair a single time
@@ -342,7 +344,7 @@ def test_stats_fields():
 
 def _reference_run(scenario):
     """RK4 from the public, validated pieces, with the stages combined out of place."""
-    obj, law, disturbance, h = scenario.objectives, scenario.law, scenario.disturbance, scenario.step
+    obj, gain, disturbance, h = scenario.objectives, scenario.gain, scenario.disturbance, scenario.step
     topo = scenario.topology
     if isinstance(topo, SwitchingSignal):
         segments = topo.segments(scenario.t0, scenario.tf)
@@ -351,7 +353,7 @@ def _reference_run(scenario):
 
     def field(graph, t, y):
         grads = np.stack([c.grad(y[i]) for i, c in enumerate(obj.components)])
-        u = law.gain * neighbor_info(graph, y) - grads
+        u = gain * neighbor_info(graph, y) - grads
         return u if disturbance is None else u + disturbance(t)
 
     x, times, states = scenario.x0, [scenario.t0], [scenario.x0]
@@ -418,7 +420,7 @@ def test_integrate_matches_out_of_place_reference(kind, m):
     cached = np.full((n, m), 0.5)
     runs = [
         {"topology": cycle_with_chords(n)},
-        {"topology": weighted, "law": ControlLaw(2.5)},
+        {"topology": weighted, "gain": 2.5},
         {"topology": schedule},
         {"topology": weighted, "disturbance": ExponentialDecayDisturbance(
             rng.uniform(-1.0, 1.0, (n, m)), rate=0.7)},
@@ -472,7 +474,7 @@ def test_batch_members_match_single_runs(kind, m):
         for dist in (None, disturbance):
             for gains in grids:
                 members = [Scenario(obj, topology, rng.uniform(-5.0, 5.0, (n, m)), tf=0.6,
-                                    step=0.03, law=ControlLaw(k), disturbance=dist)
+                                    step=0.03, gain=k, disturbance=dist)
                            for k in gains]
                 batch = integrate_batch(members)
                 assert len(batch) == len(members)
@@ -500,7 +502,7 @@ def test_batch_members_match_single_runs(kind, m):
 
     def members(forcings):
         return [Scenario(obj, (schedule, other)[b % 2], x0, tf=0.6, step=0.03,
-                         law=ControlLaw((1.0, 2.5, 0.5)[b % 3]), disturbance=w)
+                         gain=(1.0, 2.5, 0.5)[b % 3], disturbance=w)
                 for b, (obj, x0, w) in enumerate(zip(families, starts, forcings))]
 
     mixed = members(forcings)
@@ -625,7 +627,7 @@ def test_stability_certificate_refuses_the_step_before_integrating():
 
     def member(gain):
         return Scenario(two_node_quadratics(), two_node_graph(), [0.0, 3.0], tf=5.0,
-                        law=ControlLaw(gain), disturbance=forcing)
+                        gain=gain, disturbance=forcing)
 
     # the first member in member order that fails the certificate names the error
     for gains, message in (
@@ -656,7 +658,7 @@ def test_stability_certificate_refuses_the_step_before_integrating():
     assert integrate(scen).stats["h_rho"] == 0.01 * 11.0
     with pytest.raises(StepStabilityError, match="at gain 30.0: rho .* = 301 "):
         integrate(Scenario(two_node_quadratics(), schedule, [0.0, 3.0], tf=1.0,
-                           law=ControlLaw(30.0)))
+                           gain=30.0))
     # with no arcs and flat objectives rho is 0, and every step passes
     flat = ObjectiveSet([Quadratic([[0.0]], [0.0])] * 2)
     still = integrate(Scenario(flat, WeightedDigraph(2), [1.0, 2.0], tf=20.0, step=10.0))
@@ -714,6 +716,21 @@ def test_integration_holds_one_trajectory_buffer(count):
     assert peak <= buffer + 2 * trajs[0].times.nbytes + (512 << 10)
 
 
+def test_scenario_fingerprints_are_pinned():
+    """The law entry of ``describe()`` is ``{"kind": "gain-law", "gain": gain}``
+    with the gain as given, so an int gain keeps its own fingerprint."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    pair = load_config(configs / "pair.json")
+    assert pair.build_scenario().fingerprint == (
+        "73380a5abb3ab09b16eb3eee1e0a9e458bf8847c90d558cdda265b3c3e26307c")
+    assert pair.build_scenario(gain=10.0).fingerprint == (
+        "56f606231c1b25ab86ccb3f1fe32deb94cb84851b356eaae7893a4c2f5dc6748")
+    assert load_config(configs / "balls.json").build_scenario().fingerprint == (
+        "f4520c3be00d64d1d6f4eeabc139b90f4e1a32f3dbcf3faf7b51e1e717e36f45")
+    scen = Scenario(pair.objectives, pair.topology, [[0.0], [3.0]], tf=25.0, gain=10)
+    assert scen.fingerprint == "f087b6af209a9356b4a0971e6066e71913b0caa8907ccfff20079100f2f13479"
+
+
 def test_scenario_validation():
     obj = two_node_quadratics()
     g = two_node_graph()
@@ -721,8 +738,8 @@ def test_scenario_validation():
         Scenario([type("X", (), {})()], g, np.zeros((2, 1)), tf=1.0)
     with pytest.raises(TypeError):
         Scenario(obj, "graph", np.zeros((2, 1)), tf=1.0)
-    with pytest.raises(TypeError, match="ControlLaw"):
-        Scenario(obj, g, np.zeros((2, 1)), tf=1.0, law=lambda n, gr: n - gr)
+    with pytest.raises(TypeError):
+        Scenario(obj, g, np.zeros((2, 1)), tf=1.0, gain=lambda n, gr: n - gr)
     with pytest.raises(ValueError, match="nodes"):
         Scenario(obj, WeightedDigraph.directed_cycle(3), np.zeros((2, 1)), tf=1.0)
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ import pytest
 
 from consensusflow import (
     ConfigError,
-    ControlLaw,
     DEFAULT_TOLERANCES,
     DivergenceError,
     ScenarioConfig,
@@ -116,7 +115,7 @@ def test_minimal_config_defaults():
     assert cfg.name == "pair"
     assert cfg.t0 == 0.0 and cfg.tf == 25.0 and cfg.step == 0.01
     assert cfg.seed == 0
-    assert isinstance(cfg.law, ControlLaw) and cfg.law.gain == 1.0
+    assert cfg.gain == 1.0
     assert cfg.tolerances == DEFAULT_TOLERANCES
 
 
@@ -283,8 +282,8 @@ def test_build_scenario_seed_determinism():
 def test_build_scenario_gain_override():
     cfg = ScenarioConfig.from_dict(quad_config())
     scen = cfg.build_scenario(gain=10.0)
-    assert scen.law.gain == 10.0
-    assert cfg.build_scenario().law.gain == 1.0
+    assert scen.gain == 10.0
+    assert cfg.build_scenario().gain == 1.0
 
 
 def test_content_hash_tracks_overrides():
@@ -576,6 +575,20 @@ def test_overrides_keep_report_hashes(tmp_path, argv, report, overrides, expecte
     assert written["report_hash"] == expected
     replaced = dataclasses.replace(load_config(argv[config]), **overrides)
     assert run(replaced, argv[1]).report_hash == expected
+
+
+def test_jk_law_runs_the_exact_suite():
+    """J_K at K = 10 on the pair settles at diameter 3/(2K+1) = 1/7, the
+    stationary oracle's, with the report hash of the ``law`` config entry."""
+    raw = json.loads((CONFIGS / "pair.json").read_text())
+    raw["law"] = {"kind": "jk", "K": 10.0}
+    config = ScenarioConfig.from_dict(raw)
+    assert config.gain == 10.0
+    report = run(config, "exact")
+    assert report.passed
+    oracle = {c.id: c for c in report.claims}["diameter-matches-oracle"]
+    assert oracle.detail.startswith("oracle diameter 1.428571e-01;")
+    assert report.report_hash == "88009dfc0205430a2aded8a472a3854f869e3f3959ed862d8b67bdf0c30528a0"
 
 
 def test_run_writes_artifacts(tmp_path):
