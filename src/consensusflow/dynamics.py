@@ -104,8 +104,8 @@ class Scenario:
         Fixed integrator step (default 0.01).
     gain : positive real, optional
         ``K`` of the velocity rule ``u = K * n - g`` (default 1, the paper's
-        J*; J_K is ``K``).  With zero disagreement the rule reduces to
-        ``-g``, which is injective in the gradient argument.  Kept as given.
+        J*; J_K is ``K``), kept as given; a ``bool`` is a ``TypeError``.  With
+        zero disagreement the rule reduces to ``-g``, injective in ``g``.
     disturbance : callable, optional
         Maps ``t`` to an additive ``(n_nodes, m)`` forcing term.
 
@@ -129,6 +129,8 @@ class Scenario:
             )
         self.objectives = objectives
         self.topology = topology
+        if isinstance(gain, (bool, np.bool_)):
+            raise TypeError("gain must be a real number, not a bool")
         if not (math.isfinite(gain) and gain > 0.0):
             raise ValueError("gain must be a positive real")
         self.gain = gain
@@ -187,9 +189,6 @@ class Scenario:
         blob = json.dumps(self.describe(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def graph_at(self, t) -> WeightedDigraph:
-        return self.topology.graph_at(t)
-
 
 @dataclass
 class Trajectory:
@@ -245,7 +244,7 @@ def rhs(scenario: Scenario, t, x) -> np.ndarray:
     t = float(t)
     if not scenario.t0 <= t <= scenario.tf:
         raise ValueError(f"time {t} outside [{scenario.t0}, {scenario.tf}]")
-    field = _fields([scenario])((scenario.graph_at(t),))
+    field = _fields([scenario])((scenario.topology.graph_at(t),))
     return field(t, _as_state(x, scenario.n_nodes))
 
 
@@ -307,13 +306,9 @@ def _fields(scenarios):
         gain = np.repeat(np.array(gains, dtype=float), n)[:, None]
     else:
         gain = None if gains[0] == 1.0 else np.array(gains[0], dtype=float)
-    couplings = {}  # one union per distinct tuple of graph objects
 
     def make(graphs):
-        key = tuple(map(id, graphs))
-        if key not in couplings:
-            couplings[key] = _union(graphs, m)
-        coupling = couplings[key]
+        coupling = _union(graphs, m)
 
         def field(t, y):
             u = coupling(y)

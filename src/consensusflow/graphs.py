@@ -9,9 +9,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-Arc = tuple[int, int]
-
-
 def coupling_kernel(src, dst, w, n_nodes, m):
     """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` over the arcs
     ``(src[k], dst[k])`` of weight ``w[k]``, sorted by arc, on ``n_nodes`` nodes.
@@ -32,6 +29,18 @@ def coupling_kernel(src, dst, w, n_nodes, m):
         return np.bincount(slot, per_arc.ravel(), minlength=n_nodes * m).reshape(n_nodes, m)
 
     return coupling if src.size else np.zeros_like
+
+
+def _walk(fwd, root, seen) -> list:
+    """Mark in ``seen`` what ``root`` reaches through unseen nodes along ``fwd``."""
+    seen[root] = True
+    stack = [root]
+    while stack:
+        for v in fwd.get(stack.pop(), ()):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
 
 
 class WeightedDigraph:
@@ -89,25 +98,25 @@ class WeightedDigraph:
         self._couplings = {}  # m -> the coupling kernel
 
     @classmethod
-    def from_arcs(cls, n_nodes, arcs, weight=1.0, weight_bounds=None):
-        """Build a graph with one common weight on every listed arc."""
-        return cls(n_nodes, {tuple(a): weight for a in arcs}, weight_bounds)
+    def from_arcs(cls, n_nodes, arcs):
+        """Build a graph with unit weight on every listed arc."""
+        return cls(n_nodes, {tuple(a): 1.0 for a in arcs})
 
     @classmethod
-    def directed_cycle(cls, n_nodes, weight=1.0):
-        return cls.from_arcs(n_nodes, [(k, (k + 1) % n_nodes) for k in range(n_nodes)], weight)
+    def directed_cycle(cls, n_nodes):
+        return cls.from_arcs(n_nodes, [(k, (k + 1) % n_nodes) for k in range(n_nodes)])
 
     @classmethod
-    def complete(cls, n_nodes, weight=1.0):
+    def complete(cls, n_nodes):
         arcs = [(j, i) for j in range(n_nodes) for i in range(n_nodes) if j != i]
-        return cls.from_arcs(n_nodes, arcs, weight)
+        return cls.from_arcs(n_nodes, arcs)
 
     @classmethod
-    def bidirectional_path(cls, n_nodes, weight=1.0):
+    def bidirectional_path(cls, n_nodes):
         arcs = []
         for k in range(n_nodes - 1):
             arcs += [(k, k + 1), (k + 1, k)]
-        return cls.from_arcs(n_nodes, arcs, weight)
+        return cls.from_arcs(n_nodes, arcs)
 
     @property
     def n_nodes(self) -> int:
@@ -167,32 +176,31 @@ class WeightedDigraph:
         a = self.adjacency()
         return np.diag(a.sum(axis=1)) - a
 
-    def _reachable(self, root, reverse=False) -> np.ndarray:
-        seen = np.zeros(self._n, dtype=bool)
-        seen[root] = True
-        stack = [root]
+    def _successors(self, reverse=False) -> dict:
+        """Each node's arc heads, or its arc tails when ``reverse``."""
         fwd = {}
         for (j, i) in self._weights:
             if reverse:
                 j, i = i, j
             fwd.setdefault(j, []).append(i)
-        while stack:
-            u = stack.pop()
-            for v in fwd.get(u, ()):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
+        return fwd
 
     def is_strongly_connected(self) -> bool:
         """True iff every node reaches every other along directed arcs."""
-        if self._n == 1:
-            return True
-        return bool(self._reachable(0).all() and self._reachable(0, reverse=True).all())
+        return all(all(_walk(self._successors(rev), 0, [False] * self._n)) for rev in (False, True))
 
     def has_spanning_tree(self) -> bool:
-        """True iff some root reaches all nodes along directed arcs."""
-        return any(self._reachable(r).all() for r in range(self._n))
+        """True iff some root reaches all nodes along directed arcs.
+
+        Walks from each unseen node in turn share one ``seen`` record.  The
+        walk that sees a root sees all and is the last, and its start reaches
+        that root, so only that start is checked: O(N + E) in all."""
+        fwd, seen = self._successors(), [False] * self._n
+        for r in range(self._n):
+            if not seen[r]:
+                _walk(fwd, r, seen)
+                last = r
+        return all(_walk(fwd, last, [False] * self._n))
 
     def is_bidirectional(self) -> bool:
         """True iff the arc set is symmetric (weights may still differ)."""
@@ -301,10 +309,6 @@ class SwitchingSignal:
     @property
     def n_nodes(self) -> int:
         return self._items[0][1].n_nodes
-
-    @property
-    def dwell(self) -> float:
-        return self._dwell
 
     @property
     def start_time(self) -> float:

@@ -332,10 +332,8 @@ class ScenarioConfig:
                 vectors, _number(dist.get("rate", 1.0), "disturbance.rate", positive=True))
 
         ana = _require_mapping(raw.get("analysis", {}), "analysis")
-        _check_keys(ana, {"z_star", "k_grid", "ujsc_window", "tolerances"}, set(), "analysis")
+        _check_keys(ana, {"k_grid", "ujsc_window", "tolerances"}, set(), "analysis")
         analysis = {}
-        if "z_star" in ana:
-            analysis["z_star"] = np.array(_float_list(ana["z_star"], "analysis.z_star", m))
         if "k_grid" in ana:
             grid = _float_list(ana["k_grid"], "analysis.k_grid")
             if any(k < 0 for k in grid):
@@ -545,10 +543,7 @@ def _witness(config):
     except UnsupportedRepresentationError as err:
         return None, "undecided", str(err)
     result = intersection_nonempty(sets)
-    if result.status == "nonempty":
-        z = config.analysis.get("z_star", result.witness)
-        return np.asarray(z, dtype=float), "nonempty", ""
-    return None, result.status, ""
+    return result.witness, result.status, ""
 
 
 def _suite_simulate(config):

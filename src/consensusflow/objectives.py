@@ -340,6 +340,8 @@ _FLOAT = np.dtype(float)  # native float64 is one object, so ``dtype is _FLOAT``
 _TEAM_CHUNK = 1 << 14  # entries per block of the team value and separation: 128 kB
 _U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
 _FINITE_SQUARES = 2.0 ** 500  # lengths below this have finite squares
+_WITNESS_TOL = 1e-9  # a projection witness lies this close to every set
+_DESCENT_GRAD_TOL, _DESCENT_MAX_ITER = 1e-10, 200000  # where global_min's descent stops
 
 
 def _inside_every_ball(balls: Ball, pts):
@@ -540,15 +542,15 @@ def _apart(a: ConvexSet, b: ConvexSet) -> np.ndarray:
     return np.linalg.norm(a.center[:, None] - b.center, axis=-1) > a.radius[:, None] + b.radius
 
 
-def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
+def intersection_nonempty(sets, max_iter=20000) -> IntersectionResult:
     """Decide whether closed convex sets share a point.
 
     The sets are stacked by kind (``Ball``, ``Box`` or ``Point``; any other
     kind is a ``TypeError`` naming it).  An exact separation certificate on
     some pair proves emptiness.  Otherwise box-only and two-ball families
     are decided exactly, and a cyclic projection pass either produces a
-    witness within ``tol`` of every set, or the result is reported as
-    undecided rather than guessed.
+    witness within ``_WITNESS_TOL`` of every set in ``max_iter`` passes, or
+    the result is reported as undecided rather than guessed.
     """
     sets = list(sets)
     if not sets:
@@ -596,11 +598,11 @@ def intersection_nonempty(sets, tol=1e-9, max_iter=20000) -> IntersectionResult:
 
     x = start.mean(axis=0)
     for _ in range(max_iter):
-        if worst(x) <= 0.1 * tol:
+        if worst(x) <= 0.1 * _WITNESS_TOL:
             break
         for s in sets:
             x = s.project(x)
-    if worst(x) <= tol:
+    if worst(x) <= _WITNESS_TOL:
         return IntersectionResult("nonempty", x)
     return IntersectionResult("undecided")
 
@@ -636,13 +638,13 @@ class GlobalMinimum:
     tolerance: float
 
 
-def global_min(objectives: ObjectiveSet, grad_tol=1e-10, max_iter=200000) -> GlobalMinimum:
+def global_min(objectives: ObjectiveSet) -> GlobalMinimum:
     """Minimize the team objective over a common decision variable.
 
     All-quadratic collections with positive-definite total curvature are
     solved in closed form; squared-distance collections with a certified
     nonempty intersection attain zero there.  Any other mix falls back to a
-    fixed-step gradient descent driven to the requested gradient norm.
+    fixed-step gradient descent to a gradient norm of ``_DESCENT_GRAD_TOL``.
     """
     comps, team = objectives.components, objectives.team
     if all(isinstance(c, Quadratic) for c in comps):
@@ -660,10 +662,10 @@ def global_min(objectives: ObjectiveSet, grad_tol=1e-10, max_iter=200000) -> Glo
     step = 1.0 / max(team.gradient_lipschitz(), 1e-12)
     z = np.mean([_representative(c.argmin_set()) if _has_argmin(c) else np.zeros(objectives.m)
                  for c in comps], axis=0)
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_MAX_ITER):
         g = team.grad(z)
         norm = float(np.linalg.norm(g))
-        if norm <= grad_tol:
+        if norm <= _DESCENT_GRAD_TOL:
             break
         z = z - step * g
     norm = float(np.linalg.norm(team.grad(z)))

@@ -92,6 +92,14 @@ def test_scenario_rejects_bad_gains():
             _two_node_scenario(gain=gain)
 
 
+@pytest.mark.parametrize("gain", [True, False, np.True_])
+def test_scenario_refuses_a_bool_gain(gain):
+    # True would run the gain-1 flow under a fingerprint of its own; a config's
+    # JSON true is refused the same way
+    with pytest.raises(TypeError, match="gain must be a real number, not a bool"):
+        _two_node_scenario(gain=gain)
+
+
 # --- neighbor aggregation ----------------------------------------------------
 
 def test_neighbor_info_anchor():

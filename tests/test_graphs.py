@@ -12,15 +12,20 @@ from conftest import alternating_signal
 NTRIALS = 200
 
 
-def _closure_strongly_connected(graph):
-    """Reachability oracle via boolean matrix powers, independent of BFS."""
+def _closure(graph):
+    """Reachability oracle via boolean matrix powers, independent of BFS:
+    ``reach[j, i]`` holds when ``j`` reaches ``i``."""
     n = graph.n_nodes
     reach = np.eye(n, dtype=bool)
     for (j, i) in graph.arcs:
         reach[j, i] = True
     for _ in range(n):
         reach = reach | (reach @ reach)
-    return bool(reach.all())
+    return reach
+
+
+def _closure_strongly_connected(graph):
+    return bool(_closure(graph).all())
 
 
 def _random_graph(rng, bidirectional=False):
@@ -106,6 +111,35 @@ def test_spanning_tree_detection():
     assert not no_root.has_spanning_tree()
 
 
+def test_spanning_tree_matches_closure_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(NTRIALS):
+        g = _random_graph(rng)
+        assert g.has_spanning_tree() == bool(_closure(g).all(axis=1).any())
+
+
+def test_spanning_tree_of_a_long_chain_is_one_pass(monkeypatch):
+    # k+1 -> k: only the last node is a root.  The walks share one seen record,
+    # so each node's successors are looked up once, and once more by the check
+    # from the last start: 2N lookups, where a walk per candidate root takes N^2/2
+    n = 2000
+    chain = WeightedDigraph.from_arcs(n, [(k + 1, k) for k in range(n - 1)])
+    lookups = []
+
+    class Counting(dict):
+        def get(self, node, default=None):
+            lookups.append(node)
+            return super().get(node, default)
+
+    successors = WeightedDigraph._successors
+    monkeypatch.setattr(WeightedDigraph, "_successors",
+                        lambda self, *args: Counting(successors(self, *args)))
+    assert chain.has_spanning_tree()
+    assert len(lookups) == 2 * n
+    broken = WeightedDigraph.from_arcs(n, [(k + 1, k) for k in range(n - 1) if k != n // 2])
+    assert not broken.has_spanning_tree()
+
+
 def test_lambda2_frozen_values():
     # spectra known in closed form: {0,2}, {0,1,3}, {0,3,3}
     assert abs(WeightedDigraph(2, {(0, 1): 1.0, (1, 0): 1.0}).lambda2() - 2.0) <= 1e-10
@@ -151,6 +185,30 @@ def test_switching_schedule_validation():
     # wrap-around gap shorter than the dwell time
     with pytest.raises(ValueError, match="dwell"):
         SwitchingSignal([(0.0, g), (0.8, g)], dwell=0.5, period=1.0)
+
+
+_G3 = WeightedDigraph.directed_cycle(3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SwitchingSignal([], 0.5, period=1.0), "at least one interval is required"),
+    (lambda: SwitchingSignal([(0.5, _G3), (0.0, _G3)], 0.1, period=1.0),
+     "interval starts must be strictly increasing"),
+    (lambda: SwitchingSignal([(0.0, _G3), (0.6, WeightedDigraph.directed_cycle(4))], 0.5,
+                             period=2.0), "all graphs in a schedule must share the node count"),
+    (lambda: SwitchingSignal([(0.0, _G3)], 0.0, period=1.0), "dwell time must be positive"),
+    (lambda: SwitchingSignal([(0.0, _G3)], 0.5), "exactly one of horizon or period must be given"),
+    (lambda: SwitchingSignal([(0.0, _G3)], 0.5, period=0.0), "period must be positive"),
+    (lambda: SwitchingSignal([(0.0, _G3), (1.0, _G3)], 0.5, period=1.0),
+     "intervals must fit inside one period"),
+    (lambda: SwitchingSignal([(0.0, _G3), (1.0, _G3)], 0.5, horizon=1.0),
+     "horizon must exceed the last interval start"),
+    (lambda: SwitchingSignal([(0.0, _G3)], 0.5, period=1.0).check_ujsc(0.0),
+     "window must be positive"),
+])
+def test_switching_signal_errors_name_their_cause(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_graph_at_periodic_folding():

@@ -10,12 +10,19 @@ import numpy as np
 import pytest
 
 from consensusflow import (
+    Ball,
     ConfigError,
     DEFAULT_TOLERANCES,
     DivergenceError,
+    ObjectiveSet,
+    Point,
+    Quadratic,
     ScenarioConfig,
     Scenario,
+    SquaredDistance,
+    Sum,
     Trajectory,
+    WeightedDigraph,
     integrate,
     load_config,
     lyapunov_trace,
@@ -209,6 +216,58 @@ def test_structural_count_checks():
         bad = ball_config(objectives=[{"kind": "sqdist", "set": dict(box, lower=lower)}] * 3)
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_dict(bad)
+
+
+def test_point_sets_and_nested_sums_build_the_hand_built_family():
+    point = {"kind": "sqdist", "set": {"kind": "point", "at": [0.5, -0.5]}}
+    nested = {"kind": "sum", "parts": [point, {"kind": "sum", "parts": [
+        {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 3.0]], "center": [-1.0, 0.0]},
+        {"kind": "sqdist", "set": {"kind": "ball", "center": [0.0, -1.0], "radius": 0.7}}]}]}
+    cfg = ScenarioConfig.from_dict(
+        ball_config(tf=2.0, objectives=[point, nested, ball_dicts()[2]]))
+    family = ObjectiveSet([
+        SquaredDistance(Point([0.5, -0.5])),
+        Sum([SquaredDistance(Point([0.5, -0.5])),
+             Sum([Quadratic([[1.0, 0.0], [0.0, 3.0]], [-1.0, 0.0]),
+                  SquaredDistance(Ball([0.0, -1.0], 0.7))])]),
+        SquaredDistance(Ball([-1.0, 0.0], 1.5)),
+    ])
+    graph = WeightedDigraph.from_arcs(3, [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)])
+    scen = cfg.build_scenario()
+    hand = Scenario(family, graph, scen.x0, tf=2.0, name="balls")
+    assert scen.describe() == hand.describe()
+    assert integrate(scen).states.tobytes() == integrate(hand).states.tobytes()
+
+
+@pytest.mark.parametrize("objective, match", [
+    ({"kind": "sqdist", "set": {"kind": "ellipse"}},
+     r"^objectives\[0\]\.set: unknown set kind 'ellipse'$"),
+    ({"kind": "quadratic", "matrix": 1.0, "center": [0.0, 0.0]},
+     r"^objectives\[0\]\.matrix: matrix must be a list of rows$"),
+    ({"kind": "quadratic", "matrix": [[1.0, 0.0]], "center": [0.0, 0.0]},
+     r"^objectives\[0\]\.matrix: matrix must be 2x2$"),
+    ({"kind": "quadratic", "matrix": [[1.0, 2.0], [0.0, 1.0]], "center": [0.0, 0.0]},
+     r"^objectives\[0\]: matrix must be symmetric$"),
+    ({"kind": "sum", "parts": []}, r"^objectives\[0\]\.parts: parts must be a nonempty list$"),
+    ({"kind": "sum", "parts": [{"kind": "sum", "parts": [
+        {"kind": "quadratic", "matrix": [[-1.0, 0.0], [0.0, 1.0]], "center": [0.0, 0.0]}]}]},
+     r"^objectives\[0\]\.parts\[0\]\.parts\[0\]: matrix must be positive semidefinite"),
+])
+def test_objective_errors_carry_their_path(objective, match):
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig.from_dict(ball_config(objectives=[objective] + ball_dicts()[1:]))
+
+
+def test_weight_bounds_reach_the_graph():
+    bounded = ball_config()
+    bounded["topology"].update(weight=2.0, weight_bounds=[1.0, 3.0])
+    graph = ScenarioConfig.from_dict(bounded).topology
+    assert graph.weight_bounds == (1.0, 3.0)
+    assert set(graph.weights.values()) == {2.0}
+    bounded["topology"]["weight"] = 5.0
+    with pytest.raises(ConfigError, match=r"^topology: arc \(0, 1\): weight 5\.0 violates "
+                                          r"declared bounds \(1\.0, 3\.0\)$"):
+        ScenarioConfig.from_dict(bounded)
 
 
 def test_integrator_and_seed_validation():
@@ -467,6 +526,16 @@ def test_eps_suite_verifies_gain_grid():
     ]
     bounds = [c for c in report.claims if c.id.startswith("disagreement-bound")]
     assert all(c.margin >= -1e-12 for c in bounds)
+
+
+def test_eps_suite_gain_zero_has_no_claims():
+    cfg = ScenarioConfig.from_dict(quad_config(analysis={"k_grid": [0.0, 1.0, 10.0]}))
+    assert [c.id for c in run(cfg, "eps-optimal").claims] == [
+        "terminal-matches-stationary[k=1]",
+        "disagreement-bound[k=1]",
+        "terminal-matches-stationary[k=10]",
+        "disagreement-bound[k=10]",
+    ]
 
 
 def test_eps_suite_preconditions():
