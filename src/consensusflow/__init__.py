@@ -8,7 +8,6 @@ resulting agreement/optimality claims against closed-form oracles.
 """
 
 from .analysis import (
-    AssumptionAudit,
     BoundCheck,
     DiniCheck,
     MetricSeries,
@@ -70,7 +69,7 @@ from .objectives import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionAudit", "Ball", "BoundCheck", "Box", "ClaimResult",
+    "Ball", "BoundCheck", "Box", "ClaimResult",
     "ConfigError", "ConvexComponent", "ConvexSet",
     "DEFAULT_TOLERANCES", "DiniCheck",
     "DivergenceError", "ExponentialDecayDisturbance", "GlobalMinimum",

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import WeightedDigraph
 from .objectives import (
-    GlobalMinimum,
     ObjectiveSet,
     Quadratic,
     Sum,
@@ -345,46 +344,16 @@ def _certified_coercive(component) -> bool:
     return False
 
 
-@dataclass
-class AssumptionAudit:
-    """Report-only feasibility audit for a scenario's objective collection."""
-
-    coercive: bool
-    team_minimum: GlobalMinimum | None
-    argmin_bounded: bool | None          # None = unverifiable
-    grid_gains: list = field(default_factory=list)
-    grid_max_abs: list = field(default_factory=list)
-    grid_bounded: bool | None = None
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        gm = None
-        if self.team_minimum is not None:
-            gm = {
-                "value": self.team_minimum.value,
-                "minimizer": np.asarray(self.team_minimum.minimizer).tolist(),
-                "method": self.team_minimum.method,
-                "tolerance": self.team_minimum.tolerance,
-            }
-        return {
-            "coercive": self.coercive,
-            "team_minimum": gm,
-            "argmin_bounded": self.argmin_bounded,
-            "grid_gains": list(self.grid_gains),
-            "grid_max_abs": list(self.grid_max_abs),
-            "grid_bounded": self.grid_bounded,
-            "notes": list(self.notes),
-        }
-
-
-def audit_assumptions(objectives: ObjectiveSet, topology=None,
-                      gain_grid=()) -> AssumptionAudit:
+def audit_assumptions(objectives: ObjectiveSet, topology=None, gain_grid=()) -> dict:
     """Best-effort feasibility audit; never raises on negative findings.
 
     Certifies coercivity conservatively, locates the team minimum when a
     closed form or intersection witness exists, and, when a stationary
     oracle applies, tabulates stationary-state magnitudes over a gain grid
-    to flag divergence.
+    to flag divergence.  Returns a JSON-ready dict with the keys
+    ``coercive``, ``team_minimum`` (``value``, ``minimizer``, ``method`` and
+    ``tolerance``, or None), ``argmin_bounded`` (None = unverifiable),
+    ``grid_gains``, ``grid_max_abs``, ``grid_bounded`` and ``notes``.
     """
     comps = objectives.components
     notes = []
@@ -433,4 +402,9 @@ def audit_assumptions(objectives: ObjectiveSet, topology=None,
                 blowing_up = increasing and maxima[-1] > 10.0 * maxima[0]
                 grid_bounded = bool(finite and not blowing_up)
 
-    return AssumptionAudit(coercive, team, bounded, gains, maxima, grid_bounded, notes)
+    minimum = None if team is None else {
+        "value": team.value, "minimizer": np.asarray(team.minimizer).tolist(),
+        "method": team.method, "tolerance": team.tolerance}
+    return {"coercive": coercive, "team_minimum": minimum, "argmin_bounded": bounded,
+            "grid_gains": gains, "grid_max_abs": maxima, "grid_bounded": grid_bounded,
+            "notes": notes}

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import hashlib
+import importlib.util
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +27,11 @@ from consensusflow import (
     Sum,
     Trajectory,
     WeightedDigraph,
+    global_min,
     integrate,
     load_config,
     lyapunov_trace,
+    optimality_gap,
     read_trace,
     run,
     sweep_k,
@@ -36,7 +42,8 @@ from consensusflow.harness import _gain_runs
 
 from conftest import traced_peak
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def ball_dicts():
@@ -598,9 +605,6 @@ def test_unknown_suite_rejected():
 
 # --- artifacts and reproducibility -------------------------------------------
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
 @pytest.mark.parametrize("config_file, suite, expected", [
     ("balls.json", "exact",
      "d9a1a9e74805e4d8dbce4e9b4f4fa3d40d3ebf966833ac3d308b2540523eecd8"),
@@ -610,17 +614,36 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
      "4342b6c0e4470b45de4edf6b2a5a8c22c1b8e12c966cb7be3251e9aba3b060e7"),
     ("pair.json", "eps-optimal",
      "4a026ee88b0ea8162fbd285fb2184dc1b836d738a5b16c4f3fb5cfb21aad4126"),
+    ("pair.json", "audit",
+     "1d2fd9371cadffcf9c1a1e6741a48ecdfaa4fda5793e49c2b676af53432f6aec"),
+    ("balls.json", "audit",
+     "7ccd71bb38063883934d587f34b6e045e0994cb86e218d0995e77ffc6d536dd8"),
+    ("switching.json", "audit",
+     "03466ee62309564800baeeaeeca5693ea12b328da829ae9d93f0dda04c38c035"),
 ])
-def test_committed_config_report_hashes(config_file, suite, expected):
-    """The committed configs keep the report hashes in perfbench/report_hashes.json.
+def test_committed_config_report_hashes(tmp_path, config_file, suite, expected):
+    """The committed configs pass their suites from the command line (exit 0)
+    and keep their report hashes; the first four are the ones in
+    perfbench/report_hashes.json.
 
     A refactor must leave these hashes unchanged.  ROADMAP allows a changed
     hash only where summation order has to change, the trajectories still
     agree to within a few ulp, and CHANGES.md records why; update the
     constants here in that same change.
     """
-    report = run(load_config(CONFIGS / config_file), suite)
-    assert report.report_hash == expected
+    command = ["sim"] if suite == "simulate" else ["verify", suite]
+    assert main(command + ["--config", str(CONFIGS / config_file),
+                           "--out-dir", str(tmp_path), "--quiet"]) == 0
+    [report] = tmp_path.glob("*_report.json")
+    assert json.loads(report.read_text())["report_hash"] == expected
+
+
+def test_committed_sweep_csv(tmp_path):
+    """``sweep-k`` on configs/pair.json writes the same CSV bytes."""
+    assert main(["sweep-k", "--config", str(CONFIGS / "pair.json"),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    digest = hashlib.sha256((tmp_path / "pair_sweep.csv").read_bytes()).hexdigest()
+    assert digest == "67e1edd03b41ea28e98afa982324d8f9cc15d7f94a9613803998ed3f4244ce89"
 
 
 @pytest.mark.parametrize("argv, report, overrides, expected", [
@@ -646,18 +669,19 @@ def test_overrides_keep_report_hashes(tmp_path, argv, report, overrides, expecte
     assert run(replaced, argv[1]).report_hash == expected
 
 
-def test_jk_law_runs_the_exact_suite():
+def test_jk_law_runs_the_exact_suite(tmp_path):
     """J_K at K = 10 on the pair settles at diameter 3/(2K+1) = 1/7, the
     stationary oracle's, with the report hash of the ``law`` config entry."""
     raw = json.loads((CONFIGS / "pair.json").read_text())
     raw["law"] = {"kind": "jk", "K": 10.0}
-    config = ScenarioConfig.from_dict(raw)
-    assert config.gain == 10.0
-    report = run(config, "exact")
-    assert report.passed
-    oracle = {c.id: c for c in report.claims}["diameter-matches-oracle"]
-    assert oracle.detail.startswith("oracle diameter 1.428571e-01;")
-    assert report.report_hash == "88009dfc0205430a2aded8a472a3854f869e3f3959ed862d8b67bdf0c30528a0"
+    path = _write(tmp_path, raw, "pair_jk.json")
+    assert load_config(path).gain == 10.0
+    assert main(["verify", "exact", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+    report = json.loads((tmp_path / "pair_exact_report.json").read_text())
+    oracle = {c["id"]: c for c in report["claims"]}["diameter-matches-oracle"]
+    assert oracle["detail"].startswith("oracle diameter 1.428571e-01;")
+    assert report["report_hash"] == "88009dfc0205430a2aded8a472a3854f869e3f3959ed862d8b67bdf0c30528a0"
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -940,3 +964,131 @@ def test_cli_sweep_k(tmp_path, capsys):
     assert main(["sweep-k", "--config", path, "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "pair_sweep.csv").exists()
     assert "gain=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config_file", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_cli_check_graph_committed_configs(config_file, capsys):
+    assert main(["check-graph", "--config", str(CONFIGS / config_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_nodes"] >= 2
+
+
+def test_cli_forced_pair(tmp_path):
+    # the gain members of one batch share the config's forcing object
+    cfg = json.loads((CONFIGS / "pair.json").read_text())
+    cfg["disturbance"] = {"kind": "exponential", "vectors": [[1.0], [-1.0]], "rate": 2.0}
+    path = _write(tmp_path, cfg, "pair_forced.json")
+    for command in (["sweep-k"], ["verify", "eps-optimal"]):
+        assert main(command + ["--config", path, "--quiet"]) == 0
+
+
+def _mixed(**extra):
+    cfg = {
+        "name": "mixed", "m": 2, "nodes": 4,
+        "objectives": [
+            {"kind": "sqdist", "set": {"kind": "ball", "center": [1.0, 0.0], "radius": 0.5}},
+            {"kind": "sqdist",
+             "set": {"kind": "box", "lower": [-1.0, -1.0], "upper": [0.0, float("inf")]}},
+            {"kind": "quadratic", "matrix": [[2.0, 0.5], [0.5, 1.0]], "center": [0.0, 1.0]},
+            {"kind": "sum", "parts": [
+                {"kind": "sqdist", "set": {"kind": "point", "at": [0.5, -0.5]}},
+                {"kind": "sum", "parts": [
+                    {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 3.0]],
+                     "center": [-1.0, 0.0]},
+                    {"kind": "sqdist",
+                     "set": {"kind": "ball", "center": [0.0, -1.0], "radius": 0.7}}]}]},
+        ],
+        "topology": {"kind": "fixed", "arcs": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+        "integrator": {"tf": 5.0},
+        "analysis": {"k_grid": [1.0, 10.0]},
+        "seed": 3,
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def test_cli_nested_sum_family(tmp_path):
+    # every kind with nested sums: the grouped gradient kernel, and the grouped
+    # team value and global_min's numerical descent through sweep-k's gap
+    path = _write(tmp_path, _mixed(), "mixed.json")
+    assert main(["sim", "--config", path, "--quiet"]) == 0
+    assert main(["sweep-k", "--config", path, "--out-dir", str(tmp_path), "--quiet"]) == 0
+    # the sweep's gap is the terminal sample of the whole gap column
+    config = load_config(path)
+    team = global_min(config.objectives).value
+    with (tmp_path / "mixed_sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    for row, (_, _, _, traj) in zip(rows, _gain_runs(config, [1.0, 10.0]), strict=True):
+        gap = optimality_gap(traj, config.objectives, team).terminal.max()
+        assert float(row["gap_max"]) == gap
+    # a sum's argmin set is not represented, so the exact suite cannot decide
+    # the dichotomy: a failed claim, exit code 3
+    assert main(["verify", "exact", "--config", path, "--quiet"]) == 3
+
+
+def test_cli_sum_free_mixed_family_passes_exact(tmp_path):
+    # every set kind meeting at [0, 0.5]: the exact suite decides the
+    # intersection through the grouped separation and projection pass
+    cfg = _mixed(name="mixed_exact", integrator={"tf": 40.0}, objectives=[
+        {"kind": "sqdist", "set": {"kind": "ball", "center": [0.5, 0.0], "radius": 1.0}},
+        {"kind": "sqdist",
+         "set": {"kind": "box", "lower": [-1.0, 0.0], "upper": [0.0, float("inf")]}},
+        {"kind": "quadratic", "matrix": [[2.0, 0.5], [0.5, 1.0]], "center": [0.0, 0.5]},
+        {"kind": "sqdist", "set": {"kind": "point", "at": [0.0, 0.5]}},
+    ])
+    del cfg["analysis"]
+    path = _write(tmp_path, cfg, "mixed_exact.json")
+    assert main(["verify", "exact", "--config", path, "--quiet"]) == 0
+
+
+def test_cli_rejects_a_reference_point(tmp_path, capsys):
+    # the envelope's reference point is the certified witness: a config that
+    # names its own is refused
+    cfg = json.loads((CONFIGS / "balls.json").read_text())
+    cfg["analysis"] = {"z_star": [3.0, 3.0]}
+    path = _write(tmp_path, cfg, "balls_zstar.json")
+    assert main(["verify", "exact", "--config", path, "--quiet"]) == 1
+    assert "unknown key 'z_star'" in capsys.readouterr().err
+
+
+def test_cli_check_graph_long_chain(tmp_path, capsys):
+    # a 10^4-node chain k+1 -> k rooted at its last node: the spanning-tree
+    # decision is one pass over the nodes, not a walk per candidate root
+    n = 10000
+    path = _write(tmp_path, {
+        "name": "chain", "m": 1, "nodes": n,
+        "objectives": [{"kind": "sqdist", "set": {"kind": "point", "at": [0.0]}}] * n,
+        "topology": {"kind": "fixed", "arcs": [[k + 1, k] for k in range(n - 1)]},
+        "integrator": {"tf": 1.0}}, "chain.json")
+    assert main(["check-graph", "--config", path]) == 0
+    assert '"has_spanning_tree": true' in capsys.readouterr().out
+
+
+def test_cli_sim_trace_past_one_block(tmp_path):
+    # more nodes than one trace block holds: the writer formats one sample per
+    # block, and the trace reads back whole
+    n = 1100
+    path = _write(tmp_path, {
+        "name": "ring", "m": 2, "nodes": n,
+        "objectives": [{"kind": "sqdist",
+                        "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}}] * n,
+        "topology": {"kind": "fixed", "arcs": [[k, (k + 1) % n] for k in range(n)]},
+        "integrator": {"tf": 0.05},
+        "x0": {"kind": "uniform_box", "low": -5.0, "high": 5.0}, "seed": 1}, "ring.json")
+    assert main(["sim", "--config", path, "--out-dir", str(tmp_path), "--quiet"]) == 0
+    _, states, _ = read_trace(tmp_path / "ring_simulate.csv")
+    assert states.shape == (6, 1100, 2)
+
+
+# --- the benchmark's tracer ---------------------------------------------------
+
+def test_benchmark_tracer_attributes_exist(monkeypatch):
+    """perfbench's tracer replaces these attributes by name; a missing one
+    would crash the benchmark's warm-up."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [f"{owner.__name__}.{attr}"
+               for owners, attr, *_ in spans.SPANNED + spans.COUNTED
+               for owner in owners if attr not in vars(owner)]
+    assert not missing
