@@ -12,7 +12,6 @@ from .analysis import (
     DiniCheck,
     MetricSeries,
     StationaryPoint,
-    audit_assumptions,
     check_disagreement_bound,
     consensus_diameter,
     detect_convergence,
@@ -76,7 +75,7 @@ __all__ = [
     "IntersectionResult", "MetricSeries", "ObjectiveSet", "Point",
     "Quadratic", "RunReport", "Scenario", "ScenarioConfig", "SquaredDistance",
     "StationaryPoint", "Sum", "SwitchingSignal", "Trajectory",
-    "UnsupportedRepresentationError", "WeightedDigraph", "audit_assumptions",
+    "UnsupportedRepresentationError", "WeightedDigraph",
     "check_disagreement_bound", "consensus_diameter", "detect_convergence",
     "dini_nonincreasing", "global_min",
     "gradient_norm_series", "integrate", "integrate_batch", "interior_simplex",

@@ -1,4 +1,4 @@
-"""Trajectory metrics, stationary-point oracles, and assumption audits."""
+"""Trajectory metrics, stationary-point oracles, and disagreement bounds."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from .graphs import WeightedDigraph
 from .objectives import (
     ObjectiveSet,
     Quadratic,
-    Sum,
-    UnsupportedRepresentationError,
     _FINITE_SQUARES,
     _U,
     _grouped,
-    global_min,
-    intersection_nonempty,
+    global_min,  # not called here; perfbench's tracer replaces analysis.global_min by name
 )
 
 
@@ -332,79 +329,3 @@ def sphere_intersection(centers, sq_dists, consistency_tol=1e-9) -> np.ndarray:
             f"no point matches the given squared distances (defect {defect:.3e})"
         )
     return y
-
-
-def _certified_coercive(component) -> bool:
-    # Conservative certificate: strictly convex quadratics only.  Squared
-    # distances are flat on their target set and are never certified here.
-    if isinstance(component, Quadratic):
-        return component.is_positive_definite
-    if isinstance(component, Sum):
-        return any(_certified_coercive(p) for p in component.parts)
-    return False
-
-
-def audit_assumptions(objectives: ObjectiveSet, topology=None, gain_grid=()) -> dict:
-    """Best-effort feasibility audit; never raises on negative findings.
-
-    Certifies coercivity conservatively, locates the team minimum when a
-    closed form or intersection witness exists, and, when a stationary
-    oracle applies, tabulates stationary-state magnitudes over a gain grid
-    to flag divergence.  Returns a JSON-ready dict with the keys
-    ``coercive``, ``team_minimum`` (``value``, ``minimizer``, ``method`` and
-    ``tolerance``, or None), ``argmin_bounded`` (None = unverifiable),
-    ``grid_gains``, ``grid_max_abs``, ``grid_bounded`` and ``notes``.
-    """
-    comps = objectives.components
-    notes = []
-    coercive = all(_certified_coercive(c) for c in comps)
-    if not coercive:
-        notes.append("coercivity not certified; flat directions possible")
-
-    team = None
-    bounded = None
-    try:
-        team = global_min(objectives)
-        if team.method == "closed-form":
-            bounded = True
-        elif team.method == "intersection":
-            targets = [c.argmin_set() for c in comps]
-            bounded = any(s.is_bounded() for s in targets)
-            if not bounded:
-                bounded = None
-                notes.append("team minimum exists but boundedness is unverifiable")
-        else:
-            notes.append(f"team minimum found numerically "
-                         f"(gradient norm {team.tolerance:.2e}); "
-                         "existence certificate unavailable")
-    except (UnsupportedRepresentationError, ValueError) as err:
-        notes.append(f"team minimum unavailable: {err}")
-
-    gains, maxima = [], []
-    grid_bounded = None
-    gain_grid = list(gain_grid)
-    if gain_grid:
-        if stationary_oracle_unmet(objectives, topology) is not None:
-            notes.append("stationary grid skipped: needs a fixed symmetric "
-                         "graph and all-quadratic objectives")
-        else:
-            for k in gain_grid:
-                try:
-                    sp = stationary_quadratic(objectives, topology, k)
-                except ValueError as err:
-                    notes.append(f"gain {k}: {err}")
-                    continue
-                gains.append(float(k))
-                maxima.append(float(np.abs(sp.states).max()))
-            if maxima:
-                finite = all(np.isfinite(maxima))
-                increasing = all(b > a for a, b in zip(maxima, maxima[1:]))
-                blowing_up = increasing and maxima[-1] > 10.0 * maxima[0]
-                grid_bounded = bool(finite and not blowing_up)
-
-    minimum = None if team is None else {
-        "value": team.value, "minimizer": np.asarray(team.minimizer).tolist(),
-        "method": team.method, "tolerance": team.tolerance}
-    return {"coercive": coercive, "team_minimum": minimum, "argmin_bounded": bounded,
-            "grid_gains": gains, "grid_max_abs": maxima, "grid_bounded": grid_bounded,
-            "notes": notes}

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all claims pass, 1 configuration error, 2 numerical failure
-(divergence, a step refused by the stability certificate or a singular
-solve), 3 one or more claims failed.
+Exit codes: 0 all claims pass, 1 configuration or usage error, 2 numerical
+failure (divergence, a step refused by the stability certificate or a
+singular solve), 3 one or more claims failed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,16 @@ from .graphs import SwitchingSignal, WeightedDigraph
 from .harness import SUITES, ConfigError, _int, _number, load_config, run, sweep_k, write_trace
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2: that code means a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="consensusflow",
         description="Simulate and verify distributed consensus-optimization flows.")
     sub = parser.add_subparsers(dest="command", required=True)

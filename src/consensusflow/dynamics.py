@@ -299,13 +299,10 @@ def _fields(scenarios):
     forcing = [(b * n, s.disturbance) for b, s in enumerate(scenarios)
                if s.disturbance is not None]
 
-    # a gain of 1 multiplies exactly and is skipped; unequal gains form a column
-    # (n_nodes rows per member); a 0-d array multiplies faster than a float
+    # a gain of 1 multiplies exactly and is skipped; otherwise the gains form
+    # a column, n_nodes rows per member
     gains = [s.gain for s in scenarios]
-    if len(set(gains)) > 1:
-        gain = np.repeat(np.array(gains, dtype=float), n)[:, None]
-    else:
-        gain = None if gains[0] == 1.0 else np.array(gains[0], dtype=float)
+    gain = None if set(gains) == {1.0} else np.repeat(np.array(gains, dtype=float), n)[:, None]
 
     def make(graphs):
         coupling = _union(graphs, m)

@@ -70,9 +70,6 @@ class ConvexSet:
         """Radius of the largest ball around ``x`` inside the set (<= 0 outside)."""
         raise NotImplementedError
 
-    def is_bounded(self) -> bool:
-        raise NotImplementedError
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -95,9 +92,6 @@ class Point(ConvexSet):
 
     def interior_margin(self, x):
         return -self.distance(x)
-
-    def is_bounded(self):
-        return True
 
     def describe(self):
         return {"kind": "point", "at": self.c.tolist()}
@@ -149,9 +143,6 @@ class Ball(ConvexSet):
         x = _check_dim(x, self.dim)
         return self.radius - np.linalg.norm(x - self.center, axis=-1)
 
-    def is_bounded(self):
-        return True
-
     def describe(self):
         return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius.tolist()}
 
@@ -183,9 +174,6 @@ class Box(ConvexSet):
         lo = x - self.lower
         hi = self.upper - x
         return np.minimum(lo, hi).min(axis=-1)
-
-    def is_bounded(self):
-        return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
 
     def describe(self):
         return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,6 @@ from consensusflow import (
     Trajectory,
     UnsupportedRepresentationError,
     WeightedDigraph,
-    audit_assumptions,
     check_disagreement_bound,
     consensus_diameter,
     detect_convergence,
@@ -369,68 +367,3 @@ def test_sphere_intersection_validation():
         sphere_intersection(np.array([[0.0], [3.0]]), np.array([-1.0, 4.0]))
     with pytest.raises(ValueError):
         sphere_intersection(np.zeros(3), np.ones(3))
-
-
-# --- assumption audit --------------------------------------------------------
-
-def test_audit_strictly_convex_quadratics():
-    audit = audit_assumptions(two_node_quadratics(), two_node_graph(), (1.0, 10.0, 100.0))
-    assert audit["coercive"]
-    assert audit["team_minimum"]["method"] == "closed-form"
-    assert abs(audit["team_minimum"]["value"] - 2.25) <= 1e-12
-    assert audit["argmin_bounded"] is True
-    assert audit["grid_gains"] == [1.0, 10.0, 100.0]
-    assert max(audit["grid_max_abs"]) <= 3.0
-    assert audit["grid_bounded"] is True
-    assert audit["notes"] == []
-
-
-def test_audit_ball_targets():
-    audit = audit_assumptions(ball_objectives([[1.0, 0.0], [0.0, 1.0]], slack=0.5))
-    assert not audit["coercive"]
-    assert audit["team_minimum"]["method"] == "intersection"
-    assert audit["team_minimum"]["value"] == 0.0
-    assert audit["argmin_bounded"] is True
-    assert any("coercivity" in n for n in audit["notes"])
-
-
-def test_audit_unbounded_targets():
-    obj = ObjectiveSet(
-        [
-            SquaredDistance(Box([0.0], [np.inf])),
-            SquaredDistance(Box([-np.inf], [1.0])),
-        ]
-    )
-    audit = audit_assumptions(obj)
-    assert not audit["coercive"]
-    assert audit["team_minimum"]["value"] == 0.0
-    assert audit["argmin_bounded"] is None
-    assert any("unverifiable" in n for n in audit["notes"])
-
-
-def test_audit_grid_needs_symmetric_fixed_graph():
-    audit = audit_assumptions(
-        two_node_quadratics(), WeightedDigraph(2, {(0, 1): 1.0}), (1.0, 10.0)
-    )
-    assert audit["grid_gains"] == []
-    assert audit["grid_bounded"] is None
-    assert any("stationary grid skipped" in n for n in audit["notes"])
-
-
-def test_audit_numerical_fallback_note():
-    obj = ObjectiveSet(
-        [Quadratic([[1.0]], [0.0]), SquaredDistance(Box([2.0], [np.inf]))]
-    )
-    audit = audit_assumptions(obj)
-    assert audit["team_minimum"]["method"] == "numerical"
-    assert any("numerically" in n for n in audit["notes"])
-
-
-def test_audit_to_dict_round_trip():
-    # the audit is a JSON-ready dict: it survives a JSON round trip unchanged
-    audit = audit_assumptions(two_node_quadratics(), two_node_graph(), (1.0,))
-    assert json.loads(json.dumps(audit)) == audit
-    assert audit["coercive"] is True
-    assert audit["team_minimum"]["method"] == "closed-form"
-    assert audit["grid_gains"] == [1.0]
-    assert isinstance(audit["notes"], list)

@@ -333,6 +333,32 @@ def test_disturbance_validation():
     assert np.array_equal(scen.disturbance(0.0), [[1.0], [0.0]])
 
 
+@pytest.mark.parametrize("extra, path, message", [
+    ({"integrator": [25.0]}, "integrator", "expected an object"),
+    ({"objectives": [{"kind": "sqdist",
+                      "set": {"kind": "ball", "center": [0.0], "radius": -1.0}}] * 2},
+     "objectives[0].set.radius", "number must be nonnegative"),
+    ({"x0": [0.0, 3.0]}, "x0[0]", "expected a list of numbers"),
+    ({"objectives": [{"kind": "huber"}] * 2}, "objectives[0]", "unknown objective kind 'huber'"),
+    ({"topology": {"kind": "fixed", "arcs": "0->1"}},
+     "topology.arcs", "arcs must be a list of [from, to] pairs"),
+    ({"topology": {"kind": "fixed", "arcs": [[0, 1, 2]]}},
+     "topology.arcs[0]", "each arc is a [from, to] pair"),
+    ({"topology": {"kind": "switching", "dwell": 0.5, "intervals": []}},
+     "topology.intervals", "intervals must be a nonempty list"),
+    ({"topology": {"kind": "ring"}}, "topology", "unknown topology kind 'ring'"),
+    ({"name": ""}, "name", "name must be a nonempty string"),
+    ({"objectives": {"kind": "quadratic"}},
+     "objectives", "expected a list with one objective per node"),
+], ids=["mapping", "radius", "number-list", "objective-kind", "arc-list", "arc-pair",
+        "intervals", "topology-kind", "name", "objective-list"])
+def test_config_errors_name_their_path(extra, path, message):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(quad_config(**extra))
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 # --- scenario building -------------------------------------------------------
 
 def test_build_scenario_seed_determinism():
@@ -480,6 +506,18 @@ def test_exact_suite_documents_disjoint_minimizers():
     assert abs(persists.margin - (1.0 - 1e-3)) <= 1e-4
 
 
+def test_exact_suite_reports_the_first_envelope_increase():
+    # node 0 pushed away from the shared minimizers: the envelope rises at once
+    cfg = json.loads((CONFIGS / "balls.json").read_text())
+    cfg["integrator"]["tf"] = 10.0
+    cfg["disturbance"] = {"kind": "exponential",
+                          "vectors": [[20.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    report = run(ScenarioConfig.from_dict(cfg), "exact")
+    dini = {c.id: c for c in report.claims}["lyapunov-nonincreasing"]
+    assert not dini.passed and dini.margin < 0.0
+    assert dini.detail == "first violation at t=0.03"
+
+
 def test_exact_suite_flags_undecidable_intersections():
     cfg = ball_config(tf=1.0)
     cfg["objectives"] = [
@@ -580,22 +618,29 @@ def test_switching_suite_window_override_fails_ujsc():
     assert joint.id == "jointly-connected" and not joint.passed
 
 
+def test_switching_suite_stops_on_disjoint_minimizers(tmp_path):
+    # node 0's ball moved off the others: no witness, so no envelope claims
+    cfg = switching_config(tf=2.0)
+    cfg["objectives"][0]["set"]["center"] = [10.0, 0.0]
+    report = run(ScenarioConfig.from_dict(cfg), "switching")
+    assert [(c.id, c.passed) for c in report.claims] == [
+        ("jointly-connected", True), ("common-minimizer-exists", False)]
+    assert report.claims[1].detail == "intersection status: empty"
+    assert main(["verify", "switching", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
+
+
+def test_switching_suite_without_interior_anchors():
+    # a point has no interior, so no anchor simplex exists around the witness
+    point = {"kind": "sqdist", "set": {"kind": "point", "at": [0.5, 0.5]}}
+    cfg = ScenarioConfig.from_dict(switching_config(tf=2.0, objectives=[point] * 3))
+    claim = {c.id: c for c in run(cfg, "switching").claims}["limit-point-reconstruction"]
+    assert not claim.passed and claim.margin is None
+    assert claim.detail == "reconstruction unavailable: base point is not interior to every set"
+
+
 def test_switching_suite_needs_switching_topology():
     with pytest.raises(ConfigError, match="switching topology"):
         run(ScenarioConfig.from_dict(ball_config()), "switching")
-
-
-def test_audit_suite_always_reports():
-    report = run(ScenarioConfig.from_dict(quad_config(analysis={"k_grid": [1.0, 10.0]})),
-                 "audit")
-    assert report.passed
-    by_id = {c.id: c for c in report.claims}
-    assert by_id["audit-coercivity"].detail == "coercive=True"
-    grid = json.loads(by_id["audit-stationary-grid"].detail)
-    assert grid["gains"] == [1.0, 10.0]
-    assert grid["bounded"] is True
-    team = json.loads(by_id["audit-team-minimum"].detail)
-    assert team["team_minimum"]["method"] == "closed-form"
 
 
 def test_unknown_suite_rejected():
@@ -614,17 +659,10 @@ def test_unknown_suite_rejected():
      "4342b6c0e4470b45de4edf6b2a5a8c22c1b8e12c966cb7be3251e9aba3b060e7"),
     ("pair.json", "eps-optimal",
      "4a026ee88b0ea8162fbd285fb2184dc1b836d738a5b16c4f3fb5cfb21aad4126"),
-    ("pair.json", "audit",
-     "1d2fd9371cadffcf9c1a1e6741a48ecdfaa4fda5793e49c2b676af53432f6aec"),
-    ("balls.json", "audit",
-     "7ccd71bb38063883934d587f34b6e045e0994cb86e218d0995e77ffc6d536dd8"),
-    ("switching.json", "audit",
-     "03466ee62309564800baeeaeeca5693ea12b328da829ae9d93f0dda04c38c035"),
 ])
 def test_committed_config_report_hashes(tmp_path, config_file, suite, expected):
     """The committed configs pass their suites from the command line (exit 0)
-    and keep their report hashes; the first four are the ones in
-    perfbench/report_hashes.json.
+    and keep their report hashes, the ones in perfbench/report_hashes.json.
 
     A refactor must leave these hashes unchanged.  ROADMAP allows a changed
     hash only where summation order has to change, the trajectories still
@@ -757,6 +795,25 @@ def test_sweep_k_preconditions():
         sweep_k(ScenarioConfig.from_dict(switching_config(analysis={"k_grid": [1.0]})))
 
 
+def test_sweep_k_without_a_team_minimum():
+    # three nodes' curvature sums past the largest float, so global_min's
+    # eigvalsh does not converge (numpy's LinAlgError, a ValueError); the
+    # sweep leaves the gap NaN and still tabulates the oracle
+    big = 0.8e308
+    cfg = ScenarioConfig.from_dict(quad_config(
+        name="stiff", m=3, nodes=3, x0={"kind": "uniform_box"}, analysis={"k_grid": [0.0]},
+        objectives=[{"kind": "quadratic", "matrix": [[big, 0.0, 0.0], [0.0, big, 0.0],
+                                                     [0.0, 0.0, 1.0]],
+                     "center": [0.0, 0.0, float(i)]} for i in range(3)],
+        topology={"kind": "fixed", "arcs": [[0, 1], [1, 2], [2, 0], [1, 0], [2, 1], [0, 2]]}))
+    with np.errstate(over="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            global_min(cfg.objectives)
+        [row] = sweep_k(cfg)
+    assert np.isnan(row["gap_max"])
+    assert row["oracle_disagreement"] == np.sqrt(2.0)
+
+
 # --- command line ------------------------------------------------------------
 
 def test_cli_sim_and_verify(tmp_path, capsys):
@@ -774,6 +831,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert main(["sim", "--config", str(broken), "--quiet"]) == 1
     missing_grid = _write(tmp_path, quad_config(), "nogrids.json")
     assert main(["verify", "eps-optimal", "--config", missing_grid, "--quiet"]) == 1
+    capsys.readouterr()
+    assert main(["oracle", "--config", missing_grid, "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: analysis: the oracle command needs analysis.k_grid\n")
     balls = _write(tmp_path, ball_config(analysis={"k_grid": [1.0]}), "balls.json")
     assert main(["oracle", "--config", balls, "--quiet"]) == 1
     lopsided = quad_config(analysis={"k_grid": [1.0]})
@@ -821,6 +882,33 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                         ["sweep-k", "--config", sweep]):
             assert main(command + [flag, value, "--quiet"]) == 1
             assert f"config error: {flag}:" in capsys.readouterr().err
+
+
+PAIR = ["--config", str(CONFIGS / "pair.json")]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "bogus"] + PAIR, "argument suite: invalid choice: 'bogus'"),
+    (["verify", "audit"] + PAIR, "argument suite: invalid choice: 'audit'"),
+    (["sim"], "the following arguments are required: --config"),
+    (["sim", "--h", "abc"] + PAIR, "argument --h: invalid float value: 'abc'"),
+    (["sim", "--seed", "x"] + PAIR, "argument --seed: invalid int value: 'x'"),
+], ids=["suite", "audit", "no-config", "h", "seed"])
+def test_cli_usage_error_exits_1(argv, named, capsys):
+    # exit code 2 means a numerical failure, so a usage error is not argparse's 2
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: consensusflow ") and f"error: {named}" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: consensusflow")
 
 
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):

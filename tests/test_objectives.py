@@ -120,13 +120,6 @@ def test_interior_margin_signs():
     assert Point([1.0]).interior_margin([1.0]) == 0.0
 
 
-def test_boundedness_flags():
-    assert Ball([0.0], 1.0).is_bounded()
-    assert Point([0.0]).is_bounded()
-    assert Box([0.0], [1.0]).is_bounded()
-    assert not Box([0.0], [np.inf]).is_bounded()
-
-
 # --- argmin sets ------------------------------------------------------------
 
 def test_argmin_anchors():
@@ -861,6 +854,17 @@ def test_global_min_from_intersection():
     assert res.method == "intersection"
     assert res.value == 0.0
     assert np.array_equal(res.minimizer, [0.5, 0.0])
+
+
+def test_global_min_on_unbounded_boxes():
+    # a box-only family meets in the box of its tightest bounds, unbounded sides too
+    obj = ObjectiveSet(
+        [SquaredDistance(Box([0.0], [np.inf])), SquaredDistance(Box([-np.inf], [1.0]))]
+    )
+    res = global_min(obj)
+    assert res.method == "intersection"
+    assert res.value == 0.0
+    assert np.array_equal(res.minimizer, [0.0])
 
 
 def test_global_min_numerical_fallback():
