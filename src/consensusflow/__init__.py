@@ -10,13 +10,11 @@ resulting agreement/optimality claims against closed-form oracles.
 from .analysis import (
     BoundCheck,
     DiniCheck,
-    MetricSeries,
     StationaryPoint,
     check_disagreement_bound,
     consensus_diameter,
     detect_convergence,
     dini_nonincreasing,
-    gradient_norm_series,
     lyapunov_trace,
     node_optimum_residuals,
     optimality_gap,
@@ -72,13 +70,13 @@ __all__ = [
     "ConfigError", "ConvexComponent", "ConvexSet",
     "DEFAULT_TOLERANCES", "DiniCheck",
     "DivergenceError", "ExponentialDecayDisturbance", "GlobalMinimum",
-    "IntersectionResult", "MetricSeries", "ObjectiveSet", "Point",
+    "IntersectionResult", "ObjectiveSet", "Point",
     "Quadratic", "RunReport", "Scenario", "ScenarioConfig", "SquaredDistance",
     "StationaryPoint", "Sum", "SwitchingSignal", "Trajectory",
     "UnsupportedRepresentationError", "WeightedDigraph",
     "check_disagreement_bound", "consensus_diameter", "detect_convergence",
     "dini_nonincreasing", "global_min",
-    "gradient_norm_series", "integrate", "integrate_batch", "interior_simplex",
+    "integrate", "integrate_batch", "interior_simplex",
     "intersection_nonempty", "load_config", "lyapunov_trace", "neighbor_info",
     "node_optimum_residuals", "optimality_gap", "read_trace", "rhs", "run",
     "sphere_intersection", "stationary_quadratic", "sweep_k", "write_trace",

@@ -18,37 +18,12 @@ from .objectives import (
 )
 
 
-@dataclass
-class MetricSeries:
-    """Time-indexed metric values; columns index nodes when 2-D."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or self.values.shape[0] != self.times.shape[0]:
-            raise ValueError("values must align with times along the first axis")
-
-    def max_across(self) -> "MetricSeries":
-        """Per-sample maximum over columns."""
-        if self.values.ndim == 1:
-            return MetricSeries(self.times, self.values.copy())
-        return MetricSeries(self.times, self.values.max(axis=1))
-
-    @property
-    def terminal(self):
-        return self.values[-1]
-
-
-def lyapunov_trace(trajectory, z_star) -> MetricSeries:
+def lyapunov_trace(trajectory, z_star) -> np.ndarray:
     """Per-node squared distances ``V_i(t) = |x_i(t) - z_star|^2``."""
     z = np.asarray(z_star, dtype=float)
     if z.shape != (trajectory.m,):
         raise ValueError(f"z_star must have shape ({trajectory.m},)")
-    v = ((trajectory.states - z) ** 2).sum(axis=2)
-    return MetricSeries(trajectory.times, v)
+    return ((trajectory.states - z) ** 2).sum(axis=2)
 
 
 @dataclass
@@ -58,17 +33,20 @@ class DiniCheck:
     worst_excess: float
 
 
-def dini_nonincreasing(series: MetricSeries, slack) -> DiniCheck:
-    """Check forward difference quotients stay below ``slack``.
+def dini_nonincreasing(times, values, slack) -> DiniCheck:
+    """Check forward difference quotients of ``values`` over ``times`` stay below ``slack``.
 
     ``slack`` may be a scalar or a per-sample array (its last entry is
     unused); pass e.g. ``1e-6 * np.maximum(1.0, v)`` for a relative band.
     """
-    v = series.values
+    times = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("dini_nonincreasing expects a scalar-valued series; "
-                         "reduce with max_across() first")
-    dt = np.diff(series.times)
+                         "reduce a (T, N) array with .max(axis=1) first")
+    if times.ndim != 1 or times.shape[0] != v.shape[0]:
+        raise ValueError("values must align with times along the first axis")
+    dt = np.diff(times)
     rate = np.diff(v) / dt
     s = np.asarray(slack, dtype=float)
     if s.ndim == 1:
@@ -80,7 +58,7 @@ def dini_nonincreasing(series: MetricSeries, slack) -> DiniCheck:
     worst = float(excess.max()) if excess.size else -np.inf
     bad = np.nonzero(excess > 0.0)[0]
     if bad.size:
-        return DiniCheck(False, float(series.times[bad[0]]), worst)
+        return DiniCheck(False, float(times[bad[0]]), worst)
     return DiniCheck(True, None, worst)
 
 
@@ -148,29 +126,23 @@ def _diameter_screen(x, tol):
     return 2.0 * dev + s <= min(tol, _FINITE_SQUARES), dev - s > tol
 
 
-def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> MetricSeries:
+def optimality_gap(trajectory, objectives: ObjectiveSet, f_star) -> np.ndarray:
     """Per-node gap ``F(x_i(t)) - f_star`` for the team objective F.
 
     Not clamped: honest values may dip a hair below zero only from floating
     error in ``f_star``.
     """
-    gaps = objectives.team_value(trajectory.states) - float(f_star)
-    return MetricSeries(trajectory.times, gaps)
+    return objectives.team_value(trajectory.states) - float(f_star)
 
 
-def node_optimum_residuals(trajectory, objectives: ObjectiveSet) -> MetricSeries:
+def node_optimum_residuals(trajectory, objectives: ObjectiveSet) -> np.ndarray:
     """Per-node distance to the node's own argmin set, the sets stacked by kind."""
     x = trajectory.states
     out = np.empty(x.shape[:-1])
     for group, idx in _grouped(objectives.argmin_sets(), range(objectives.n_nodes)):
         # a group of every node holds them in node order: no gather
         out[..., idx] = group.distance(x if idx.size == out.shape[-1] else x.take(idx, axis=-2))
-    return MetricSeries(trajectory.times, out)
-
-
-def gradient_norm_series(trajectory, objectives: ObjectiveSet) -> MetricSeries:
-    g = objectives.stacked_grad(trajectory.states)
-    return MetricSeries(trajectory.times, np.linalg.norm(g, axis=2))
+    return out
 
 
 def detect_convergence(trajectory, objectives: ObjectiveSet, tol=1e-6, run_length=100):
@@ -181,7 +153,7 @@ def detect_convergence(trajectory, objectives: ObjectiveSet, tol=1e-6, run_lengt
     is the start of the first such run.
     """
     x = trajectory.states
-    gn = gradient_norm_series(trajectory, objectives).values.max(axis=1)
+    gn = np.linalg.norm(objectives.stacked_grad(x), axis=2).max(axis=1)
     # the all-pairs diameter only where the screen cannot decide
     near, far = _diameter_screen(x, tol)
     ok = (gn <= tol) & ~far

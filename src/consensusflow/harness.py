@@ -523,9 +523,9 @@ def _threshold_claim(cid, ref, value, tol, detail=""):
     return ClaimResult(cid, ref, bool(value <= tol), float(tol - value), note)
 
 
-def _dini_claim(series, scale):
-    slack = scale * np.maximum(1.0, series.values)
-    check = dini_nonincreasing(series, slack)
+def _dini_claim(times, envelope, scale):
+    slack = scale * np.maximum(1.0, envelope)
+    check = dini_nonincreasing(times, envelope, slack)
     detail = "no forward-difference increase beyond slack"
     if not check.nonincreasing:
         detail = f"first violation at t={check.first_violation_time}"
@@ -581,23 +581,23 @@ def _suite_exact(config):
 
     if status == "nonempty":
         v = lyapunov_trace(traj, z)
-        extras["v"] = v.values
-        claims.append(_dini_claim(v.max_across(), tols["dini_slack_scale"]))
+        extras["v"] = v
+        claims.append(_dini_claim(traj.times, v.max(axis=1), tols["dini_slack_scale"]))
         claims.append(_threshold_claim(
             "terminal-diameter", "all nodes agree at the end of the run",
             consensus_diameter(traj.terminal_state), tols["diameter"]))
         res = node_optimum_residuals(traj, config.objectives)
-        extras["residual"] = res.values
+        extras["residual"] = res
         claims.append(_threshold_claim(
             "node-optimum-residuals", "each node ends inside its own argmin set",
-            res.terminal.max(), tols["residual"]))
+            res[-1].max(), tols["residual"]))
         # every representable argmin set is where its component is 0, so a
         # shared minimizer puts the team minimum at 0
         gap = optimality_gap(traj, config.objectives, 0.0)
-        extras["gap"] = gap.values
+        extras["gap"] = gap
         claims.append(_threshold_claim(
             "optimality-gap", "terminal states minimize the team objective",
-            gap.terminal.max(), tols["gap"], detail="team minimum 0.000000e+00 (intersection)"))
+            gap[-1].max(), tols["gap"], detail="team minimum 0.000000e+00 (intersection)"))
         return claims, [(traj, extras, "")]
 
     # empty intersection: agreement cannot be exact; document the gap instead
@@ -702,18 +702,18 @@ def _suite_switching(config):
         return claims, [(traj, extras, "")]
 
     v = lyapunov_trace(traj, z)
-    extras["v"] = v.values
-    claims.append(_dini_claim(v.max_across(), tols["dini_slack_scale"]))
-    spread = float(v.terminal.max() - v.terminal.min())
+    extras["v"] = v
+    claims.append(_dini_claim(traj.times, v.max(axis=1), tols["dini_slack_scale"]))
+    spread = float(v[-1].max() - v[-1].min())
     claims.append(_threshold_claim(
         "lyapunov-limits-agree",
         "per-node squared distances to the witness share one limit",
         spread, tols["vi_spread"]))
     res = node_optimum_residuals(traj, config.objectives)
-    extras["residual"] = res.values
+    extras["residual"] = res
     claims.append(_threshold_claim(
         "node-optimum-residuals", "each node ends inside its own argmin set",
-        res.terminal.max(), tols["switching_residual"]))
+        res[-1].max(), tols["switching_residual"]))
 
     try:
         sets = config.objectives.argmin_sets()

@@ -214,8 +214,11 @@ class Quadratic(ConvexComponent):
         qt = np.swapaxes(q, -1, -2)
         if not np.allclose(q, qt, atol=1e-10, rtol=0.0):
             raise ValueError("matrix must be symmetric")
-        q = 0.5 * (q + qt)
-        eigs = np.linalg.eigvalsh(q)
+        with np.errstate(over="ignore"):  # entries above about 8.99e307 overflow to inf
+            q = 0.5 * (q + qt)
+        eigs = np.linalg.eigvalsh(q) if np.isfinite(q).all() else q
+        if not np.isfinite(eigs).all():
+            raise ValueError("matrix and its eigenvalues must be finite")
         self._eig_min, self._eig_max = float(eigs[..., 0].min()), float(eigs[..., -1].max())
         if self._eig_min < -1e-10:
             raise ValueError(f"matrix must be positive semidefinite, found eigenvalue {eigs.min()}")

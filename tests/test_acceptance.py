@@ -75,9 +75,9 @@ def test_fixed_digraph_reaches_optimal_consensus():
         worst["diameter"] = max(worst["diameter"],
                                 float(consensus_diameter(traj.terminal_state)))
         worst["residual"] = max(worst["residual"],
-                                float(node_optimum_residuals(traj, obj).terminal.max()))
+                                float(node_optimum_residuals(traj, obj)[-1].max()))
         worst["gap"] = max(worst["gap"],
-                           float(optimality_gap(traj, obj, team.value).terminal.max()))
+                           float(optimality_gap(traj, obj, team.value)[-1].max()))
 
     ok = (worst["diameter"] <= 1e-4 and worst["residual"] <= 1e-4
           and worst["gap"] <= 1e-6)
@@ -160,12 +160,12 @@ def test_switching_topology_reaches_optimal_consensus():
                         tf=120.0, step=0.01) for seed in range(10)]
     for traj in integrate_batch(members):
         v = lyapunov_trace(traj, z)
-        env = v.max_across()
-        chk = dini_nonincreasing(env, 1e-6 * np.maximum(1.0, env.values))
+        env = v.max(axis=1)
+        chk = dini_nonincreasing(traj.times, env, 1e-6 * np.maximum(1.0, env))
         dini_ok = dini_ok and chk.nonincreasing
-        worst_spread = max(worst_spread, float(v.terminal.max() - v.terminal.min()))
+        worst_spread = max(worst_spread, float(v[-1].max() - v[-1].min()))
         worst_residual = max(
-            worst_residual, float(node_optimum_residuals(traj, obj).terminal.max())
+            worst_residual, float(node_optimum_residuals(traj, obj)[-1].max())
         )
 
         terminal = traj.terminal_state

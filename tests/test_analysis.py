@@ -8,7 +8,6 @@ import pytest
 from consensusflow import (
     Ball,
     Box,
-    MetricSeries,
     ObjectiveSet,
     Point,
     Quadratic,
@@ -22,7 +21,6 @@ from consensusflow import (
     consensus_diameter,
     detect_convergence,
     dini_nonincreasing,
-    gradient_norm_series,
     integrate,
     lyapunov_trace,
     node_optimum_residuals,
@@ -42,46 +40,39 @@ def _flat_trajectory(states):
     return Trajectory(np.array([0.0, 1.0]), np.stack([states, states]))
 
 
-# --- metric series -----------------------------------------------------------
-
-def test_metric_series_validation_and_reduction():
-    with pytest.raises(ValueError):
-        MetricSeries(np.array([0.0, 1.0]), np.zeros(3))
-    s = MetricSeries(np.array([0.0, 1.0]), np.array([[1.0, 3.0], [2.0, 0.0]]))
-    reduced = s.max_across()
-    assert np.array_equal(reduced.values, [3.0, 2.0])
-    assert np.array_equal(reduced.terminal, 2.0)
-
+# --- trajectory metrics ------------------------------------------------------
 
 def test_lyapunov_trace_anchor():
     traj = _flat_trajectory([[1.0], [2.0]])
     v = lyapunov_trace(traj, [1.5])
-    assert np.array_equal(v.values, [[0.25, 0.25], [0.25, 0.25]])
+    assert type(v) is np.ndarray
+    assert np.array_equal(v, [[0.25, 0.25], [0.25, 0.25]])
     with pytest.raises(ValueError):
         lyapunov_trace(traj, [1.5, 0.0])
 
 
 def test_dini_checks():
     t = np.arange(5.0)
-    ok = dini_nonincreasing(MetricSeries(t, np.array([4.0, 3.0, 2.5, 2.5, 2.4])), 0.0)
+    ok = dini_nonincreasing(t, np.array([4.0, 3.0, 2.5, 2.5, 2.4]), 0.0)
     assert ok.nonincreasing and ok.first_violation_time is None
     assert ok.worst_excess <= 0.0
 
-    bad = dini_nonincreasing(MetricSeries(t, np.array([4.0, 3.0, 3.5, 2.0, 1.0])), 0.0)
+    bad = dini_nonincreasing(t, np.array([4.0, 3.0, 3.5, 2.0, 1.0]), 0.0)
     assert not bad.nonincreasing
     assert bad.first_violation_time == 1.0
     assert bad.worst_excess == 0.5
 
     # a per-sample slack band admits the same rise
-    band = dini_nonincreasing(
-        MetricSeries(t, np.array([4.0, 3.0, 3.5, 2.0, 1.0])), np.full(5, 0.6)
-    )
+    band = dini_nonincreasing(t, np.array([4.0, 3.0, 3.5, 2.0, 1.0]), np.full(5, 0.6))
     assert band.nonincreasing
 
-    with pytest.raises(ValueError):
-        dini_nonincreasing(MetricSeries(t, np.zeros((5, 2))), 0.0)
-    with pytest.raises(ValueError):
-        dini_nonincreasing(MetricSeries(t, np.zeros(5)), np.zeros(3))
+    with pytest.raises(ValueError, match="scalar-valued"):
+        dini_nonincreasing(t, np.zeros((5, 2)), 0.0)
+    with pytest.raises(ValueError, match="slack array"):
+        dini_nonincreasing(t, np.zeros(5), np.zeros(3))
+    for times in (t[:3], np.stack([t, t])):
+        with pytest.raises(ValueError, match="align with times"):
+            dini_nonincreasing(times, np.zeros(5), 0.0)
 
 
 def test_consensus_diameter_anchors():
@@ -135,7 +126,7 @@ def test_consensus_diameter_memory_is_bounded():
 def _all_pairs_convergence(trajectory, objectives, tol, run_length):
     """``detect_convergence`` with the all-pairs diameter of every sample."""
     diam = consensus_diameter(trajectory.states)
-    gn = gradient_norm_series(trajectory, objectives).values.max(axis=1)
+    gn = np.linalg.norm(objectives.stacked_grad(trajectory.states), axis=2).max(axis=1)
     ok = (diam <= tol) & (gn <= tol)
     for start in range(ok.size - run_length + 1):
         if ok[start:start + run_length].all():
@@ -184,11 +175,14 @@ def test_trajectory_metric_anchors():
     obj = two_node_quadratics()
     traj = _flat_trajectory([[1.0], [2.0]])
     gaps = optimality_gap(traj, obj, 2.25)
-    assert np.allclose(gaps.values, 0.25, atol=1e-15)
+    assert type(gaps) is np.ndarray and gaps.shape == (2, 2)
+    assert np.allclose(gaps, 0.25, atol=1e-15)
     res = node_optimum_residuals(traj, obj)
-    assert np.array_equal(res.values, [[1.0, 1.0], [1.0, 1.0]])
-    gn = gradient_norm_series(traj, obj)
-    assert np.array_equal(gn.values, [[1.0, 1.0], [1.0, 1.0]])
+    assert type(res) is np.ndarray
+    assert np.array_equal(res, [[1.0, 1.0], [1.0, 1.0]])
+    # agreement where the gradients do not vanish is not convergence
+    agreed = _flat_trajectory([[1.5], [1.5]])
+    assert detect_convergence(agreed, obj, run_length=1) == ("horizon", 1.0)
     assert np.array_equal(consensus_diameter(traj.states), [1.0, 1.0])
 
 
@@ -207,7 +201,7 @@ def test_node_optimum_residuals_match_node_loop():
     traj = Trajectory(np.arange(9.0), states)
     for obj in (balls, quads, mixed, boxes, points):
         loop = [s.distance(states[:, i, :]) for i, s in enumerate(obj.argmin_sets())]
-        res = node_optimum_residuals(traj, obj).values
+        res = node_optimum_residuals(traj, obj)
         assert res.tobytes() == np.stack(loop, axis=1).tobytes()
         assert not res[0].any()
     # a sum's argmin set is not represented, nested or not
@@ -221,7 +215,7 @@ def test_optimality_gap_at_large_gain_stationary_point():
     obj = two_node_quadratics()
     traj = _flat_trajectory([[10.0 / 7.0], [11.0 / 7.0]])
     gaps = optimality_gap(traj, obj, 2.25)
-    assert np.allclose(gaps.values, 1.0 / 196.0, atol=1e-12)
+    assert np.allclose(gaps, 1.0 / 196.0, atol=1e-12)
 
 
 def test_detect_convergence_modes():

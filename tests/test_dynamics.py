@@ -623,6 +623,27 @@ def test_divergence_guard():
     assert "node 2 has a non-finite entry" in str(err.value)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: WeightedDigraph(2, weight_bounds=(0.0, 1.0)),
+     "weight bounds must satisfy 0 < low <= high"),
+    (lambda: WeightedDigraph(2, weight_bounds=(2.0, 1.0)),
+     "weight bounds must satisfy 0 < low <= high"),
+    (lambda: WeightedDigraph(1).lambda2(), "lambda2 is undefined on a single node"),
+    (lambda: Trajectory(np.zeros((2, 1)), np.zeros((2, 1, 1))),
+     r"times must be \(T,\) and states \(T, n_nodes, m\)"),
+    (lambda: Trajectory(np.arange(2.0), np.zeros((2, 1))),
+     r"times must be \(T,\) and states \(T, n_nodes, m\)"),
+    (lambda: Trajectory(np.arange(3.0), np.zeros((2, 1, 1))),
+     "times and states disagree on sample count"),
+    (lambda: Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1, 1))),
+     "times must be strictly increasing"),
+], ids=["bounds-low", "bounds-order", "lambda2-one-node", "times-2d", "states-2d",
+        "sample-count", "times-order"])
+def test_graph_and_trajectory_validation_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_stability_certificate_refuses_the_step_before_integrating():
     # pair: d_i = 1 and Lip_i = 1, so rho = 2K + 1; at h = 0.01 gain 135 has
     # h*rho = 2.71 and passes, gain 140 has 2.81 and gain 1000 has 20.01

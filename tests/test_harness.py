@@ -391,11 +391,11 @@ def test_trace_round_trip_is_bitwise(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     traj = integrate(cfg.build_scenario())
     v = lyapunov_trace(traj, np.array([1.5]))
-    paths = write_trace(tmp_path / "run.csv", traj, extras={"v": v.values})
+    paths = write_trace(tmp_path / "run.csv", traj, extras={"v": v})
     times, states, extras = read_trace(paths[0])
     assert times.tobytes() == traj.times.tobytes()
     assert states.tobytes() == traj.states.tobytes()
-    assert extras["v"].tobytes() == v.values.tobytes()
+    assert extras["v"].tobytes() == v.tobytes()
 
     sidecar = json.loads((tmp_path / "run.csv.json").read_text())
     assert sidecar["fingerprint"] == traj.fingerprint
@@ -636,6 +636,33 @@ def test_switching_suite_without_interior_anchors():
     claim = {c.id: c for c in run(cfg, "switching").claims}["limit-point-reconstruction"]
     assert not claim.passed and claim.margin is None
     assert claim.detail == "reconstruction unavailable: base point is not interior to every set"
+
+
+@pytest.mark.parametrize("alternations, failed", [
+    (160, []),
+    (2, ["lyapunov-limits-agree", "node-optimum-residuals", "limit-point-reconstruction"]),
+], ids=["alternating", "two-intervals"])
+def test_finite_horizon_schedules(tmp_path, capsys, alternations, failed):
+    """A schedule with a horizon in place of a period: with no
+    ``analysis.ujsc_window`` the joint-connectivity window is the whole span.
+    The two arc sets alternating every 0.5 until the horizon pass the suite.
+    The two intervals alone hold the second arc set from 0.5 to 80: jointly
+    connected over that window, the run still fails its envelope claims."""
+    cfg = switching_config()
+    topo = cfg["topology"]
+    arcs = [interval["arcs"] for interval in topo["intervals"]]
+    del topo["period"]
+    topo["horizon"] = 80.0
+    topo["intervals"] = [{"start": 0.5 * k, "arcs": arcs[k % 2]} for k in range(alternations)]
+    path = _write(tmp_path, cfg)
+    assert main(["check-graph", "--config", path, "--quiet"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["window"] == 80.0 and info["uniformly_jointly_strongly_connected"] is True
+    assert main(["verify", "switching", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == (3 if failed else 0)
+    claims = json.loads((tmp_path / "alt_switching_report.json").read_text())["claims"]
+    assert len(claims) == 6 and claims[0]["detail"] == "window 80"
+    assert [c["id"] for c in claims if not c["pass"]] == failed
 
 
 def test_switching_suite_needs_switching_topology():
@@ -884,6 +911,32 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
             assert f"config error: {flag}:" in capsys.readouterr().err
 
 
+def _with_k_grid(raw):
+    raw["analysis"] = {"k_grid": [1.0, 10.0]}
+
+
+def _huge_matrix(raw):
+    raw["objectives"][0]["matrix"] = [[1e308]]  # overflows when symmetrised
+
+
+@pytest.mark.parametrize("config_file, change, command, message", [
+    ("switching.json", _with_k_grid, ["verify", "eps-optimal"],
+     "topology: the eps-optimal suite needs a fixed topology"),
+    ("switching.json", _with_k_grid, ["oracle"],
+     "topology: the oracle command needs a fixed topology"),
+    ("pair.json", _huge_matrix, ["oracle"],
+     "objectives[0]: matrix and its eigenvalues must be finite"),
+], ids=["eps-optimal-switching", "oracle-switching", "oracle-huge-matrix"])
+def test_cli_committed_config_changes_exit_1(tmp_path, capsys, config_file, change,
+                                             command, message):
+    raw = json.loads((CONFIGS / config_file).read_text())
+    change(raw)
+    path = _write(tmp_path, raw, config_file)
+    assert main(command + ["--config", path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 PAIR = ["--config", str(CONFIGS / "pair.json")]
 
 
@@ -1106,7 +1159,7 @@ def test_cli_nested_sum_family(tmp_path):
     with (tmp_path / "mixed_sweep.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     for row, (_, _, _, traj) in zip(rows, _gain_runs(config, [1.0, 10.0]), strict=True):
-        gap = optimality_gap(traj, config.objectives, team).terminal.max()
+        gap = optimality_gap(traj, config.objectives, team)[-1].max()
         assert float(row["gap_max"]) == gap
     # a sum's argmin set is not represented, so the exact suite cannot decide
     # the dichotomy: a failed claim, exit code 3

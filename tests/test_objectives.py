@@ -203,6 +203,11 @@ def test_component_validation_errors():
     bad[1] = [[1.0, 0.5], [0.0, 1.0]]
     with pytest.raises(ValueError, match="symmetric"):
         Quadratic(bad, centers)
+    # entries above about 8.99e307 overflow when symmetrised; eigenvalues may too
+    for huge in ([[1e308]], np.full((2, 1, 1), 1e308), [[1e308, 1e308], [1e308, 1e308]],
+                 [[np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            Quadratic(huge, np.zeros(np.shape(huge)[:-1]))
 
 
 def test_objective_set_validation():
