@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -365,12 +366,16 @@ class ScenarioConfig:
     def ujsc_window(self) -> float:
         """Joint-connectivity window of a switching topology.
 
-        ``analysis.ujsc_window`` when given, else the schedule's period, else
-        its whole span from start to horizon.
+        ``analysis.ujsc_window`` when given, else the schedule's period.  A
+        schedule with a horizon has no window of its own (over its whole span
+        any schedule connected in aggregate passes), so it needs the key.
         """
-        sig = self.topology
-        return self.analysis.get(
-            "ujsc_window", sig.period if sig.is_periodic else (sig.horizon - sig.start_time))
+        if "ujsc_window" in self.analysis:
+            return self.analysis["ujsc_window"]
+        if not self.topology.is_periodic:
+            raise ConfigError("a schedule with a horizon needs a joint-connectivity window",
+                              "analysis.ujsc_window")
+        return self.topology.period
 
     def require_oracle(self, what):
         """Raise ConfigError naming ``what`` unless the stationary oracle applies."""
@@ -461,7 +466,157 @@ class RunReport:
         }
 
 
-_TRACE_BLOCK = 1024  # trace rows per string operation, in whole samples (at least one)
+_TRACE_BLOCK = 1024  # trace rows per block, in whole samples (at least one)
+_G17 = 24  # bytes in the longest '%.17g' of a double, "-2.2250738585072014e-308"
+
+
+def _dekker_split(a):
+    """``(hi, lo)`` with ``hi + lo == a`` and at most 26 significant bits each."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# the tables are built from bytes, without numpy arithmetic, which would cost
+# every process that imports the package about 1 ms and 0.3-1 MB resident
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+_POW10_HI = np.array([_dekker_split(b)[0] for b in _POW10.tolist()])
+_LUT4 = bytearray(40000)  # "0000" .. "9999", 4 digits a word
+for _j in range(4):  # digit j of each, the most significant first
+    _LUT4[_j::4] = b"".join(bytes([c]) * 10 ** (3 - _j) for c in b"0123456789") * 10 ** _j
+_LUT4 = np.frombuffer(bytes(_LUT4), np.uint32)
+_TZ4 = bytearray(10000)  # trailing '0's of each
+for _j in range(1, 5):  # j of them where 10**j divides k
+    _TZ4[::10 ** _j] = bytes([_j]) * 10 ** (4 - _j)
+_TZ4 = np.frombuffer(bytes(_TZ4), np.uint8)
+# 17 digits sit in bytes 3..19 of five words; row z of _STRIP clears the last z
+_STRIP = np.frombuffer(b"".join(b"\xff" * (20 - z) + bytes(z) for z in range(17)),
+                       np.uint32).reshape(17, 5)
+
+
+def _two_product(a, q):
+    """``(p, err)`` with ``p + err == a * 10**q`` exactly (Dekker 1971)."""
+    bh = _POW10_HI.take(q)
+    bl = _POW10.take(q)
+    p = a * bl
+    bl -= bh
+    ah, al = _dekker_split(a)
+    err = ah * bh - p
+    err += ah * bl
+    err += al * bh
+    err += al * bl
+    return p, err
+
+
+def _decimal(a):
+    """``(e, d)``, 10**16 <= d < 10**17, with ``d * 10**(e - 16)`` the value of
+    each ``a`` in (1e-6, 1e16) rounded half-even to 17 significant digits.
+
+    The scale 10**q, q = 16 - e, lies in [1, 22], so it is an exact double and
+    ``a * 10**q`` is exactly ``hi + lo``.  No double in the range rounds up to
+    10**17: that needs one within 5e-18 (relative) below a power of ten, but
+    1, ..., 1e16 are doubles and the doubles nearest 1e-5, ..., 0.1 lie above
+    them, so every neighbour below is at least half an ulp (5.5e-17) away.
+    """
+    q = np.minimum(16 - np.floor(np.log10(a)).astype(np.int64), 22)
+    hi, lo = _two_product(a, q)
+    # log10 can be one off next to a power of ten: step q so 1e16 <= hi + lo < 1e17
+    step = (((hi < 1e16) | ((hi == 1e16) & (lo < 0))).view(np.int8)
+            - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).view(np.int8))
+    if step.any():
+        q += step
+        hi, lo = _two_product(a, q)
+    # hi is an even integer above 2**53, so rounding lo half-even rounds hi + lo
+    return (16 - q).astype(np.int8), hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _layout(e, d, sign):
+    """NUL-padded '%.17g' rows of ``d * 10**(e - 16)``, for ``e`` sorted and
+    in [-6, 15], and the sign bytes ``sign``."""
+    n = e.size
+    words = np.zeros((n, 5), np.uint32)
+    digits = words.view(np.uint8)[:, 3:]
+    tz = np.zeros(n, np.uint8)  # trailing '0' digits
+    below = np.ones(n, bool)  # every digit below this group is '0'
+    for k in range(4, 0, -1):
+        d, r = np.divmod(d, 10000)
+        words[:, k] = _LUT4.take(r)
+        tz += _TZ4.take(r) * below
+        below &= r == 0
+    digits[:, 0] = d + 48
+    # '%g' drops the fraction's trailing zeros, and its point when none is left
+    frac = np.where(e < -4, 16, 16 - e)
+    strip = np.minimum(tz, frac)
+    words &= _STRIP.take(strip, axis=0)
+    point = (strip != frac) * np.uint8(46)
+    out = np.zeros((n, _G17), np.uint8)
+    out[:, 0] = sign
+    bounds = np.searchsorted(e, np.arange(-6, 17))
+    for x, lo, hi in zip(range(-6, 16), bounds[:-1], bounds[1:]):  # a run per exponent
+        if lo == hi:
+            continue
+        s, g = out[lo:hi], digits[lo:hi]
+        if -4 <= x < 0:  # 0.0ddd
+            s[:, 1:2 - x] = np.frombuffer(b"0.000"[:1 - x], np.uint8)
+            s[:, 2 - x:19 - x] = g
+        else:  # ddd.ddd, or d.ddde-0x below 1e-4
+            p = max(x, 0)
+            s[:, 1:p + 2] = g[:, :p + 1]
+            s[:, p + 2] = point[lo:hi]
+            s[:, p + 3:19] = g[:, p + 1:]
+            if x < -4:
+                s[:, 19:23] = np.frombuffer(b"e-0%d" % -x, np.uint8)
+    return out.view(f"V{_G17}").ravel()
+
+
+def _g17(v):
+    """``'%.17g' % x`` for each ``x`` of the 1-D float array ``v``, as
+    (len(v), 24) uint8 rows that read as the text once their NULs are dropped.
+
+    Zeros are constants, finite values in (1e-6, 1e16) take their digits from
+    :func:`_decimal`, and the rest (NaN, infinities, tiny and huge values) go
+    through Python's ``%`` one by one.
+    """
+    out = np.zeros((v.size, _G17), np.uint8)
+    rows = out.view(f"V{_G17}").ravel()
+    a = np.abs(v)
+    out[:, 0] = np.signbit(v) * np.uint8(45)  # '-'
+    zero = a == 0
+    out[:, 1] = zero * np.uint8(48)  # '0' and '-0'
+    fast = (a > 1e-6) & (a < 1e16)
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        rows[slow] = np.array(["%.17g" % x for x in v[slow].tolist()],
+                              f"S{_G17}").view(rows.dtype)
+    idx = np.flatnonzero(fast)
+    if idx.size:
+        e, d = _decimal(a[idx])
+        order = np.argsort(e, kind="stable")  # a radix sort of int8
+        e, d, idx = e[order], d[order], idx[order]
+        rows[idx] = _layout(e, d, out[idx, 0])
+    return out
+
+
+def _trace_rows(times, nodes, columns):
+    """np.savetxt's rows "%.17g,%d,%.17g,...,%.17g\\r\\n" for the samples at
+    ``times``, as a (samples, nodes, bytes) uint8 array padded with NULs: each
+    float is a 24-byte field from :func:`_g17` followed by its separator."""
+    s, (n, wn) = times.shape[0], nodes.shape
+    c, width = sum(col.shape[-1] for col in columns), _G17 + 1
+    values = np.empty(s + s * n * c)
+    values[:s] = times
+    np.concatenate(columns, axis=-1, out=values[s:].reshape(s, n, c))
+    fields = _g17(values)
+    rows = np.zeros((s, n, width + wn + 1 + c * width + 1), np.uint8)
+    rows[:, :, :_G17] = fields[:s, None]
+    rows[:, :, width:width + wn] = nodes
+    cells = rows[:, :, width + wn + 1:-1].reshape(s, n, c, width)
+    cells[..., :_G17] = fields[s:].reshape(s, n, c, _G17)
+    rows[:, :, [_G17, width + wn]] = 44  # ','
+    cells[..., _G17] = 44
+    cells[..., -1, _G17] = 13  # '\r'
+    rows[:, :, -1] = 10  # '\n'
+    return rows
 
 
 def write_trace(path, trajectory, extras=None) -> list:
@@ -469,8 +624,9 @@ def write_trace(path, trajectory, extras=None) -> list:
 
     Floats are printed with 17 significant digits so re-reading reproduces
     them bit for bit.  ``extras`` maps column names to (T, n_nodes) arrays.
-    The bytes are ``np.savetxt``'s; the rows are formatted a block of samples
-    at a time, so the writer holds one block beyond its inputs.
+    The bytes are ``np.savetxt``'s; the rows are built a block of samples at
+    a time, as NUL-padded fields from :func:`_g17`, so the writer holds one
+    block beyond its inputs.
     """
     path = Path(path)
     extras = dict(extras or {})
@@ -481,17 +637,16 @@ def write_trace(path, trajectory, extras=None) -> list:
             raise ValueError(f"extra column '{key}' must be shaped (T, n_nodes)")
     header = ["t", "node"] + [f"comp_{k}" for k in range(m)] + sorted(extras)
     columns = [trajectory.states] + [extras[k][..., None] for k in sorted(extras)]
-    # np.savetxt's row "%.17g,%d,%.17g,...": a sample's time is formatted once
-    # and joins node i's tail ",i,%.17g,...,%.17g\r\n"
-    tails = [f",{i}" + ",%.17g" * (len(header) - 2) + "\r\n" for i in range(n)]
+    nodes = np.arange(n).astype(f"S{len(str(n - 1))}").view(np.uint8).reshape(n, -1)
     per = max(1, _TRACE_BLOCK // n)
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    text = io.StringIO()
+    csv.writer(text).writerow(header)
+    with path.open("wb") as fh:
+        fh.write(text.getvalue().encode())
         for lo in range(0, trajectory.times.shape[0], per):
-            block = np.concatenate([c[lo:lo + per] for c in columns], axis=-1)
-            stamps = ["%.17g" % t for t in trajectory.times[lo:lo + per].tolist()]
-            row = "".join(t + t.join(tails) for t in stamps)
-            fh.write(row % tuple(block.ravel().tolist()))
+            rows = _trace_rows(trajectory.times[lo:lo + per], nodes,
+                               [col[lo:lo + per] for col in columns])
+            fh.write(rows[rows != 0])
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps({
         "fingerprint": trajectory.fingerprint,

@@ -391,15 +391,23 @@ def _grouped(objs, nodes):
             for kind, g in groups.items()]
 
 
+def _summands(c):
+    """``c``'s gradient layers: its parts, with a leading sum's parts in place
+    of that sum, or ``(c,)``."""
+    return _summands(c.parts[0]) + c.parts[1:] if type(c) is Sum else (c,)
+
+
 class ObjectiveSet:
     """One convex component per node, all on a common R^m.
 
     Stacked evaluators take states shaped ``(..., n_nodes, m)``.  Gradient
     layer k stacks every node's k-th summand (a :class:`Sum`'s part, else the
     component) into one component per kind, with its node indices; layer 0
-    writes and later layers add, as ``Sum`` does (a summand that is a sum nests
-    a set), so row i is ``components[i].grad`` bit for bit; the team value
-    walks the same layers.  ``team`` is ``F(z) = sum_i f_i(z)``, a
+    writes and later layers add, as ``Sum`` does, so row i is
+    ``components[i].grad`` bit for bit.  A sum in first position joins the
+    outer layers, since ``Sum([Sum([a, b]), c])`` adds ``(a + b) + c`` as
+    ``Sum([a, b, c])`` does; a sum in a later position nests a set.  The team
+    value walks the same layers.  ``team`` is ``F(z) = sum_i f_i(z)``, a
     :class:`Sum` in node order.
     """
 
@@ -414,7 +422,7 @@ class ObjectiveSet:
         self.n_nodes = len(comps)
         self._shape = (self.n_nodes, self.m)
 
-        parts = [c.parts if type(c) is Sum else (c,) for c in comps]
+        parts = [_summands(c) for c in comps]
         self._layers = []  # a component with a node axis fails to stack
         for k in range(max(map(len, parts))):
             nodes = [i for i, p in enumerate(parts) if k < len(p)]

@@ -38,7 +38,7 @@ from consensusflow import (
     write_trace,
 )
 from consensusflow.cli import main
-from consensusflow.harness import _gain_runs
+from consensusflow.harness import _g17, _gain_runs
 
 from conftest import traced_peak
 
@@ -462,6 +462,57 @@ def test_trace_write_holds_one_block(tmp_path):
     assert peak <= 1 << 20
 
 
+def _g17_texts(values):
+    """The writer's '%.17g' fields for ``values``, NULs dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _g17(values)]
+
+
+def test_g17_matches_percent_on_random_bit_patterns():
+    # 10**6 doubles from seeded uint64 bit patterns; the second half has its
+    # exponent field drawn around the numpy path's range (1e-6, 1e16), so both
+    # that path and the one-by-one '%' fallback see about half a million values
+    rng = np.random.default_rng(43)
+    bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+    half = bits[bits.size // 2:]
+    half &= ~np.uint64(0x7FF << 52)
+    half |= rng.integers(1002, 1077, size=half.size).astype(np.uint64) << np.uint64(52)
+    values = bits.view(np.float64)
+    a = np.abs(values)
+    assert ((a > 1e-6) & (a < 1e16)).sum() > 4 * 10 ** 5
+    for chunk in np.array_split(values, 64):
+        fields = _g17(chunk)
+        got = np.concatenate([fields, np.full((chunk.size, 1), 44, np.uint8)], axis=1)
+        want = "".join("%.17g," % x for x in chunk.tolist()).encode()
+        if got[got != 0].tobytes() != want:
+            texts = _g17_texts(chunk)
+            bad = [(x, t) for x, t in zip(chunk.tolist(), texts) if t != "%.17g" % x]
+            pytest.fail(f"'%.17g' differs for {bad[:5]}")
+
+
+_POWERS = [float(f"1e{k}") for k in range(-6, 17)]
+G17_EDGES = [
+    0.0, -0.0,
+    *(np.nextafter(x, to) for x in (1e-6, 1e16) for to in (0.0, np.inf)),
+    *_POWERS,
+    *(np.nextafter(x, to) for x in _POWERS for to in (0.0, np.inf)),
+    # below 10**k by less than half a 17th digit: '%.17g' carries to 1e-14 and
+    # 1e+98 (through the fallback; no double in (1e-6, 1e16) does this)
+    1e-14, 1e98,
+    # exact half-way cases, rounded half-even: hi + lo ends in .5
+    1000000000000000.25, 1000000000000000.75, 100000000000000.125, 100000000000000.375,
+    9.9999999999999995e-05, 0.0001, 1234.5, 0.1, 1.0 / 3.0, 7.0,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.nan, np.inf,
+]
+
+
+def test_g17_edge_table():
+    values = np.array(G17_EDGES + [-x for x in G17_EDGES[2:]])
+    texts = _g17_texts(values)
+    assert [(x, t) for x, t in zip(values.tolist(), texts) if t != "%.17g" % x] == []
+    # and one value at a time, where each path sees a single row
+    assert [_g17_texts(values[i:i + 1])[0] for i in range(values.size)] == texts
+
+
 def test_trace_extras_shape_check(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     traj = integrate(cfg.build_scenario())
@@ -638,31 +689,55 @@ def test_switching_suite_without_interior_anchors():
     assert claim.detail == "reconstruction unavailable: base point is not interior to every set"
 
 
-@pytest.mark.parametrize("alternations, failed", [
-    (160, []),
-    (2, ["lyapunov-limits-agree", "node-optimum-residuals", "limit-point-reconstruction"]),
-], ids=["alternating", "two-intervals"])
-def test_finite_horizon_schedules(tmp_path, capsys, alternations, failed):
-    """A schedule with a horizon in place of a period: with no
-    ``analysis.ujsc_window`` the joint-connectivity window is the whole span.
-    The two arc sets alternating every 0.5 until the horizon pass the suite.
-    The two intervals alone hold the second arc set from 0.5 to 80: jointly
-    connected over that window, the run still fails its envelope claims."""
+def _finite_schedule(alternations):
+    """switching_config's two arc sets on intervals of 0.5 from t = 0, the
+    last one held until a horizon of 80 in place of the period."""
     cfg = switching_config()
     topo = cfg["topology"]
     arcs = [interval["arcs"] for interval in topo["intervals"]]
     del topo["period"]
     topo["horizon"] = 80.0
     topo["intervals"] = [{"start": 0.5 * k, "arcs": arcs[k % 2]} for k in range(alternations)]
+    return cfg
+
+
+@pytest.mark.parametrize("alternations, failed", [
+    (160, []),
+    (2, ["jointly-connected", "lyapunov-limits-agree", "node-optimum-residuals",
+         "limit-point-reconstruction"]),
+], ids=["alternating", "two-intervals"])
+def test_finite_horizon_schedules(tmp_path, capsys, alternations, failed):
+    """A schedule with a horizon in place of a period, checked over windows of
+    length 1.  The two arc sets alternating every 0.5 until the horizon pass
+    the suite.  The two intervals alone hold the second arc set from 0.5 to
+    80: not jointly connected over any window after 0.5, and the run fails
+    its envelope claims too."""
+    cfg = _finite_schedule(alternations)
+    cfg["analysis"] = {"ujsc_window": 1.0}
     path = _write(tmp_path, cfg)
     assert main(["check-graph", "--config", path, "--quiet"]) == 0
     info = json.loads(capsys.readouterr().out)
-    assert info["window"] == 80.0 and info["uniformly_jointly_strongly_connected"] is True
+    assert info["window"] == 1.0
+    assert info["uniformly_jointly_strongly_connected"] is (not failed)
     assert main(["verify", "switching", "--config", path, "--out-dir", str(tmp_path),
                  "--quiet"]) == (3 if failed else 0)
     claims = json.loads((tmp_path / "alt_switching_report.json").read_text())["claims"]
-    assert len(claims) == 6 and claims[0]["detail"] == "window 80"
+    assert len(claims) == 6 and claims[0]["detail"] == "window 1"
     assert [c["id"] for c in claims if not c["pass"]] == failed
+
+
+def test_finite_horizon_schedule_needs_a_window(tmp_path, capsys):
+    # the whole span would pass any schedule connected in aggregate, so a
+    # schedule with a horizon must name its window; sim needs none
+    path = _write(tmp_path, _finite_schedule(2))
+    capsys.readouterr()
+    for command in (["verify", "switching"], ["check-graph"]):
+        assert main(command + ["--config", path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: analysis.ujsc_window: a schedule with a horizon needs a "
+            "joint-connectivity window\n")
+    assert not list(tmp_path.glob("alt_switching*"))
+    assert main(["sim", "--config", path, "--out-dir", str(tmp_path), "--quiet"]) == 0
 
 
 def test_switching_suite_needs_switching_topology():
