@@ -47,6 +47,12 @@ def _length(x, c):
     return np.sqrt(d, out=d)[()]  # a scalar for one point
 
 
+def _broadcast(shape, rows):
+    """``shape`` broadcast against a stacked object's ``rows`` shape; a state
+    shape that already ends in ``rows`` is its own broadcast."""
+    return shape if shape[-len(rows):] == rows else np.broadcast_shapes(shape, rows)
+
+
 class ConvexSet:
     """Closed convex set with an exact Euclidean projector."""
 
@@ -58,7 +64,14 @@ class ConvexSet:
             return self._project(x)
 
     def _project(self, x):
-        """Projection of validated points, shared by :meth:`project` and the gradient."""
+        """Projection of validated points into a fresh array, by the kernel
+        :meth:`project`, the gradient and the integrator share."""
+        return self._projector(x.shape)(x)
+
+    def _projector(self, shape):
+        """``project(x, out=None) -> out``: the projection of validated points
+        ``x`` shaped ``shape`` into ``out``, a fresh array when None and never
+        ``x``.  Any workspace is the kernel's own and reused on every call."""
         raise NotImplementedError
 
     def distance(self, x):
@@ -82,10 +95,15 @@ class Point(ConvexSet):
         self.c.flags.writeable = False
         self.dim = self.c.shape[-1]
 
-    def _project(self, x):
-        out = np.empty_like(x)
-        out[...] = self.c
-        return out
+    def _projector(self, shape):
+        c = self.c
+
+        def project(x, out=None):
+            if out is None:
+                out = np.empty(shape)
+            np.copyto(out, c)
+            return out
+        return project
 
     def distance(self, x):
         return _length(_check_dim(x, self.dim), self.c)
@@ -119,22 +137,53 @@ class Ball(ConvexSet):
         self._rcol = radius[..., None]
         self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
 
-    def _project(self, x):
-        """Projection of validated points; :meth:`project` and the gradient share it.
+    def _projector(self, shape):
+        """The projection kernel (see :meth:`ConvexSet._projector`).
 
-        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it.  The
+        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it: below 8
+        components ``add.reduce`` adds them in component order, which adding
+        strided columns of the flat squares repeats in fewer steps.  The
         divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is kept
         (``r > radius``) and is never 0 elsewhere, so no lane warns.  A point
         with a NaN coordinate projects to NaN in every coordinate; so does an
         infinite one, whose shrink multiplies ``inf`` by 0, which numpy
         reports as an invalid value here (the public :meth:`project` does not).
         """
-        d = x - self.center
-        r = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
-        d *= self._rcol / np.maximum(r, self._floor)
-        d += self.center
-        np.copyto(d, x, where=r <= self._rcol)
-        return d
+        shape = _broadcast(shape, self.center.shape)
+        m = shape[-1]
+        d, squares = np.empty(shape), np.empty(shape)
+        r = np.empty(shape[:-1] + (1,))
+        den, inside = np.empty(r.shape), np.empty(r.shape, dtype=bool)
+        center, rcol, floor = self.center, self._rcol, self._floor
+        # total = s_0 + s_1 + ..., with s_0 + 0.0 (exact) for one component;
+        # from 8 components add.reduce sums pairwise
+        flat, total, pairwise = squares.reshape(-1), r.reshape(-1), m >= 8
+        columns = [flat[k::m] for k in range(m)]
+        first, second, *rest = columns if m > 1 else columns + [0.0]
+        subtract, multiply, add, sqrt, maximum, divide, less_equal, copyto = (
+            np.subtract, np.multiply, np.add, np.sqrt, np.maximum, np.divide, np.less_equal,
+            np.copyto)
+
+        def project(x, out=None):
+            if out is None:
+                out = np.empty(shape)
+            subtract(x, center, d)
+            multiply(d, d, squares)
+            if pairwise:
+                add.reduce(squares, -1, None, r, True)
+            else:
+                add(first, second, total)
+                for column in rest:
+                    add(total, column, total)
+            sqrt(r, r)
+            maximum(r, floor, out=den)
+            divide(rcol, den, den)
+            multiply(d, den, d)
+            add(d, center, out)
+            less_equal(r, rcol, inside)
+            copyto(out, x, where=inside)
+            return out
+        return project
 
     def distance(self, x):
         return np.maximum(_length(_check_dim(x, self.dim), self.center) - self.radius, 0.0)
@@ -166,8 +215,9 @@ class Box(ConvexSet):
         self.upper.flags.writeable = False
         self.dim = self.lower.shape[-1]
 
-    def _project(self, x):
-        return np.clip(x, self.lower, self.upper)
+    def _projector(self, shape):
+        lower, upper = self.lower, self.upper
+        return lambda x, out=None: np.clip(x, lower, upper, out)
 
     def interior_margin(self, x):
         x = _check_dim(x, self.dim)
@@ -200,6 +250,18 @@ class ConvexComponent:
         raise NotImplementedError
 
     def describe(self) -> dict:
+        raise NotImplementedError
+
+    def _grad(self, x):
+        """Gradient at validated points into a fresh array, by the kernel the
+        stacked gradient and the integrator share."""
+        return self._kernel(x.shape)(x)
+
+    def _kernel(self, shape, descent=False):
+        """``grad(x, out=None) -> out``: the gradient at validated points ``x``
+        shaped ``shape`` into ``out``, a fresh array when None and never ``x``;
+        with ``descent``, its negative, up to the sign of a zero.  Any
+        workspace is the kernel's own and reused on every call."""
         raise NotImplementedError
 
 
@@ -240,9 +302,15 @@ class Quadratic(ConvexComponent):
     def grad(self, x):
         return self._grad(_check_dim(x, self.dim))
 
-    def _grad(self, x):
-        """Gradient at validated points, shared with the stacked gradient and the value."""
-        return np.einsum("...ij,...j->...i", self.matrix, x - self.center)
+    def _kernel(self, shape, descent=False):
+        matrix, center = self.matrix, self.center
+        e = np.empty(_broadcast(shape, center.shape))
+
+        def grad(x, out=None):
+            np.subtract(x, center, e)
+            g = np.einsum("...ij,...j->...i", matrix, e, out=out)
+            return np.negative(g, g) if descent else g
+        return grad
 
     def argmin_set(self):
         if not self.is_positive_definite:
@@ -279,9 +347,14 @@ class SquaredDistance(ConvexComponent):
         with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
             return self._grad(_check_dim(x, self.dim))
 
-    def _grad(self, x):
-        """Gradient at validated points, the stacked gradient's kernel."""
-        return x - self.target._project(x)
+    def _kernel(self, shape, descent=False):
+        # descent writes P - x, the negative of x - P but for a zero's sign
+        project, subtract = self.target._projector(shape), np.subtract
+
+        def grad(x, out=None):
+            p = project(x, out)
+            return subtract(p, x, p) if descent else subtract(x, p, p)
+        return grad
 
     def argmin_set(self):
         return self.target
@@ -429,17 +502,18 @@ class ObjectiveSet:
             self._layers.append(_grouped([parts[i][k] for i in nodes], nodes))
         single = len(self._layers) == len(self._layers[0]) == 1
         first = self._layers[0][0][0]
-        # the family's gradient kernel, for states stacked_grad has validated,
-        # and a family of one ball group, whose team value has a certificate
-        self._grad = first._grad if single else self._layered_grad
+        # the family's gradient kernel, built per state shape by stacked_grad
+        # and once per run by the integrator, and a family of one ball group,
+        # whose team value has a certificate
+        self._kernel = first._kernel if single else self._layered_kernel
         self._balls = first.target if single and type(getattr(first, "target", None)) is Ball else None
 
     def stacked_grad(self, x):
         """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``.
 
-        A float64 ``ndarray`` ending in ``(n_nodes, m)``, such as every state
-        the integrator forms, is already what validation would return, so it
-        goes straight to the family's kernel.
+        A float64 ``ndarray`` ending in ``(n_nodes, m)`` is already what
+        validation would return, so it goes straight to the family's kernel,
+        built for its shape and writing a fresh array.
         """
         if not (type(x) is np.ndarray and x.dtype is _FLOAT and x.shape[-2:] == self._shape):
             x = np.asarray(x, dtype=float)
@@ -447,15 +521,25 @@ class ObjectiveSet:
                 raise ValueError(
                     f"stacked state must end with shape ({self.n_nodes}, {self.m}), got {x.shape}"
                 )
-        return self._grad(x)
+        return self._kernel(x.shape)(x)
 
-    def _layered_grad(self, x):
-        out = np.empty_like(x)
+    def _layered_kernel(self, shape, descent=False):
+        """The gradient kernel (see :meth:`ConvexComponent._kernel`) of
+        several groups: each gathers its rows into a workspace of its own."""
+        steps = []
         for k, layer in enumerate(self._layers):
             for group, idx in layer:
-                g = group._grad(x.take(idx, axis=-2))
+                rows = shape[:-2] + (idx.size, shape[-1])
+                steps.append((k, idx, np.empty(rows), np.empty(rows), group._kernel(rows)))
+
+        def grad(x, out=None):
+            if out is None:
+                out = np.empty(shape)
+            for k, idx, xs, g, kernel in steps:
+                kernel(x.take(idx, -2, xs, "clip"), g)
                 out[..., idx, :] = out[..., idx, :] + g if k else g
-        return out
+            return np.negative(out, out) if descent else out
+        return grad
 
     def team_value(self, x):
         """Team objective ``F`` at every point of ``x`` shaped ``(..., m)``,

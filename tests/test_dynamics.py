@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -28,7 +29,7 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
-from consensusflow.dynamics import DIVERGENCE_LIMIT, StepStabilityError, _union
+from consensusflow.dynamics import DIVERGENCE_LIMIT, StepStabilityError, _fields, _union
 
 from conftest import (
     alternating_signal,
@@ -410,16 +411,38 @@ def _family(kind, rng, n, m):
                           ball)[i % 3])
         else:
             comps.append(_component(kind, rng, m))
+    if kind == "ball":
+        # a radius-0 ball, and a sphere of dyadic centre and radius that
+        # _ball_edges can place a node on exactly
+        comps[0] = SquaredDistance(Ball(comps[0].target.center, 0.0))
+        comps[1] = SquaredDistance(Ball(np.full(m, 0.5), 0.75))
     return ObjectiveSet(comps)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["ball", "quadratic", "mixed", "box", "point", "sum"])
+def _ball_edges(obj, x0):
+    """``x0`` for a ``_family("ball")`` run, with node 0 at its radius-0 ball's
+    centre (``r = 0``: the divisor is the floor), node 1 exactly on its sphere
+    (``r = radius``) and node 2 at its ball's centre (``r = 0 < radius``)."""
+    x0 = x0.copy()
+    x0[0], x0[1], x0[2] = (c.target.center for c in obj.components[:3])
+    x0[1, 0] += 0.75  # 0.5 + 0.75, exact
+    return x0
+
+
+# ball families of every component count across 8, where add.reduce stops
+# summing in component order
+_CASES = [(kind, m) for kind in ("ball", "quadratic", "mixed", "box", "point", "sum")
+          for m in (1, 2, 3)] + [("ball", m) for m in (7, 8, 9)]
+
+
+@pytest.mark.parametrize("kind, m", _CASES)
 def test_integrate_matches_out_of_place_reference(kind, m):
     rng = np.random.default_rng(40 + 3 * m + len(kind))
     n = 5
     obj = _family(kind, rng, n, m)
     x0 = rng.uniform(-5.0, 5.0, (n, m))
+    if kind == "ball":
+        x0 = _ball_edges(obj, x0)
     weighted = WeightedDigraph(n, {(j, i): float(rng.uniform(0.2, 3.0))
                                    for j in range(n) for i in range(n)
                                    if i != j and (i - j) % n in (1, 2)})
@@ -464,8 +487,7 @@ def _assert_same_run(traj, single):
     assert traj.stats == single.stats
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["ball", "quadratic", "mixed", "box", "point", "sum"])
+@pytest.mark.parametrize("kind, m", _CASES)
 def test_batch_members_match_single_runs(kind, m):
     rng = np.random.default_rng(70 + 3 * m + len(kind))
     n = 5
@@ -481,9 +503,12 @@ def test_batch_members_match_single_runs(kind, m):
     for topology in (cycle_with_chords(n), weighted, schedule):
         for dist in (None, disturbance):
             for gains in grids:
-                members = [Scenario(obj, topology, rng.uniform(-5.0, 5.0, (n, m)), tf=0.6,
-                                    step=0.03, gain=k, disturbance=dist)
-                           for k in gains]
+                starts = rng.uniform(-5.0, 5.0, (len(gains), n, m))
+                if kind == "ball":
+                    starts[0] = _ball_edges(obj, starts[0])
+                members = [Scenario(obj, topology, x0, tf=0.6, step=0.03, gain=k,
+                                    disturbance=dist)
+                           for k, x0 in zip(gains, starts)]
                 batch = integrate_batch(members)
                 assert len(batch) == len(members)
                 for scen, traj in zip(members, batch):
@@ -595,6 +620,75 @@ def test_batch_divergence_raises_the_first_in_time_error():
             integrate_batch([_forced_pair(gain=k) for k in gains])
         assert err.value.time == 0.12
         _assert_same_error(err.value, own.value)
+
+
+# --- the field's workspaces ---------------------------------------------------
+
+def test_workspaces_alias_no_result():
+    rng = np.random.default_rng(80)
+    n, m = 5, 2
+    obj = _family("ball", rng, n, m)
+    graph = cycle_with_chords(n)
+    x = _ball_edges(obj, rng.uniform(-5.0, 5.0, (n, m)))
+    # a stretch's four stages are four distinct arrays, at gain 1 (the node term
+    # in the coupling's bincount) and at another gain (g from a workspace)
+    for gain in (1.0, 2.5):
+        scen = Scenario(obj, graph, x, tf=1.0, gain=gain)
+        field = _fields([scen])((graph,))
+        stages = [field(0.0, x + k) for k in range(4)]
+        for a, b in itertools.combinations(stages, 2):
+            assert not np.shares_memory(a, b)
+        for k, u in enumerate(stages):
+            assert u.tobytes() == rhs(scen, 0.0, x + k).tobytes()
+
+    # a second public call leaves the first result as it was
+    for call in (obj.stacked_grad, obj.components[1].target.project,
+                 lambda y: neighbor_info(graph, y)):
+        first = call(x)
+        kept = first.copy()
+        call(x + 1.0)
+        assert first.tobytes() == kept.tobytes()
+
+    # back-to-back runs on one family keep their own trajectories
+    members = [Scenario(obj, graph, x + k, tf=0.6, step=0.03) for k in range(2)]
+    first = integrate_batch(members)
+    kept = [traj.states.copy() for traj in first]
+    second = integrate_batch(members[::-1])
+    for traj, states in zip(first, kept):
+        assert traj.states.tobytes() == states.tobytes()
+    assert not np.shares_memory(first[0].states, second[1].states)
+    assert second[1].states.tobytes() == first[0].states.tobytes()
+
+    # a caught divergence keeps its state through a rerun of the same scenario
+    forced = _forced_pair()
+    with pytest.raises(DivergenceError) as err:
+        integrate(forced)
+    kept = err.value.state.copy()
+    with pytest.raises(DivergenceError):
+        integrate(forced)
+    assert err.value.state.tobytes() == kept.tobytes() and err.value.state.base is None
+
+
+# --- observed order -----------------------------------------------------------
+
+def test_observed_order_on_the_committed_configs():
+    """Largest terminal-state differences between successive halvings of h
+    from 0.04 to 0.0025.  Classical RK4 on a smooth flow divides them by 16;
+    ``x - P_B(x)`` has a kink where a node crosses its sphere, so the ball
+    families converge at a lower order."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    ratios = {}
+    for name, tf in (("pair", 2.0), ("balls", 2.0), ("switching", 4.0)):
+        base = load_config(configs / f"{name}.json").build_scenario()
+        ends = [integrate(Scenario(base.objectives, base.topology, base.x0, tf=tf,
+                                   gain=base.gain, step=0.04 / 2 ** k)).terminal_state
+                for k in range(5)]
+        diffs = [float(np.abs(a - b).max()) for a, b in zip(ends, ends[1:])]
+        assert all(a > b for a, b in zip(diffs, diffs[1:])), (name, diffs)
+        ratios[name] = [a / b for a, b in zip(diffs, diffs[1:])]
+        print(f"{name}: differences {diffs}, ratios {[round(q, 2) for q in ratios[name]]}")
+    # measured: pair 16.8, 16.4, 16.2; balls 4.9, 5.5, 2.1; switching 8.9, 2.1, 10.3
+    assert all(15.0 <= q <= 17.5 for q in ratios["pair"]), ratios["pair"]
 
 
 # --- divergence and validation -----------------------------------------------

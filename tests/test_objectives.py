@@ -356,7 +356,7 @@ def _warnings_of(fn, x):
     return out, sorted(str(w.message) for w in seen)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9])
 def test_ball_projection_core_edges(m):
     rng = np.random.default_rng(20 + m)
     balls = [Ball(rng.uniform(-1.0, 1.0, m), float(rng.uniform(0.3, 2.0))) for _ in range(3)]
