@@ -290,18 +290,11 @@ def _fields(scenarios):
     states, the members' components are one family and ``graphs``, each
     member's graph on one stretch, couple on their union, so each kernel runs
     on a 2-D array as for one member; member b's forcing goes to its own rows.
-    The family's gradient kernel and its workspaces are built once, and each
-    stretch's field is one closure over them and the union's coupling kernel.
-    Every call returns a fresh array, the coupling's, which the caller may
-    keep or update in place.
-
-    Each member's rule is ``gain * n - g``.  When every gain is 1, the node
-    term ``-g`` (``P(x) - x`` for a squared distance) goes into the rows that
-    follow the arcs in the coupling's ``bincount``, which adds it after the
-    in-arcs: the bits of ``n - g``, since ``a - b == a + (-b)`` and a
-    ``bincount`` sum, which starts at ``+0.0``, is never ``-0.0``, so a term
-    that is zero adds nothing whatever its sign.  Otherwise ``n`` is scaled
-    in place and ``g``, from a workspace, subtracted.
+    The family's gradient kernel and its workspaces are built once per run,
+    and each stretch's field is one closure over them and the union's
+    coupling kernel.  Every call returns a fresh array, the coupling's, to
+    which each member's rule, ``gain * n - g``, is applied in place and which
+    the caller may keep or update in place.
     """
     n, m = scenarios[0].n_nodes, scenarios[0].m
     family = ObjectiveSet([c for s in scenarios for c in s.objectives.components])
@@ -312,19 +305,16 @@ def _fields(scenarios):
     # a column, n_nodes rows per member
     gains = [s.gain for s in scenarios]
     gain = None if set(gains) == {1.0} else np.repeat(np.array(gains, dtype=float), n)[:, None]
-    grad = family._kernel((len(scenarios) * n, m), descent=gain is None)
-    g = np.empty((len(scenarios) * n, m))
+    grad = family._kernel((len(scenarios) * n, m))
 
     def make(graphs):
         coupling = _union(graphs, m)
 
         def field(t, y):
-            if gain is None:
-                u = coupling(y, grad)
-            else:
-                u = coupling(y)
+            u = coupling(y)
+            if gain is not None:
                 u *= gain
-                u -= grad(y, g)
+            u -= grad(y)
             for lo, disturbance in forcing:
                 u[lo:lo + n] += disturbance(t)
             return u
@@ -426,7 +416,6 @@ def _rk4(scenarios):
     row = 0
 
     stage = np.empty_like(x)  # each stage's input, then |x| for the divergence check
-    add, multiply, absolute, peak = np.add, np.multiply, np.absolute, np.maximum.reduce
     for n_sub, *stretch in zip(subs, *(s.segments for s in scenarios)):
         a, b, _ = stretch[0]  # every member's (a, b) is the same
         fieldfn = fields([g for _, _, g in stretch])
@@ -436,9 +425,9 @@ def _rk4(scenarios):
             hk = t_next - t_k
             half = 0.5 * hk
             k1 = fieldfn(t_k, x)
-            k2 = fieldfn(t_k + half, add(x, multiply(k1, half, stage), stage))
-            k3 = fieldfn(t_k + half, add(x, multiply(k2, half, stage), stage))
-            k4 = fieldfn(t_next, add(x, multiply(k3, hk, stage), stage))
+            k2 = fieldfn(t_k + half, np.add(x, np.multiply(k1, half, stage), stage))
+            k3 = fieldfn(t_k + half, np.add(x, np.multiply(k2, half, stage), stage))
+            k4 = fieldfn(t_next, np.add(x, np.multiply(k3, hk, stage), stage))
             # k1 + 2 k2 + 2 k3 + k4, left to right, in the field's fresh k2 and k3
             k2 += k2  # doubling is exact: the bits of 2.0 * k2
             k2 += k1
@@ -447,8 +436,8 @@ def _rk4(scenarios):
             k2 += k4
             k2 *= hk / 6.0
             row += 1
-            x = add(x, k2, states[row])
-            if not peak(absolute(x, stage), None) <= DIVERGENCE_LIMIT:  # NaN fails too
+            x = np.add(x, k2, out=states[row])
+            if not np.maximum.reduce(np.abs(x, stage), axis=None) <= DIVERGENCE_LIMIT:  # NaN fails too
                 # the error of the first failing member in member order, on its own rows
                 lo = np.argmax(~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)) // n * n
                 err = DivergenceError(t_next, x[lo:lo + n], states[row - 1, lo:lo + n])

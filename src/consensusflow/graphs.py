@@ -10,50 +10,30 @@ from types import MappingProxyType
 import numpy as np
 
 def coupling_kernel(src, dst, w, n_nodes, m):
-    """Return ``coupling(x, node=None) -> n`` with ``n_i = sum_j a_ij (x_j - x_i)``
-    over the arcs ``(src[k], dst[k])`` of weight ``w[k]``, sorted by arc, on
-    ``n_nodes`` nodes, for ``x`` a float ``(n_nodes, m)`` array.
+    """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` over the arcs
+    ``(src[k], dst[k])`` of weight ``w[k]``, sorted by arc, on ``n_nodes`` nodes.
 
     Differences are formed per arc, so exact consensus states give exactly
     zero (no cancellation error).  They are scatter-added into their entering
     node by one ``bincount`` over the flattened ``(E, m)`` array, which sums
     each node's in-arcs in arc order: O(N + E) memory, and deterministic.
-
-    ``node``, if given, is called as ``node(x, rows)`` to write a term per
-    node into the ``(n_nodes, m)`` rows that follow the arcs in the same
-    ``bincount``, which then adds each node's term after its in-arcs: the
-    sum ``n + term`` in one pass, as adding the term to ``n`` would give it.
-
-    The kernel gathers both ends of every arc with one ``take`` into a
-    workspace of its own, reused on every call, so calls must not overlap;
-    each call returns a fresh array.
+    One ``take`` gathers both ends of every arc into a fresh array, so the
+    kernel keeps no state between calls.  Each call returns a fresh array.
     """
-    arcs, size = src.size, n_nodes * m
+    arcs = src.size
     ends_index = np.concatenate([dst, src])
-    slot = np.concatenate([(dst[:, None] * m + np.arange(m)).ravel(), np.arange(size)])
-    work = np.empty((2 * arcs + n_nodes, m))  # x[dst], then x[src] - x[dst], then the node rows
-    ends, heads, per_arc, rows = work[:2 * arcs], work[:arcs], work[arcs:2 * arcs], work[2 * arcs:]
-    with_node = (slot, work[arcs:].reshape(-1))
-    # with no arcs, a bincount of zeros: its float weights keep the result float
-    plain = (slot[:arcs * m], per_arc.reshape(-1)) if arcs else (slot, np.zeros(size))
+    slot = (dst[:, None] * m + np.arange(m)).ravel()
     wcol = None if (w == 1.0).all() else w[:, None]  # a unit weight multiplies exactly
-    subtract, multiply, bincount = np.subtract, np.multiply, np.bincount
 
-    def coupling(x, node=None):
-        # the indices are valid by construction, and "clip" writes straight
-        # into the workspace where "raise" would buffer the output
-        x.take(ends_index, 0, ends, "clip")
-        subtract(per_arc, heads, per_arc)
+    def coupling(x):
+        ends = x.take(ends_index, axis=0)  # x[dst], then x[src]
+        per_arc = ends[arcs:]
+        per_arc -= ends[:arcs]
         if wcol is not None:
-            multiply(per_arc, wcol, per_arc)
-        if node is None:
-            slots, values = plain
-        else:
-            node(x, rows)
-            slots, values = with_node
-        return bincount(slots, values, size).reshape(n_nodes, m)
+            per_arc *= wcol
+        return np.bincount(slot, per_arc.ravel(), minlength=n_nodes * m).reshape(n_nodes, m)
 
-    return coupling
+    return coupling if arcs else np.zeros_like
 
 
 def _walk(fwd, root, seen) -> list:
@@ -166,8 +146,7 @@ class WeightedDigraph:
     def coupling(self, m: int):
         """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph:
         :func:`coupling_kernel` on its arc arrays, built once per ``(graph, m)``
-        and kept on the (immutable) graph.  Its workspace is reused, so calls
-        on one graph must not run concurrently; the package runs none."""
+        and kept on the (immutable) graph."""
         if m not in self._couplings:
             self._couplings[m] = coupling_kernel(self._src, self._dst, self._w, self._n, m)
         return self._couplings[m]

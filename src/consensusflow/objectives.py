@@ -47,12 +47,6 @@ def _length(x, c):
     return np.sqrt(d, out=d)[()]  # a scalar for one point
 
 
-def _broadcast(shape, rows):
-    """``shape`` broadcast against a stacked object's ``rows`` shape; a state
-    shape that already ends in ``rows`` is its own broadcast."""
-    return shape if shape[-len(rows):] == rows else np.broadcast_shapes(shape, rows)
-
-
 class ConvexSet:
     """Closed convex set with an exact Euclidean projector."""
 
@@ -64,15 +58,14 @@ class ConvexSet:
             return self._project(x)
 
     def _project(self, x):
-        """Projection of validated points into a fresh array, by the kernel
-        :meth:`project`, the gradient and the integrator share."""
-        return self._projector(x.shape)(x)
+        """Projection of validated points, shared by :meth:`project` and the gradient."""
+        raise NotImplementedError
 
     def _projector(self, shape):
-        """``project(x, out=None) -> out``: the projection of validated points
-        ``x`` shaped ``shape`` into ``out``, a fresh array when None and never
-        ``x``.  Any workspace is the kernel's own and reused on every call."""
-        raise NotImplementedError
+        """``project(x)``: :meth:`_project` for validated points shaped
+        ``shape``, built once for a loop over them; a kind whose projection
+        has workspaces builds them here, and they are the kernel's own."""
+        return self._project
 
     def distance(self, x):
         x = _check_dim(x, self.dim)
@@ -95,15 +88,10 @@ class Point(ConvexSet):
         self.c.flags.writeable = False
         self.dim = self.c.shape[-1]
 
-    def _projector(self, shape):
-        c = self.c
-
-        def project(x, out=None):
-            if out is None:
-                out = np.empty(shape)
-            np.copyto(out, c)
-            return out
-        return project
+    def _project(self, x):
+        out = np.empty_like(x)
+        out[...] = self.c
+        return out
 
     def distance(self, x):
         return _length(_check_dim(x, self.dim), self.c)
@@ -137,50 +125,51 @@ class Ball(ConvexSet):
         self._rcol = radius[..., None]
         self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
 
+    def _project(self, x):
+        return self._projector(x.shape)(x)
+
     def _projector(self, shape):
         """The projection kernel (see :meth:`ConvexSet._projector`).
 
-        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it: below 8
-        components ``add.reduce`` adds them in component order, which adding
-        strided columns of the flat squares repeats in fewer steps.  The
+        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it.  The
         divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is kept
         (``r > radius``) and is never 0 elsewhere, so no lane warns.  A point
         with a NaN coordinate projects to NaN in every coordinate; so does an
         infinite one, whose shrink multiplies ``inf`` by 0, which numpy
         reports as an invalid value here (the public :meth:`project` does not).
         """
-        shape = _broadcast(shape, self.center.shape)
-        m = shape[-1]
+        rows = self.center.shape  # a state that ends in them is its own broadcast
+        shape = shape if shape[-len(rows):] == rows else np.broadcast_shapes(shape, rows)
         d, squares = np.empty(shape), np.empty(shape)
-        r = np.empty(shape[:-1] + (1,))
-        den, inside = np.empty(r.shape), np.empty(r.shape, dtype=bool)
+        r, inside = np.empty(shape[:-1] + (1,)), np.empty(shape[:-1] + (1,), dtype=bool)
         center, rcol, floor = self.center, self._rcol, self._floor
-        # total = s_0 + s_1 + ..., with s_0 + 0.0 (exact) for one component;
-        # from 8 components add.reduce sums pairwise
-        flat, total, pairwise = squares.reshape(-1), r.reshape(-1), m >= 8
-        columns = [flat[k::m] for k in range(m)]
-        first, second, *rest = columns if m > 1 else columns + [0.0]
+        # below 8 components add.reduce adds them in order, which one add per
+        # strided column of the flat squares repeats; s_0 + 0.0 is s_0
+        m, flat = shape[-1], squares.reshape(-1)
+        columns = [flat[k::m] for k in range(m)] + [0.0]
+        first, second, rest, total = columns[0], columns[1], columns[2:m], r.reshape(-1)
+
+        # the kernel's ufuncs as locals: at N = 5 each global lookup is a
+        # measurable share of a projection, which an RK4 step makes four times
         subtract, multiply, add, sqrt, maximum, divide, less_equal, copyto = (
             np.subtract, np.multiply, np.add, np.sqrt, np.maximum, np.divide, np.less_equal,
             np.copyto)
 
-        def project(x, out=None):
-            if out is None:
-                out = np.empty(shape)
+        def project(x):
             subtract(x, center, d)
             multiply(d, d, squares)
-            if pairwise:
-                add.reduce(squares, -1, None, r, True)
-            else:
+            if m < 8:
                 add(first, second, total)
                 for column in rest:
                     add(total, column, total)
+            else:
+                add.reduce(squares, axis=-1, keepdims=True, out=r)
             sqrt(r, r)
-            maximum(r, floor, out=den)
-            divide(rcol, den, den)
-            multiply(d, den, d)
-            add(d, center, out)
             less_equal(r, rcol, inside)
+            maximum(r, floor, out=r)  # r becomes the divisor, then the scale
+            divide(rcol, r, r)
+            multiply(d, r, d)
+            out = add(d, center)
             copyto(out, x, where=inside)
             return out
         return project
@@ -215,9 +204,8 @@ class Box(ConvexSet):
         self.upper.flags.writeable = False
         self.dim = self.lower.shape[-1]
 
-    def _projector(self, shape):
-        lower, upper = self.lower, self.upper
-        return lambda x, out=None: np.clip(x, lower, upper, out)
+    def _project(self, x):
+        return np.clip(x, self.lower, self.upper)
 
     def interior_margin(self, x):
         x = _check_dim(x, self.dim)
@@ -253,16 +241,14 @@ class ConvexComponent:
         raise NotImplementedError
 
     def _grad(self, x):
-        """Gradient at validated points into a fresh array, by the kernel the
-        stacked gradient and the integrator share."""
+        """Gradient at validated points, shared with the stacked gradient."""
         return self._kernel(x.shape)(x)
 
-    def _kernel(self, shape, descent=False):
-        """``grad(x, out=None) -> out``: the gradient at validated points ``x``
-        shaped ``shape`` into ``out``, a fresh array when None and never ``x``;
-        with ``descent``, its negative, up to the sign of a zero.  Any
-        workspace is the kernel's own and reused on every call."""
-        raise NotImplementedError
+    def _kernel(self, shape):
+        """``grad(x)``: the gradient at validated points shaped ``shape``,
+        built once for a loop over them; a component whose gradient has
+        workspaces builds them here, and they are the kernel's own."""
+        return self.grad
 
 
 class Quadratic(ConvexComponent):
@@ -302,15 +288,12 @@ class Quadratic(ConvexComponent):
     def grad(self, x):
         return self._grad(_check_dim(x, self.dim))
 
-    def _kernel(self, shape, descent=False):
-        matrix, center = self.matrix, self.center
-        e = np.empty(_broadcast(shape, center.shape))
+    def _grad(self, x):
+        """Gradient at validated points, shared with the stacked gradient and the value."""
+        return np.einsum("...ij,...j->...i", self.matrix, x - self.center)
 
-        def grad(x, out=None):
-            np.subtract(x, center, e)
-            g = np.einsum("...ij,...j->...i", matrix, e, out=out)
-            return np.negative(g, g) if descent else g
-        return grad
+    def _kernel(self, shape):
+        return self._grad
 
     def argmin_set(self):
         if not self.is_positive_definite:
@@ -347,13 +330,12 @@ class SquaredDistance(ConvexComponent):
         with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
             return self._grad(_check_dim(x, self.dim))
 
-    def _kernel(self, shape, descent=False):
-        # descent writes P - x, the negative of x - P but for a zero's sign
-        project, subtract = self.target._projector(shape), np.subtract
+    def _kernel(self, shape):
+        project = self.target._projector(shape)
 
-        def grad(x, out=None):
-            p = project(x, out)
-            return subtract(p, x, p) if descent else subtract(x, p, p)
+        def grad(x):
+            p = project(x)
+            return np.subtract(x, p, p)
         return grad
 
     def argmin_set(self):
@@ -383,10 +365,20 @@ class Sum(ConvexComponent):
         return sum(p.value(x) for p in self.parts)
 
     def grad(self, x):
-        out = self.parts[0].grad(x)
-        for p in self.parts[1:]:
-            out = out + p.grad(x)
-        return out
+        with np.errstate(invalid="ignore"):  # a squared distance's inf * 0 or inf - inf
+            return self._grad(_check_dim(x, self.dim))
+
+    def _kernel(self, shape):
+        first, *rest = [p._kernel(shape) for p in self.parts]
+
+        def grad(x):
+            # the parts' gradients added in order, out of place: parts with
+            # and without a node axis broadcast
+            out = first(x)
+            for kernel in rest:
+                out = out + kernel(x)
+            return out
+        return grad
 
     def argmin_set(self):
         raise UnsupportedRepresentationError(
@@ -523,22 +515,18 @@ class ObjectiveSet:
                 )
         return self._kernel(x.shape)(x)
 
-    def _layered_kernel(self, shape, descent=False):
+    def _layered_kernel(self, shape):
         """The gradient kernel (see :meth:`ConvexComponent._kernel`) of
-        several groups: each gathers its rows into a workspace of its own."""
-        steps = []
-        for k, layer in enumerate(self._layers):
-            for group, idx in layer:
-                rows = shape[:-2] + (idx.size, shape[-1])
-                steps.append((k, idx, np.empty(rows), np.empty(rows), group._kernel(rows)))
+        several groups, each with a kernel for its own rows."""
+        steps = [(k, idx, group._kernel(shape[:-2] + (idx.size, shape[-1])))
+                 for k, layer in enumerate(self._layers) for group, idx in layer]
 
-        def grad(x, out=None):
-            if out is None:
-                out = np.empty(shape)
-            for k, idx, xs, g, kernel in steps:
-                kernel(x.take(idx, -2, xs, "clip"), g)
+        def grad(x):
+            out = np.empty(shape)
+            for k, idx, kernel in steps:
+                g = kernel(x.take(idx, axis=-2))
                 out[..., idx, :] = out[..., idx, :] + g if k else g
-            return np.negative(out, out) if descent else out
+            return out
         return grad
 
     def team_value(self, x):
@@ -680,11 +668,12 @@ def intersection_nonempty(sets, max_iter=20000) -> IntersectionResult:
         return max(float(g.distance(x).max()) for g, _ in groups)
 
     x = start.mean(axis=0)
+    projectors = [s._projector(x.shape) for s in sets]  # built once for every pass
     for _ in range(max_iter):
         if worst(x) <= 0.1 * _WITNESS_TOL:
             break
-        for s in sets:
-            x = s.project(x)
+        for project in projectors:
+            x = project(x)
     if worst(x) <= _WITNESS_TOL:
         return IntersectionResult("nonempty", x)
     return IntersectionResult("undecided")
@@ -745,13 +734,14 @@ def global_min(objectives: ObjectiveSet) -> GlobalMinimum:
     step = 1.0 / max(team.gradient_lipschitz(), 1e-12)
     z = np.mean([_representative(c.argmin_set()) if _has_argmin(c) else np.zeros(objectives.m)
                  for c in comps], axis=0)
+    grad = team._kernel(z.shape)  # built once for the whole descent
     for _ in range(_DESCENT_MAX_ITER):
-        g = team.grad(z)
+        g = grad(z)
         norm = float(np.linalg.norm(g))
         if norm <= _DESCENT_GRAD_TOL:
             break
         z = z - step * g
-    norm = float(np.linalg.norm(team.grad(z)))
+    norm = float(np.linalg.norm(grad(z)))
     return GlobalMinimum(float(team.value(z)), z, "numerical", norm)
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -630,8 +632,8 @@ def test_workspaces_alias_no_result():
     obj = _family("ball", rng, n, m)
     graph = cycle_with_chords(n)
     x = _ball_edges(obj, rng.uniform(-5.0, 5.0, (n, m)))
-    # a stretch's four stages are four distinct arrays, at gain 1 (the node term
-    # in the coupling's bincount) and at another gain (g from a workspace)
+    # a stretch's four stages are four distinct arrays, at gain 1 and at another
+    # gain, which scales the coupling's fresh array in place
     for gain in (1.0, 2.5):
         scen = Scenario(obj, graph, x, tf=1.0, gain=gain)
         field = _fields([scen])((graph,))
@@ -667,6 +669,42 @@ def test_workspaces_alias_no_result():
     with pytest.raises(DivergenceError):
         integrate(forced)
     assert err.value.state.tobytes() == kept.tobytes() and err.value.state.base is None
+
+
+def test_threads_share_a_graph_and_a_family():
+    # the graph's memoised coupling kernel keeps no state between calls, and
+    # each run builds its own gradient kernel, so threads coupling on one
+    # graph and integrating one family get the results of one thread
+    rng = np.random.default_rng(81)
+    n, workers = 400, 3
+    arcs = {(k, (k + 1) % n) for k in range(n)}
+    arcs |= {(int(j), i) for i in range(n) for j in rng.choice(n, 12) if j != i}
+    graph = WeightedDigraph.from_arcs(n, sorted(arcs))
+    obj = ObjectiveSet([SquaredDistance(Ball(c, 1.0)) for c in rng.uniform(-1.0, 1.0, (n, 2))])
+    starts = rng.uniform(-5.0, 5.0, (workers, n, 2))
+    runs = [Scenario(obj, graph, x0, tf=0.1, step=0.01) for x0 in starts]
+    expected = [(neighbor_info(graph, x0).tobytes(), integrate(s).states.tobytes())
+                for x0, s in zip(starts, runs)]
+    seen = [[] for _ in range(workers)]
+
+    def work(b):
+        for _ in range(20):
+            seen[b].append((neighbor_info(graph, starts[b]).tobytes(),
+                            integrate(runs[b]).states.tobytes()))
+
+    threads = [threading.Thread(target=work, args=(b,)) for b in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for b in range(workers):
+        assert len(seen[b]) == 20 and all(got == expected[b] for got in seen[b])
 
 
 # --- observed order -----------------------------------------------------------
