@@ -67,6 +67,17 @@ class ConvexSet:
         has workspaces builds them here, and they are the kernel's own."""
         return self._project
 
+    def _residual(self, shape):
+        """``x - project(x)``, a squared distance's gradient, for validated
+        points shaped ``shape`` (see :meth:`_projector`); it writes into the
+        projection's fresh array."""
+        project = self._projector(shape)
+
+        def residual(x):
+            p = project(x)
+            return np.subtract(x, p, p)
+        return residual
+
     def distance(self, x):
         x = _check_dim(x, self.dim)
         with np.errstate(invalid="ignore"):  # inf - inf along an unbounded box side
@@ -92,6 +103,14 @@ class Point(ConvexSet):
         out = np.empty_like(x)
         out[...] = self.c
         return out
+
+    def _residual(self, shape):
+        """``x - c``, with no copy of ``c`` to subtract (see :meth:`ConvexSet._residual`)."""
+        c = self.c
+
+        def residual(x):
+            return np.subtract(x, c)
+        return residual
 
     def distance(self, x):
         return _length(_check_dim(x, self.dim), self.c)
@@ -128,8 +147,13 @@ class Ball(ConvexSet):
     def _project(self, x):
         return self._projector(x.shape)(x)
 
-    def _projector(self, shape):
-        """The projection kernel (see :meth:`ConvexSet._projector`).
+    def _residual(self, shape):
+        return self._projector(shape, residual=True)
+
+    def _projector(self, shape, residual=False):
+        """The projection kernel (see :meth:`ConvexSet._projector`), or with
+        ``residual`` the residual kernel, whose last step turns the projection
+        into ``x - P(x)`` in place (see :meth:`ConvexSet._residual`).
 
         ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it.  The
         divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is kept
@@ -155,7 +179,7 @@ class Ball(ConvexSet):
             np.subtract, np.multiply, np.add, np.sqrt, np.maximum, np.divide, np.less_equal,
             np.copyto)
 
-        def project(x):
+        def kernel(x):
             subtract(x, center, d)
             multiply(d, d, squares)
             if m < 8:
@@ -171,8 +195,10 @@ class Ball(ConvexSet):
             multiply(d, r, d)
             out = add(d, center)
             copyto(out, x, where=inside)
+            if residual:
+                subtract(x, out, out)
             return out
-        return project
+        return kernel
 
     def distance(self, x):
         return np.maximum(_length(_check_dim(x, self.dim), self.center) - self.radius, 0.0)
@@ -331,12 +357,7 @@ class SquaredDistance(ConvexComponent):
             return self._grad(_check_dim(x, self.dim))
 
     def _kernel(self, shape):
-        project = self.target._projector(shape)
-
-        def grad(x):
-            p = project(x)
-            return np.subtract(x, p, p)
-        return grad
+        return self.target._residual(shape)
 
     def argmin_set(self):
         return self.target

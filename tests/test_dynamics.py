@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,15 @@ from consensusflow import (
     neighbor_info,
     rhs,
 )
-from consensusflow.dynamics import DIVERGENCE_LIMIT, StepStabilityError, _fields, _union
+from consensusflow.dynamics import (
+    DIVERGENCE_BLOCK,
+    DIVERGENCE_LIMIT,
+    RK4_STABILITY_BOUND,
+    StepStabilityError,
+    _fields,
+    _rk4_defect,
+    _union,
+)
 
 from conftest import (
     alternating_signal,
@@ -348,7 +357,34 @@ def test_final_substep_is_truncated():
 def test_stats_fields():
     traj = integrate(_two_node_scenario(tf=1.0))
     assert traj.stats == {"steps": 100, "rhs_evaluations": 400, "segments": 1,
-                          "h_rho": 0.03}
+                          "h_rho": 0.03, "rk4_defect": _rk4_defect(0.03)}
+    # about (h rho)^5 / 5!, the leading term of e^z - R(z) at z = -h rho
+    assert 2.01e-10 < traj.stats["rk4_defect"] < 2.02e-10
+
+
+def test_rk4_defect_on_the_certificate_disc():
+    # balls.json at K = 69: stable at h = 0.01 (h rho = 2.77) but 0.91 off
+    # the flow per step; at h = 0.002 (h rho = 0.554), 4.0e-4
+    assert round(_rk4_defect(2.77), 2) == 0.91
+    assert round(_rk4_defect(0.554), 5) == 4.0e-4
+    assert _rk4_defect(0.0) == 0.0
+    # against exp(z) - R(z) written out on a finer half circle (the other half
+    # mirrors it), where it has its digits
+    for h_rho in (0.554, 1.0, 2.0, RK4_STABILITY_BOUND):
+        z = 0.5 * h_rho * (np.exp(np.linspace(0.0, 1j * np.pi, 32769)) - 1.0)
+        direct = np.abs(np.exp(z) - (1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)).max()
+        assert abs(_rk4_defect(h_rho) - direct) <= 1e-12 * direct
+    # at small h rho, where exp(z) - R(z) has none: the leading term (h rho)^5 / 5!
+    for h_rho in (1e-3, 1e-6):
+        assert _rk4_defect(h_rho) == pytest.approx(h_rho ** 5 / 120, rel=1e-3)
+    # nested discs: it grows with h rho, so a schedule's is the one at its largest
+    grid = np.linspace(0.0, RK4_STABILITY_BOUND, 40)
+    assert all(a < b for a, b in zip(map(_rk4_defect, grid), map(_rk4_defect, grid[1:])))
+    heavy = WeightedDigraph(2, {(0, 1): 5.0, (1, 0): 5.0})
+    schedule = SwitchingSignal([(0.0, two_node_graph()), (0.5, heavy)], dwell=0.5, horizon=1.0)
+    stats = integrate(Scenario(two_node_quadratics(), schedule, [0.0, 3.0], tf=1.0)).stats
+    assert stats["h_rho"] == 0.11 and stats["rk4_defect"] == _rk4_defect(0.11)
+    assert _rk4_defect(0.11) > _rk4_defect(0.03)
 
 
 # --- the in-place step against an out-of-place reference ---------------------
@@ -711,22 +747,36 @@ def test_threads_share_a_graph_and_a_family():
 
 def test_observed_order_on_the_committed_configs():
     """Largest terminal-state differences between successive halvings of h
-    from 0.04 to 0.0025.  Classical RK4 on a smooth flow divides them by 16;
-    ``x - P_B(x)`` has a kink where a node crosses its sphere, so the ball
-    families converge at a lower order."""
+    from 0.04 to 0.0025, on the committed configs and on a generated point
+    and box family (5 nodes, m = 2, the cycle with chords, tf = 2).
+    Classical RK4 on a smooth flow divides them by 16; ``x - P(x)`` has a
+    kink where a node crosses a ball's sphere or a box's face, so the ball
+    and box families converge at a lower order."""
     configs = Path(__file__).resolve().parent.parent / "configs"
-    ratios = {}
+    runs = {}
     for name, tf in (("pair", 2.0), ("balls", 2.0), ("switching", 4.0)):
         base = load_config(configs / f"{name}.json").build_scenario()
-        ends = [integrate(Scenario(base.objectives, base.topology, base.x0, tf=tf,
-                                   gain=base.gain, step=0.04 / 2 ** k)).terminal_state
+        runs[name] = (base.objectives, base.topology, base.x0, tf, base.gain)
+    rng = np.random.default_rng(5)
+    centers, lower = rng.uniform(-2.0, 2.0, (5, 2)), rng.uniform(-2.0, 0.0, (5, 2))
+    x0 = rng.uniform(-5.0, 5.0, (5, 2))
+    for name, sets in (("points", [Point(c) for c in centers]),
+                       ("boxes", [Box(lo, lo + 1.0) for lo in lower])):
+        family = ObjectiveSet([SquaredDistance(s) for s in sets])
+        runs[name] = (family, cycle_with_chords(5), x0, 2.0, 1.0)
+    ratios = {}
+    for name, (objectives, topology, start, tf, gain) in runs.items():
+        ends = [integrate(Scenario(objectives, topology, start, tf=tf, gain=gain,
+                                   step=0.04 / 2 ** k)).terminal_state
                 for k in range(5)]
         diffs = [float(np.abs(a - b).max()) for a, b in zip(ends, ends[1:])]
         assert all(a > b for a, b in zip(diffs, diffs[1:])), (name, diffs)
         ratios[name] = [a / b for a, b in zip(diffs, diffs[1:])]
         print(f"{name}: differences {diffs}, ratios {[round(q, 2) for q in ratios[name]]}")
-    # measured: pair 16.8, 16.4, 16.2; balls 4.9, 5.5, 2.1; switching 8.9, 2.1, 10.3
-    assert all(15.0 <= q <= 17.5 for q in ratios["pair"]), ratios["pair"]
+    # measured: pair 16.8, 16.4, 16.2; balls 4.9, 5.5, 2.1; switching 8.9, 2.1, 10.3;
+    # points 16.7, 16.3, 16.2; boxes 6.5, 3.0, 1.9
+    for name in ("pair", "points"):
+        assert all(15.0 <= q <= 17.5 for q in ratios[name]), (name, ratios[name])
 
 
 # --- divergence and validation -----------------------------------------------
@@ -753,6 +803,120 @@ def test_divergence_guard():
     assert err.value.node == 2
     assert np.array_equal(err.value.state, scen.x0)
     assert "node 2 has a non-finite entry" in str(err.value)
+
+
+# --- the divergence check per block of stored rows ---------------------------
+
+class _Kick:
+    """Forcing of ``value`` at ``node``'s last coordinate from the step ``step``
+    on (stage times past a quarter step into it), zero before; it counts its
+    calls, four per step."""
+
+    def __init__(self, n, m, node, step, value, h=0.01):
+        self.at = (step - 1) * h + 0.25 * h
+        self.zero, self.kick = np.zeros((n, m)), np.zeros((n, m))
+        self.kick[node, -1] = value
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.kick if t > self.at else self.zero
+
+
+def _per_step_error(scenarios):
+    """``(error, step)``: the :class:`DivergenceError` that a check of every
+    new row as it is made raises, from the integrator's own field, and the
+    step it fails in; ``(None, steps)`` if no row fails."""
+    lead = scenarios[0]
+    n, h = lead.n_nodes, lead.step
+    fields = _fields(scenarios)
+    x, step = np.concatenate([s.x0 for s in scenarios]), 0
+    for stretch in zip(*(s.segments for s in scenarios)):
+        a, b, _ = stretch[0]
+        field = fields([g for _, _, g in stretch])
+        n_sub = max(1, int(math.ceil((b - a) / h - 1e-9)))
+        for k in range(n_sub):
+            t_k = a + k * h
+            t_next = b if k == n_sub - 1 else a + (k + 1) * h
+            hk = t_next - t_k
+            half = 0.5 * hk
+            k1 = field(t_k, x)
+            k2 = field(t_k + half, x + half * k1)
+            k3 = field(t_k + half, x + half * k2)
+            k4 = field(t_next, x + hk * k3)
+            new = x + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            step += 1
+            if not np.abs(new).max() <= DIVERGENCE_LIMIT:
+                # the first failing member in member order, on its own rows
+                lo = np.argmax(~(np.abs(new).max(axis=1) <= DIVERGENCE_LIMIT)) // n * n
+                return DivergenceError(t_next, new[lo:lo + n], x[lo:lo + n]), step
+            x = new
+    return None, step
+
+
+def _kicked(kicks, topology=None):
+    """One member of a 5-node ball family per ``(node, step, value)`` kick, 200 steps."""
+    rng = np.random.default_rng(90)
+    obj = ball_objectives(rng.uniform(-2.0, 2.0, (5, 2)), 0.5)
+    return [Scenario(obj, topology or cycle_with_chords(5), rng.uniform(-5.0, 5.0, (5, 2)),
+                     tf=2.0, disturbance=_Kick(5, 2, *kick)) for kick in kicks]
+
+
+def _switching_kick():
+    # the first stretch, [0, 0.3], ends with step 30, which the kick fails
+    schedule = SwitchingSignal([(0.0, cycle_with_chords(5)), (0.3, WeightedDigraph(5))],
+                               dwell=0.1, horizon=2.0)
+    return _kicked([(2, 30, 1e12)], topology=schedule)
+
+
+def _nan_at_node_2():
+    # test_divergence_guard's run: without arcs the NaN stays at node 2
+    return [Scenario(ball_objectives([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 0.5),
+                     WeightedDigraph(4), np.ones((4, 2)), tf=1.0,
+                     disturbance=_Kick(4, 2, 2, 0, np.nan))]
+
+
+# (members, failing step, steps the integrator runs, failing member)
+_DIVERGENCES = {
+    # an overflow to inf: the steps after it meet inf - inf and inf * 0
+    "first-step": (lambda: _kicked([(3, 1, 1e308)]), 1, 64, 0),
+    # squares that overflow in every step after it
+    "mid-block": (lambda: _kicked([(1, 40, 1e200)]), 40, 64, 0),
+    "block-end": (lambda: _kicked([(0, 64, 1e12)]), 64, 64, 0),
+    # below -1e8, which only the lower bound of the check sees
+    "block-start": (lambda: _kicked([(4, 65, -1e12)]), 65, 128, 0),
+    "stretch-end": (_switching_kick, 30, 30, 0),
+    "later-member-first": (lambda: _kicked([(1, 100, 1e12), (3, 70, 1e12)]), 70, 128, 1),
+    "same-step": (lambda: _kicked([(4, 30, 1e12), (0, 30, 1e15)]), 30, 64, 0),
+    "nan-at-node-2": (_nan_at_node_2, 1, 64, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIVERGENCES))
+def test_divergence_block_check_matches_the_per_step_check(case):
+    build, failing, ran, member = _DIVERGENCES[case]
+    members = build()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as err:
+            integrate_batch(members)
+    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    # the steps after the failing one run to the end of its block or stretch
+    assert DIVERGENCE_BLOCK == 64
+    assert [s.disturbance.calls for s in members] == [4 * ran] * len(members)
+    assert 0 <= ran - failing <= 64
+
+    # the failing step's own overflow and inf - inf warn in a per-step check too
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, step = _per_step_error(build())
+    assert step == failing
+    assert err.value.time == ref.time and err.value.node == ref.node
+    assert err.value.state.tobytes() == ref.state.tobytes()
+    assert str(err.value) == str(ref)
+    # and it is the failing member's own error
+    with pytest.raises(DivergenceError) as own:
+        integrate(build()[member])
+    _assert_same_error(err.value, own.value)
 
 
 @pytest.mark.parametrize("build, message", [

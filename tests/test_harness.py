@@ -401,6 +401,8 @@ def test_trace_round_trip_is_bitwise(tmp_path):
     assert sidecar["fingerprint"] == traj.fingerprint
     assert sidecar["columns"] == ["t", "node", "comp_0", "v"]
     assert sidecar["stats"]["steps"] == 100
+    # every integrator stat, rk4_defect beside h_rho, round-trips through JSON
+    assert sidecar["stats"] == traj.stats and "rk4_defect" in sidecar["stats"]
 
 
 def test_trace_golden_bytes(tmp_path):

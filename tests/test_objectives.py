@@ -356,7 +356,12 @@ def _warnings_of(fn, x):
     return out, sorted(str(w.message) for w in seen)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9])
+def _residual_rows(sets, x):
+    # each single set's residual kernel on its own rows
+    return _node_rows(lambda i, xi: sets[i]._residual(xi.shape)(xi), x)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
 def test_ball_projection_core_edges(m):
     rng = np.random.default_rng(20 + m)
     balls = [Ball(rng.uniform(-1.0, 1.0, m), float(rng.uniform(0.3, 2.0))) for _ in range(3)]
@@ -396,6 +401,9 @@ def test_ball_projection_core_edges(m):
             assert obj.stacked_grad(x).tobytes() == (x - reference).tobytes()
             assert stack.project(x).tobytes() == _norm_projection(
                 stack.center, stack.radius, x).tobytes()
+            # the residual kernel, stacked and single, is x - P(x)
+            assert stack._residual(x.shape)(x).tobytes() == (x - reference).tobytes()
+            assert _residual_rows(balls, x).tobytes() == (x - reference).tobytes()
         if m > 1:
             # with one NaN coordinate the point projects to NaN in every one
             # (the norm formula keeps the finite ones, shrunk by radius / 1)
@@ -422,6 +430,10 @@ def test_ball_projection_core_edges(m):
         grads = _node_rows(lambda i, xi: obj.components[i].grad(xi), inf_rows)
         assert grads.tobytes() == (inf_rows - expected).tobytes()
         assert SquaredDistance(stack).grad(inf_rows).tobytes() == (inf_rows - expected).tobytes()
+        with np.errstate(invalid="ignore"):  # the core's inf * 0
+            assert stack._residual(inf_rows.shape)(inf_rows).tobytes() == (
+                inf_rows - expected).tobytes()
+            assert _residual_rows(balls, inf_rows).tobytes() == (inf_rows - expected).tobytes()
         # box and point gradients, distances and values keep their inf - inf
         # to themselves too, and so does a box family's team value
         lower = np.full((n, m), -np.inf)
@@ -440,6 +452,33 @@ def test_ball_projection_core_edges(m):
                        for c in stack.center)
         assert np.isnan(team).any()
         assert boxes.team_value(inf_rows).tobytes() == team.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_residual_kernels_of_points_and_boxes(m):
+    # _residual(shape)(x) is x - project(x) bit for bit, stacked and single,
+    # at finite, NaN and infinite points, on boxes with infinite sides too
+    rng = np.random.default_rng(30 + m)
+    n = 4
+    centers = rng.uniform(-2.0, 2.0, (n, m))
+    lower = rng.uniform(-2.0, 0.0, (n, m))
+    upper = lower + rng.uniform(0.0, 2.0, (n, m))
+    lower[0, 0], lower[1], upper[2] = -np.inf, -np.inf, np.inf
+    upper[3] = lower[3]  # a box of one point
+    families = [(Point(centers), [Point(c) for c in centers]),
+                (Box(lower, upper), [Box(lo, hi) for lo, hi in zip(lower, upper)])]
+    states = rng.uniform(-4.0, 4.0, (6, n, m))
+    states[1] = centers  # on every point
+    states[2] = np.clip(states[2], lower, upper)  # inside every box
+    states[3, :, 0] = np.nan
+    states[4], states[5, ::2], states[5, 1::2] = np.inf, -np.inf, np.nan
+    with np.errstate(invalid="ignore"):  # inf - inf along an infinite side, or at a point
+        for stack, sets in families:
+            for x in (states, states[0], states[4], states[5]):
+                expected = x - stack.project(x)
+                assert stack._residual(x.shape)(x).tobytes() == expected.tobytes()
+                assert _residual_rows(sets, x).tobytes() == expected.tobytes()
+                assert SquaredDistance(stack).grad(x).tobytes() == expected.tobytes()
 
 
 def _ball_family(rng, n, m):
