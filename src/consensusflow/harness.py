@@ -700,94 +700,91 @@ def _witness(config):
     return result.witness, result.status, ""
 
 
+def _mismatch(traj, sp):
+    """Largest distance, by coordinate, of the terminal state from the stationary point ``sp``."""
+    return float(np.abs(traj.terminal_state - sp.states).max())
+
+
+def _envelope(config, traj, z, residual_tol):
+    """The envelope ``v`` of squared distances to the witness ``z``, its Dini
+    claim and the terminal node-residual claim, and their trace columns."""
+    v = lyapunov_trace(traj, z)
+    res = node_optimum_residuals(traj, config.objectives)
+    claims = [_dini_claim(traj.times, v.max(axis=1), config.tolerances["dini_slack_scale"]),
+              _threshold_claim("node-optimum-residuals",
+                               "each node ends inside its own argmin set",
+                               res[-1].max(), config.tolerances[residual_tol])]
+    return v, claims, {"v": v, "residual": res}
+
+
 def _suite_simulate(config):
-    traj = integrate(config.build_scenario())
-    status, t_conv = detect_convergence(traj, config.objectives)
-    diam = float(consensus_diameter(traj.terminal_state))
-    claim = ClaimResult(
-        "integration-completed", "the run finishes without divergence", True, None,
-        f"status={status} at t={t_conv}; terminal diameter {diam:.6e}")
-    return [claim], [(traj, None, "")]
+    def judge(traj):
+        status, t_conv = detect_convergence(traj, config.objectives)
+        diam = float(consensus_diameter(traj.terminal_state))
+        return [ClaimResult(
+            "integration-completed", "the run finishes without divergence", True, None,
+            f"status={status} at t={t_conv}; terminal diameter {diam:.6e}")], None
+    return [(config.build_scenario(), "", judge)]
 
 
 def _suite_exact(config):
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("the exact suite needs a fixed topology", "topology")
     tols = config.tolerances
-    claims = []
     z, status, why = _witness(config)
-
-    claims.append(ClaimResult(
+    connected = ClaimResult(
         "fixed-graph-strongly-connected",
         "every node must reach every other along directed arcs",
         config.topology.is_strongly_connected(), None, "checked by forward and "
-        "reverse reachability"))
+        "reverse reachability")
+    sp = None
+    if status == "empty" and stationary_oracle_unmet(config.objectives, config.topology) is None:
+        sp = stationary_quadratic(config.objectives, config.topology, config.gain)
 
-    scenario = config.build_scenario()
-    traj = integrate(scenario)
-    extras = {}
-
-    if status == "undecided":
-        claims.append(ClaimResult(
-            "common-minimizer-decided",
-            "the intersection of node argmin sets must be decidable",
-            False, None, why or "intersection test returned 'undecided'"))
-        return claims, [(traj, extras, "")]
-
-    if status == "nonempty":
-        v = lyapunov_trace(traj, z)
-        extras["v"] = v
-        claims.append(_dini_claim(traj.times, v.max(axis=1), tols["dini_slack_scale"]))
-        claims.append(_threshold_claim(
-            "terminal-diameter", "all nodes agree at the end of the run",
-            consensus_diameter(traj.terminal_state), tols["diameter"]))
-        res = node_optimum_residuals(traj, config.objectives)
-        extras["residual"] = res
-        claims.append(_threshold_claim(
-            "node-optimum-residuals", "each node ends inside its own argmin set",
-            res[-1].max(), tols["residual"]))
-        # every representable argmin set is where its component is 0, so a
-        # shared minimizer puts the team minimum at 0
-        gap = optimality_gap(traj, config.objectives, 0.0)
-        extras["gap"] = gap
-        claims.append(_threshold_claim(
-            "optimality-gap", "terminal states minimize the team objective",
-            gap[-1].max(), tols["gap"], detail="team minimum 0.000000e+00 (intersection)"))
-        return claims, [(traj, extras, "")]
-
-    # empty intersection: agreement cannot be exact; document the gap instead
-    diam = float(consensus_diameter(traj.terminal_state))
-    claims.append(ClaimResult(
-        "disagreement-persists",
-        "with no common minimizer the nodes must not fully agree",
-        diam > tols["necessity_floor"], float(diam - tols["necessity_floor"]),
-        f"exact agreement on one optimum is impossible here; terminal diameter {diam:.6e}"))
-    if stationary_oracle_unmet(config.objectives, config.topology) is None:
-        sp = stationary_quadratic(config.objectives, config.topology, scenario.gain)
-        mismatch = float(np.abs(traj.terminal_state - sp.states).max())
-        oracle_diam = consensus_diameter(sp.states)
-        claims.append(_threshold_claim(
-            "terminal-matches-stationary",
-            "the run settles on the stationary point of the penalized objective",
-            mismatch, tols["terminal_match"]))
-        claims.append(_threshold_claim(
-            "diameter-matches-oracle",
-            "simulated disagreement matches the stationary solve",
-            abs(diam - oracle_diam), tols["oracle_diameter_match"],
-            detail=f"oracle diameter {oracle_diam:.6e}"))
-    return claims, [(traj, extras, "")]
+    def judge(traj):
+        if status == "undecided":
+            return [connected, ClaimResult(
+                "common-minimizer-decided",
+                "the intersection of node argmin sets must be decidable",
+                False, None, why or "intersection test returned 'undecided'")], {}
+        diam = float(consensus_diameter(traj.terminal_state))
+        if status == "nonempty":
+            _, (dini, residuals), extras = _envelope(config, traj, z, "residual")
+            # every representable argmin set is where its component is 0, so a
+            # shared minimizer puts the team minimum at 0
+            extras["gap"] = optimality_gap(traj, config.objectives, 0.0)
+            return [connected, dini, _threshold_claim(
+                "terminal-diameter", "all nodes agree at the end of the run",
+                diam, tols["diameter"]), residuals, _threshold_claim(
+                "optimality-gap", "terminal states minimize the team objective",
+                extras["gap"][-1].max(), tols["gap"],
+                detail="team minimum 0.000000e+00 (intersection)")], extras
+        # empty intersection: agreement cannot be exact; document the gap instead
+        claims = [connected, ClaimResult(
+            "disagreement-persists",
+            "with no common minimizer the nodes must not fully agree",
+            diam > tols["necessity_floor"], float(diam - tols["necessity_floor"]),
+            f"exact agreement on one optimum is impossible here; terminal diameter {diam:.6e}")]
+        if sp is not None:
+            oracle_diam = consensus_diameter(sp.states)
+            claims += [_threshold_claim(
+                "terminal-matches-stationary",
+                "the run settles on the stationary point of the penalized objective",
+                _mismatch(traj, sp), tols["terminal_match"]), _threshold_claim(
+                "diameter-matches-oracle",
+                "simulated disagreement matches the stationary solve",
+                abs(diam - oracle_diam), tols["oracle_diameter_match"],
+                detail=f"oracle diameter {oracle_diam:.6e}")]
+        return claims, {}
+    return [(config.build_scenario(), "", judge)]
 
 
-def _gain_runs(config, grid):
-    """Oracle solve, disagreement bound and simulation for each gain of ``grid``.
-
-    Yields ``(gain, point, bound, trajectory)``.  ``point`` and ``bound`` are
-    None where the stationary oracle does not apply.  Gain zero is solved by
-    the oracle only, so its ``bound`` and ``trajectory`` are None.  The bound
-    uses the largest stationary gradient norm over the whole grid.  The
-    positive gains are simulated as one batch.
-    """
-    points, grad_sup, lam2 = {}, None, None
+def _gain_plan(config, grid):
+    """``(gains, scenarios, points, bounds)``: the positive gains of ``grid``, their
+    scenarios, each gain's stationary point and each positive gain's disagreement
+    bound, from the largest stationary gradient norm over the whole grid.  The
+    maps are empty where the stationary oracle does not apply."""
+    points, bounds = {}, {}
     if stationary_oracle_unmet(config.objectives, config.topology) is None:
         if config.topology.n_nodes < 2 or not config.topology.is_strongly_connected():
             raise ConfigError("the disagreement bound needs a connected topology "
@@ -796,17 +793,11 @@ def _gain_runs(config, grid):
         points = {k: stationary_quadratic(config.objectives, config.topology, k)
                   for k in grid}
         grad_sup = max(p.grad_norm for p in points.values())
-    members = [config.build_scenario(gain=k) for k in grid if k > 0.0]
-    trajs = iter(integrate_batch(members) if members else [])
-    for k in grid:
-        sp = points.get(k)
-        bound = traj = None
-        if k > 0.0:
-            if sp is not None:
-                bound = check_disagreement_bound(sp, grad_sup, lam2,
-                                                 slack=config.tolerances["bound_slack"])
-            traj = next(trajs)
-        yield k, sp, bound, traj
+        bounds = {k: check_disagreement_bound(sp, grad_sup, lam2,
+                                              slack=config.tolerances["bound_slack"])
+                  for k, sp in points.items() if k > 0.0}
+    gains = [k for k in grid if k > 0.0]
+    return gains, [config.build_scenario(gain=k) for k in gains], points, bounds
 
 
 def _suite_eps(config):
@@ -817,82 +808,71 @@ def _suite_eps(config):
     if not any(k > 0.0 for k in grid):  # gain zero is the oracle's alone: no claim
         raise ConfigError("the eps-optimal suite needs a positive gain in analysis.k_grid",
                           "analysis")
-    claims, runs = [], []
-    for k, sp, bc, traj in _gain_runs(config, grid):
-        if traj is None:
-            continue
-        mismatch = float(np.abs(traj.terminal_state - sp.states).max())
-        claims.append(_threshold_claim(
+    labels = {}  # a gain's label names its claims and its trace
+    for k in (k for k in grid if k > 0.0):
+        if f"{k:g}" in labels:
+            raise ConfigError(f"gains {labels[f'{k:g}']!r} and {k!r} share the label k={k:g}",
+                              "analysis.k_grid")
+        labels[f"{k:g}"] = k
+    gains, scenarios, points, bounds = _gain_plan(config, grid)
+
+    def judge_at(k):
+        sp, bc = points[k], bounds[k]
+        return lambda traj: ([_threshold_claim(
             f"terminal-matches-stationary[k={k:g}]",
             "the run settles on the stationary point of the penalized objective",
-            mismatch, config.tolerances["terminal_match"]))
-        claims.append(ClaimResult(
+            _mismatch(traj, sp), config.tolerances["terminal_match"]), ClaimResult(
             f"disagreement-bound[k={k:g}]",
             "stationary disagreement is at most grad_sup / (gain * lambda2)",
             bc.holds, bc.margin,
-            f"disagreement {sp.disagreement:.6e}, bound {bc.bound:.6e}"))
-        runs.append((traj, None, f"_k{k:g}"))
-    return claims, runs
+            f"disagreement {sp.disagreement:.6e}, bound {bc.bound:.6e}")], None)
+    return [(s, f"_k{k:g}", judge_at(k)) for k, s in zip(gains, scenarios)]
 
 
 def _suite_switching(config):
     if not isinstance(config.topology, SwitchingSignal):
         raise ConfigError("the switching suite needs a switching topology", "topology")
-    tols = config.tolerances
-    sig = config.topology
     window = config.ujsc_window
+    z, status, why = _witness(config)
     claims = [ClaimResult(
         "jointly-connected",
         f"arc unions over every window of length {window:g} are strongly connected",
-        sig.check_ujsc(window), None, f"window {window:g}")]
-
-    z, status, why = _witness(config)
-    claims.append(ClaimResult(
+        config.topology.check_ujsc(window), None, f"window {window:g}"), ClaimResult(
         "common-minimizer-exists",
         "the node argmin sets must share a point",
-        status == "nonempty", None, why or f"intersection status: {status}"))
-    traj = integrate(config.build_scenario())
-    extras = {}
-    if status != "nonempty":
-        return claims, [(traj, extras, "")]
+        status == "nonempty", None, why or f"intersection status: {status}")]
 
-    v = lyapunov_trace(traj, z)
-    extras["v"] = v
-    claims.append(_dini_claim(traj.times, v.max(axis=1), tols["dini_slack_scale"]))
-    spread = float(v[-1].max() - v[-1].min())
-    claims.append(_threshold_claim(
-        "lyapunov-limits-agree",
-        "per-node squared distances to the witness share one limit",
-        spread, tols["vi_spread"]))
-    res = node_optimum_residuals(traj, config.objectives)
-    extras["residual"] = res
-    claims.append(_threshold_claim(
-        "node-optimum-residuals", "each node ends inside its own argmin set",
-        res[-1].max(), tols["switching_residual"]))
+    def judge(traj):
+        if status != "nonempty":
+            return claims, {}
+        v, (dini, residuals), extras = _envelope(config, traj, z, "switching_residual")
+        spread = _threshold_claim(
+            "lyapunov-limits-agree",
+            "per-node squared distances to the witness share one limit",
+            float(v[-1].max() - v[-1].min()), config.tolerances["vi_spread"])
+        return claims + [dini, spread, residuals, _reconstruction(config, traj, z)], extras
+    return [(config.build_scenario(), "", judge)]
 
+
+def _reconstruction(config, traj, z):
+    """The limit point pinned down by terminal distances to anchors around ``z``."""
+    claim = ("limit-point-reconstruction",
+             "terminal distances to interior anchors pin down one optimal point")
     try:
         sets = config.objectives.argmin_sets()
         anchors = interior_simplex(sets, z)
-        sq = []
-        for anchor in anchors:
-            sq.append(float(((traj.terminal_state - anchor) ** 2).sum(axis=1).max()))
+        sq = [float(((traj.terminal_state - a) ** 2).sum(axis=1).max()) for a in anchors]
         diam = float(consensus_diameter(traj.terminal_state))
         scale = 1.0 + np.abs(anchors).max() + np.abs(traj.terminal_state).max()
         y = sphere_intersection(anchors, sq,
                                 consistency_tol=max(1e-9, 10.0 * diam * scale))
         dev = float(np.linalg.norm(traj.terminal_state - y, axis=1).max())
         inside = max(float(s.distance(y)) for s in sets)
-        claims.append(_threshold_claim(
-            "limit-point-reconstruction",
-            "terminal distances to interior anchors pin down one optimal point",
-            max(dev, inside), tols["sphere_match"],
-            detail=f"state-to-point {dev:.6e}, point-to-sets {inside:.6e}"))
+        return _threshold_claim(
+            *claim, max(dev, inside), config.tolerances["sphere_match"],
+            detail=f"state-to-point {dev:.6e}, point-to-sets {inside:.6e}")
     except (ValueError, UnsupportedRepresentationError) as err:
-        claims.append(ClaimResult(
-            "limit-point-reconstruction",
-            "terminal distances to interior anchors pin down one optimal point",
-            False, None, f"reconstruction unavailable: {err}"))
-    return claims, [(traj, extras, "")]
+        return ClaimResult(*claim, False, None, f"reconstruction unavailable: {err}")
 
 
 _SUITE_FUNCS = {
@@ -903,17 +883,32 @@ _SUITE_FUNCS = {
 }
 
 
+def _integrate(scenarios):
+    """Trajectories of ``scenarios``: one through :func:`integrate`, more as one batch."""
+    return integrate_batch(scenarios) if len(scenarios) > 1 else [integrate(s) for s in scenarios]
+
+
 def run(config: ScenarioConfig, suite: str, out_dir=None) -> RunReport:
-    """Execute one verification suite and (optionally) write its artifacts."""
+    """Execute one verification suite and (optionally) write its artifacts.
+
+    A suite is a plan, runs ``(scenario, trace tag, judge)`` made after every
+    config check.  ``run`` alone integrates them, then judges each trajectory
+    and writes its trace, in plan order.  A judge is a pure function from a
+    trajectory to its claims and trace columns, so traces read back with
+    :func:`read_trace` rebuild the report and its hash."""
     if suite not in _SUITE_FUNCS:
         raise ConfigError(f"unknown suite '{suite}'; choose from {', '.join(SUITES)}")
     started = time.perf_counter()
-    claims, runs = _SUITE_FUNCS[suite](config)
-    report = RunReport(config.name, suite, config.content_hash(), claims)
+    plan = _SUITE_FUNCS[suite](config)
+    trajs = _integrate([scenario for scenario, _, _ in plan])
+    report = RunReport(config.name, suite, config.content_hash())
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        for traj, extras, tag in runs:
+    for (_, tag, judge), traj in zip(plan, trajs, strict=True):
+        claims, extras = judge(traj)
+        report.claims += claims
+        if out is not None:
             report.artifacts += write_trace(
                 out / f"{config.name}_{suite}{tag}.csv", traj, extras)
     report.wall_seconds = time.perf_counter() - started
@@ -936,14 +931,17 @@ def sweep_k(config: ScenarioConfig, out_dir=None):
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("sweep needs a fixed topology", "topology")
 
+    _, scenarios, points, bounds = _gain_plan(config, grid)
     team = None
     try:
         team = global_min(config.objectives)
     except ValueError:  # numpy's LinAlgError too, on a summed curvature that overflows
         pass
 
+    trajs = iter(_integrate(scenarios))
     rows = []
-    for k, sp, bc, traj in _gain_runs(config, grid):
+    for k in grid:
+        sp, bc = points.get(k), bounds.get(k)
         row = {"gain": float(k), "diameter": float("nan"), "gap_max": float("nan"),
                "oracle_disagreement": float("nan"), "oracle_residual": float("nan"),
                "bound_margin": float("nan"), "terminal_mismatch": float("nan")}
@@ -952,14 +950,14 @@ def sweep_k(config: ScenarioConfig, out_dir=None):
             row["oracle_residual"] = sp.residual
         if bc is not None:
             row["bound_margin"] = bc.margin
-        if traj is not None:
+        if k > 0.0:
+            traj = next(trajs)
             row["diameter"] = float(consensus_diameter(traj.terminal_state))
             if team is not None:  # the gap at the terminal sample only
                 row["gap_max"] = float((config.objectives.team_value(traj.terminal_state)
                                         - float(team.value)).max())
             if sp is not None:
-                row["terminal_mismatch"] = float(
-                    np.abs(traj.terminal_state - sp.states).max())
+                row["terminal_mismatch"] = _mismatch(traj, sp)
         rows.append(row)
 
     if out_dir is not None:

@@ -21,6 +21,7 @@ from consensusflow import (
     ObjectiveSet,
     Point,
     Quadratic,
+    RunReport,
     ScenarioConfig,
     Scenario,
     SquaredDistance,
@@ -37,8 +38,9 @@ from consensusflow import (
     sweep_k,
     write_trace,
 )
+from consensusflow import harness
 from consensusflow.cli import main
-from consensusflow.harness import _g17, _gain_runs
+from consensusflow.harness import _g17, _gain_plan, _integrate
 
 from conftest import traced_peak
 
@@ -754,7 +756,7 @@ def test_unknown_suite_rejected():
 
 # --- artifacts and reproducibility -------------------------------------------
 
-@pytest.mark.parametrize("config_file, suite, expected", [
+COMMITTED_REPORTS = [
     ("balls.json", "exact",
      "d9a1a9e74805e4d8dbce4e9b4f4fa3d40d3ebf966833ac3d308b2540523eecd8"),
     ("balls.json", "simulate",
@@ -763,7 +765,18 @@ def test_unknown_suite_rejected():
      "4342b6c0e4470b45de4edf6b2a5a8c22c1b8e12c966cb7be3251e9aba3b060e7"),
     ("pair.json", "eps-optimal",
      "4a026ee88b0ea8162fbd285fb2184dc1b836d738a5b16c4f3fb5cfb21aad4126"),
-])
+]
+
+
+def _no_integration(monkeypatch):
+    """Make any integration through the harness fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(harness, "integrate", refuse)
+    monkeypatch.setattr(harness, "integrate_batch", refuse)
+
+
+@pytest.mark.parametrize("config_file, suite, expected", COMMITTED_REPORTS)
 def test_committed_config_report_hashes(tmp_path, config_file, suite, expected):
     """The committed configs pass their suites from the command line (exit 0)
     and keep their report hashes, the ones in perfbench/report_hashes.json.
@@ -778,6 +791,26 @@ def test_committed_config_report_hashes(tmp_path, config_file, suite, expected):
                            "--out-dir", str(tmp_path), "--quiet"]) == 0
     [report] = tmp_path.glob("*_report.json")
     assert json.loads(report.read_text())["report_hash"] == expected
+
+
+@pytest.mark.parametrize("config_file, suite, expected", COMMITTED_REPORTS)
+def test_trace_rebuilds_committed_report(tmp_path, monkeypatch, config_file, suite, expected):
+    """The traces are the evidence for their report: each run's judge,
+    given only the trajectory read back from its trace, rebuilds the report
+    hash and every trace column bit for bit, with no integration."""
+    config = load_config(CONFIGS / config_file)
+    assert run(config, suite, out_dir=tmp_path).report_hash == expected
+    _no_integration(monkeypatch)
+    rebuilt = RunReport(config.name, suite, config.content_hash())
+    for _, tag, judge in harness._SUITE_FUNCS[suite](config):
+        times, states, columns = read_trace(tmp_path / f"{config.name}_{suite}{tag}.csv")
+        claims, extras = judge(Trajectory(times, states))
+        rebuilt.claims += claims
+        extras = extras or {}
+        assert sorted(extras) == sorted(columns)
+        for key, column in extras.items():
+            assert column.tobytes() == columns[key].tobytes(), key
+    assert rebuilt.report_hash == expected
 
 
 def test_committed_sweep_csv(tmp_path):
@@ -890,6 +923,49 @@ def test_eps_optimal_needs_a_positive_gain(tmp_path, capsys):
     assert main(["sweep-k", "--config", path, "--quiet"]) == 0
     [row] = sweep_k(load_config(path))
     assert row["gain"] == 0.0 and np.isnan(row["diameter"])
+
+
+@pytest.mark.parametrize("suite, cfg, message", [
+    ("exact", switching_config(), "topology: the exact suite needs a fixed topology"),
+    ("switching", ball_config(), "topology: the switching suite needs a switching topology"),
+    ("switching", _finite_schedule(2), "analysis.ujsc_window: a schedule with a horizon"),
+    ("eps-optimal", quad_config(), "analysis: the eps-optimal suite needs analysis.k_grid"),
+    ("eps-optimal", quad_config(analysis={"k_grid": [0.0]}),
+     "analysis: the eps-optimal suite needs a positive gain"),
+    ("eps-optimal", ball_config(analysis={"k_grid": [1.0]}),
+     "objectives: the eps-optimal suite needs all-quadratic objectives"),
+    ("eps-optimal", quad_config(analysis={"k_grid": [1.0]}, topology={
+        "kind": "fixed", "arcs": []}), "topology: the disagreement bound needs a connected"),
+    ("eps-optimal", quad_config(analysis={"k_grid": [10.0, 10.0]}),
+     "analysis.k_grid: gains 10.0 and 10.0 share the label k=10"),
+], ids=["exact-switching", "switching-fixed", "horizon-no-window", "eps-no-grid",
+        "eps-zero-grid", "eps-balls", "eps-disconnected", "eps-label-collision"])
+def test_config_errors_come_before_integration(monkeypatch, suite, cfg, message):
+    config = ScenarioConfig.from_dict(cfg)
+    _no_integration(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        run(config, suite)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("grid, first, second, label", [
+    ([1.0, 1.0000001], "1.0", "1.0000001", "1"),
+    ([10, 100, 10], "10.0", "10.0", "10"),
+], ids=["six-digits-alike", "repeated"])
+def test_eps_optimal_gain_labels_must_differ(tmp_path, capsys, grid, first, second, label):
+    # two gains with one label would overwrite one trace and repeat two claim
+    # ids, so the plan refuses them before any step; sweep-k prints full precision
+    cfg = json.loads((CONFIGS / "pair.json").read_text())
+    cfg["analysis"]["k_grid"] = grid
+    path = _write(tmp_path, cfg, "pair.json")
+    out = tmp_path / "out"
+    assert main(["verify", "eps-optimal", "--config", path, "--out-dir", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: analysis.k_grid: gains {first} and {second} share the label "
+        f"k={label}\n")
+    assert not out.exists()
+    assert [row["gain"] for row in sweep_k(load_config(path))] == [float(k) for k in grid]
 
 
 def test_sweep_k_preconditions():
@@ -1058,12 +1134,19 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys):
         assert main(command + ["--config", singular, "--quiet"]) == 2
 
 
-def test_gain_runs_match_single_runs(tmp_path):
-    config = load_config(_write(tmp_path, quad_config(tf=5.0)))
+def test_gain_runs_match_single_runs(tmp_path, monkeypatch):
+    # the positive gains of a grid are one batch, each member its own run
     grid = [0.0, 10.0, 1.0, 10.0, 2.5]
-    runs = list(_gain_runs(config, grid))
-    assert [k for k, *_ in runs] == grid and runs[0][3] is None
-    for k, _, _, traj in runs[1:]:
+    config = load_config(_write(tmp_path, quad_config(tf=5.0, analysis={"k_grid": grid})))
+    gains, scenarios, _, _ = _gain_plan(config, grid)
+    assert gains == grid[1:] and [s.gain for s in scenarios] == grid[1:]
+    batches, batch = [], harness.integrate_batch
+    monkeypatch.setattr(harness, "integrate_batch",
+                        lambda members: batches.append(batch(members)) or batches[-1])
+    rows = sweep_k(config)
+    [trajs] = batches
+    assert len(trajs) == len(gains) and np.isnan(rows[0]["diameter"])
+    for k, traj in zip(gains, trajs, strict=True):
         single = integrate(config.build_scenario(gain=k))
         assert traj.times.tobytes() == single.times.tobytes()
         assert traj.states.tobytes() == single.states.tobytes()
@@ -1081,7 +1164,7 @@ def test_gain_grid_divergence_is_the_first_in_time_error(tmp_path, capsys):
     with pytest.raises(DivergenceError) as ref:
         integrate(config.build_scenario(gain=1.0))
     assert str(ref.value).startswith("state diverged at t=0.12: node 1 ")
-    calls = [lambda: list(_gain_runs(config, cfg["analysis"]["k_grid"])),
+    calls = [lambda: _integrate(_gain_plan(config, cfg["analysis"]["k_grid"])[1]),
              lambda: sweep_k(config), lambda: run(config, "eps-optimal")]
     for call in calls:
         with pytest.raises(DivergenceError) as err:
@@ -1235,7 +1318,8 @@ def test_cli_nested_sum_family(tmp_path):
     team = global_min(config.objectives).value
     with (tmp_path / "mixed_sweep.csv").open() as fh:
         rows = list(csv.DictReader(fh))
-    for row, (_, _, _, traj) in zip(rows, _gain_runs(config, [1.0, 10.0]), strict=True):
+    _, scenarios, _, _ = _gain_plan(config, [1.0, 10.0])
+    for row, traj in zip(rows, _integrate(scenarios), strict=True):
         gap = optimality_gap(traj, config.objectives, team)[-1].max()
         assert float(row["gap_max"]) == gap
     # a sum's argmin set is not represented, so the exact suite cannot decide
