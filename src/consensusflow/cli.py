@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 all claims pass, 1 configuration or usage error, 2 numerical
+Exit codes: 0 all claims pass, 1 configuration, usage or output error, 2 numerical
 failure (divergence, a step refused by the stability certificate or a
 singular solve), 3 one or more claims failed.
 """
@@ -154,6 +154,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # writing a trace, a report or the sweep table
+        print(f"output error: {err}", file=sys.stderr)
         return 1
     except (DivergenceError, np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

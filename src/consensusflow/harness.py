@@ -280,6 +280,9 @@ class ScenarioConfig:
         name = raw.get("name", Path(source).stem if source != "<dict>" else "scenario")
         if not isinstance(name, str) or not name:
             raise ConfigError("name must be a nonempty string", "name")
+        if "/" in name or "\0" in name or name in (".", ".."):
+            raise ConfigError("a name starts the output file names, so it must not hold "
+                              "'/' or NUL, nor be '.' or '..'", "name")
 
         objs = raw["objectives"]
         if not isinstance(objs, list):
@@ -780,10 +783,12 @@ def _suite_exact(config):
 
 
 def _gain_plan(config, grid):
-    """``(gains, scenarios, points, bounds)``: the positive gains of ``grid``, their
-    scenarios, each gain's stationary point and each positive gain's disagreement
-    bound, from the largest stationary gradient norm over the whole grid.  The
-    maps are empty where the stationary oracle does not apply."""
+    """``(gains, scenarios, points, bounds)``: the distinct positive gains of
+    ``grid``, their scenarios, each gain's stationary point and each positive
+    gain's disagreement bound, from the largest stationary gradient norm over
+    the whole grid.  The maps are empty where the stationary oracle does not
+    apply.  A repeated gain is solved and built once."""
+    grid = list(dict.fromkeys(grid))
     points, bounds = {}, {}
     if stationary_oracle_unmet(config.objectives, config.topology) is None:
         if config.topology.n_nodes < 2 or not config.topology.is_strongly_connected():
@@ -900,11 +905,11 @@ def run(config: ScenarioConfig, suite: str, out_dir=None) -> RunReport:
         raise ConfigError(f"unknown suite '{suite}'; choose from {', '.join(SUITES)}")
     started = time.perf_counter()
     plan = _SUITE_FUNCS[suite](config)
-    trajs = _integrate([scenario for scenario, _, _ in plan])
-    report = RunReport(config.name, suite, config.content_hash())
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    trajs = _integrate([scenario for scenario, _, _ in plan])
+    report = RunReport(config.name, suite, config.content_hash())
     for (_, tag, judge), traj in zip(plan, trajs, strict=True):
         claims, extras = judge(traj)
         report.claims += claims
@@ -931,14 +936,17 @@ def sweep_k(config: ScenarioConfig, out_dir=None):
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("sweep needs a fixed topology", "topology")
 
-    _, scenarios, points, bounds = _gain_plan(config, grid)
+    gains, scenarios, points, bounds = _gain_plan(config, grid)
     team = None
     try:
         team = global_min(config.objectives)
     except ValueError:  # numpy's LinAlgError too, on a summed curvature that overflows
         pass
 
-    trajs = iter(_integrate(scenarios))
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    trajs = dict(zip(gains, _integrate(scenarios), strict=True))
     rows = []
     for k in grid:
         sp, bc = points.get(k), bounds.get(k)
@@ -951,7 +959,7 @@ def sweep_k(config: ScenarioConfig, out_dir=None):
         if bc is not None:
             row["bound_margin"] = bc.margin
         if k > 0.0:
-            traj = next(trajs)
+            traj = trajs[k]
             row["diameter"] = float(consensus_diameter(traj.terminal_state))
             if team is not None:  # the gap at the terminal sample only
                 row["gap_max"] = float((config.objectives.team_value(traj.terminal_state)
@@ -960,9 +968,7 @@ def sweep_k(config: ScenarioConfig, out_dir=None):
                 row["terminal_mismatch"] = _mismatch(traj, sp)
         rows.append(row)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = out / f"{config.name}_sweep.csv"
         cols = ["gain", "diameter", "gap_max", "oracle_disagreement",
                 "oracle_residual", "bound_margin", "terminal_mismatch"]

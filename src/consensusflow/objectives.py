@@ -55,16 +55,16 @@ class ConvexSet:
     def project(self, x):
         x = _check_dim(x, self.dim)
         with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
-            return self._project(x)
+            return self._projector(x.shape)(x)
 
     def _project(self, x):
-        """Projection of validated points, shared by :meth:`project` and the gradient."""
+        """Projection of validated points, the default :meth:`_projector`."""
         raise NotImplementedError
 
     def _projector(self, shape):
-        """``project(x)``: :meth:`_project` for validated points shaped
-        ``shape``, built once for a loop over them; a kind whose projection
-        has workspaces builds them here, and they are the kernel's own."""
+        """``project(x)`` for validated points shaped ``shape``, built once
+        for a loop over them: :meth:`_project`, or for a kind whose projection
+        has workspaces, a kernel that builds them here as its own."""
         return self._project
 
     def _residual(self, shape):
@@ -81,7 +81,7 @@ class ConvexSet:
     def distance(self, x):
         x = _check_dim(x, self.dim)
         with np.errstate(invalid="ignore"):  # inf - inf along an unbounded box side
-            return _length(x, self._project(x))
+            return _length(x, self._projector(x.shape)(x))
 
     def interior_margin(self, x):
         """Radius of the largest ball around ``x`` inside the set (<= 0 outside)."""
@@ -143,9 +143,6 @@ class Ball(ConvexSet):
         # the smallest subnormal for radius 0, so the divisor is never 0
         self._rcol = radius[..., None]
         self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
-
-    def _project(self, x):
-        return self._projector(x.shape)(x)
 
     def _residual(self, shape):
         return self._projector(shape, residual=True)
@@ -255,7 +252,9 @@ class ConvexComponent:
         raise NotImplementedError
 
     def grad(self, x):
-        raise NotImplementedError
+        x = _check_dim(x, self.dim)
+        with np.errstate(invalid="ignore"):  # a squared distance's inf * 0 or inf - inf
+            return self._kernel(x.shape)(x)
 
     def argmin_set(self) -> ConvexSet:
         raise NotImplementedError
@@ -266,15 +265,11 @@ class ConvexComponent:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def _grad(self, x):
-        """Gradient at validated points, shared with the stacked gradient."""
-        return self._kernel(x.shape)(x)
-
     def _kernel(self, shape):
         """``grad(x)``: the gradient at validated points shaped ``shape``,
         built once for a loop over them; a component whose gradient has
         workspaces builds them here, and they are the kernel's own."""
-        return self.grad
+        raise NotImplementedError
 
 
 class Quadratic(ConvexComponent):
@@ -311,11 +306,8 @@ class Quadratic(ConvexComponent):
         x = _check_dim(x, self.dim)
         return 0.5 * np.add.reduce((x - self.center) * self._grad(x), axis=-1)
 
-    def grad(self, x):
-        return self._grad(_check_dim(x, self.dim))
-
     def _grad(self, x):
-        """Gradient at validated points, shared with the stacked gradient and the value."""
+        """Gradient at validated points: the kernel, and the value's factor."""
         return np.einsum("...ij,...j->...i", self.matrix, x - self.center)
 
     def _kernel(self, shape):
@@ -352,10 +344,6 @@ class SquaredDistance(ConvexComponent):
     def value(self, x):
         return 0.5 * np.square(self.target.distance(x))  # a scalar's ** 2 is pow
 
-    def grad(self, x):
-        with np.errstate(invalid="ignore"):  # an infinite point's inf * 0 or inf - inf
-            return self._grad(_check_dim(x, self.dim))
-
     def _kernel(self, shape):
         return self.target._residual(shape)
 
@@ -385,10 +373,6 @@ class Sum(ConvexComponent):
     def value(self, x):
         return sum(p.value(x) for p in self.parts)
 
-    def grad(self, x):
-        with np.errstate(invalid="ignore"):  # a squared distance's inf * 0 or inf - inf
-            return self._grad(_check_dim(x, self.dim))
-
     def _kernel(self, shape):
         first, *rest = [p._kernel(shape) for p in self.parts]
 
@@ -413,7 +397,6 @@ class Sum(ConvexComponent):
         return {"kind": "sum", "parts": [p.describe() for p in self.parts]}
 
 
-_FLOAT = np.dtype(float)  # native float64 is one object, so ``dtype is _FLOAT`` tests it
 _TEAM_CHUNK = 1 << 14  # entries per block of the team value and separation: 128 kB
 _U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
 _FINITE_SQUARES = 2.0 ** 500  # lengths below this have finite squares
@@ -493,16 +476,18 @@ class ObjectiveSet:
     ``components[i].grad`` bit for bit.  A sum in first position joins the
     outer layers, since ``Sum([Sum([a, b]), c])`` adds ``(a + b) + c`` as
     ``Sum([a, b, c])`` does; a sum in a later position nests a set.  The team
-    value walks the same layers.  ``team`` is ``F(z) = sum_i f_i(z)``, a
-    :class:`Sum` in node order.
+    value walks the same layers.
     """
 
     def __init__(self, components):
         comps = tuple(components)
+        if not comps:
+            raise ValueError("an objective set needs at least one component")
         for c in comps:
             if not isinstance(c, ConvexComponent):
                 raise TypeError("components must be ConvexComponent instances")
-        self.team = Sum(comps)  # rejects an empty list and mixed dimensions
+        if len({c.dim for c in comps}) != 1:
+            raise ValueError("all components must share one dimension")
         self.components = comps
         self.m = comps[0].dim
         self.n_nodes = len(comps)
@@ -522,18 +507,13 @@ class ObjectiveSet:
         self._balls = first.target if single and type(getattr(first, "target", None)) is Ball else None
 
     def stacked_grad(self, x):
-        """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``.
-
-        A float64 ``ndarray`` ending in ``(n_nodes, m)`` is already what
-        validation would return, so it goes straight to the family's kernel,
-        built for its shape and writing a fresh array.
-        """
-        if not (type(x) is np.ndarray and x.dtype is _FLOAT and x.shape[-2:] == self._shape):
-            x = np.asarray(x, dtype=float)
-            if x.shape[-2:] != self._shape:
-                raise ValueError(
-                    f"stacked state must end with shape ({self.n_nodes}, {self.m}), got {x.shape}"
-                )
+        """Per-node gradients: ``out[..., i, :] = grad f_i(x[..., i, :])``,
+        from the family's kernel built for the state's shape."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-2:] != self._shape:
+            raise ValueError(
+                f"stacked state must end with shape ({self.n_nodes}, {self.m}), got {x.shape}"
+            )
         return self._kernel(x.shape)(x)
 
     def _layered_kernel(self, shape):
@@ -551,11 +531,12 @@ class ObjectiveSet:
         return grad
 
     def team_value(self, x):
-        """Team objective ``F`` at every point of ``x`` shaped ``(..., m)``,
-        ``team.value(x)`` bit for bit: blocks of points (128 kB of values) add
-        their per-node values (:meth:`_values`) in node order from ``+0.0``, as
-        :class:`Sum` adds.  For a family of one ball group, points certainly
-        inside every ball get that exact ``+0.0`` first.
+        """Team objective ``F = sum_i f_i`` at every point of ``x`` shaped
+        ``(..., m)``, ``Sum(components).value(x)`` bit for bit: blocks of
+        points (128 kB of values) add their per-node values (:meth:`_values`)
+        in node order from ``+0.0``, as :class:`Sum` adds.  For a family of
+        one ball group, points certainly inside every ball get that exact
+        ``+0.0`` first.
         """
         x = _check_dim(x, self.m)
         pts = x.reshape(-1, self.m)
@@ -739,31 +720,32 @@ def global_min(objectives: ObjectiveSet) -> GlobalMinimum:
     nonempty intersection attain zero there.  Any other mix falls back to a
     fixed-step gradient descent to a gradient norm of ``_DESCENT_GRAD_TOL``.
     """
-    comps, team = objectives.components, objectives.team
+    comps = objectives.components
     if all(isinstance(c, Quadratic) for c in comps):
         q_total = np.sum([c.matrix for c in comps], axis=0)
         eigs = np.linalg.eigvalsh(q_total)
         if eigs[0] > 1e-10:
             rhs = np.sum([c.matrix @ c.center for c in comps], axis=0)
             z = np.linalg.solve(q_total, rhs)
-            return GlobalMinimum(float(team.value(z)), z, "closed-form", 0.0)
+            return GlobalMinimum(float(objectives.team_value(z)), z, "closed-form", 0.0)
     if all(isinstance(c, SquaredDistance) for c in comps):
         res = intersection_nonempty([c.target for c in comps])
         if res.nonempty:
             return GlobalMinimum(0.0, res.witness, "intersection", 0.0)
 
-    step = 1.0 / max(team.gradient_lipschitz(), 1e-12)
+    step = 1.0 / max(sum(c.gradient_lipschitz() for c in comps), 1e-12)
     z = np.mean([_representative(c.argmin_set()) if _has_argmin(c) else np.zeros(objectives.m)
                  for c in comps], axis=0)
-    grad = team._kernel(z.shape)  # built once for the whole descent
-    for _ in range(_DESCENT_MAX_ITER):
-        g = grad(z)
+    kernel = objectives._kernel(objectives._shape)  # built once for the whole descent
+    for i in range(_DESCENT_MAX_ITER + 1):
+        # F's gradient: every node's at z, the rows added in node order as Sum
+        # adds them (an add.reduce over a single column may sum pairwise)
+        g = np.add.accumulate(kernel(np.broadcast_to(z, objectives._shape)), axis=0)[-1]
         norm = float(np.linalg.norm(g))
-        if norm <= _DESCENT_GRAD_TOL:
+        if norm <= _DESCENT_GRAD_TOL or i == _DESCENT_MAX_ITER:
             break
         z = z - step * g
-    norm = float(np.linalg.norm(grad(z)))
-    return GlobalMinimum(float(team.value(z)), z, "numerical", norm)
+    return GlobalMinimum(float(objectives.team_value(z)), z, "numerical", norm)
 
 
 def _has_argmin(c: ConvexComponent) -> bool:

@@ -968,6 +968,37 @@ def test_eps_optimal_gain_labels_must_differ(tmp_path, capsys, grid, first, seco
     assert [row["gain"] for row in sweep_k(load_config(path))] == [float(k) for k in grid]
 
 
+@pytest.mark.parametrize("name", ["../escape", "sub/x", "a\u0000b", ".", ".."])
+def test_config_name_stays_inside_the_out_dir(tmp_path, capsys, monkeypatch, name):
+    # the name starts every output file's name, so one that could leave
+    # --out-dir or that no file may hold is refused before any step
+    cfg = json.loads((CONFIGS / "pair.json").read_text())
+    cfg["name"] = name
+    path = _write(tmp_path, cfg, "pair.json")
+    out = tmp_path / "out" / "deep"
+    before = sorted(tmp_path.rglob("*"))
+    _no_integration(monkeypatch)
+    for command in (["sim"], ["verify", "exact"], ["sweep-k"]):
+        assert main(command + ["--config", path, "--out-dir", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: name: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_dir_that_is_a_file_fails_before_integrating(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    _no_integration(monkeypatch)
+    pair = str(CONFIGS / "pair.json")
+    for command in (["sim"], ["verify", "exact"], ["verify", "eps-optimal"], ["sweep-k"]):
+        assert main(command + ["--config", pair, "--out-dir", str(blocker), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+        assert str(blocker) in captured.err
+
+
 def test_sweep_k_preconditions():
     with pytest.raises(ConfigError, match="gain grid"):
         sweep_k(ScenarioConfig.from_dict(quad_config()))
@@ -1135,17 +1166,28 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys):
 
 
 def test_gain_runs_match_single_runs(tmp_path, monkeypatch):
-    # the positive gains of a grid are one batch, each member its own run
+    # the distinct positive gains of a grid are one batch, each member its own
+    # run; a repeated gain is solved and integrated once, and its rows repeat
     grid = [0.0, 10.0, 1.0, 10.0, 2.5]
     config = load_config(_write(tmp_path, quad_config(tf=5.0, analysis={"k_grid": grid})))
     gains, scenarios, _, _ = _gain_plan(config, grid)
-    assert gains == grid[1:] and [s.gain for s in scenarios] == grid[1:]
+    assert gains == [10.0, 1.0, 2.5] and [s.gain for s in scenarios] == gains
     batches, batch = [], harness.integrate_batch
     monkeypatch.setattr(harness, "integrate_batch",
                         lambda members: batches.append(batch(members)) or batches[-1])
-    rows = sweep_k(config)
+    solves, solve = [], harness.stationary_quadratic
+    monkeypatch.setattr(harness, "stationary_quadratic",
+                        lambda objectives, topology, k: solves.append(k)
+                        or solve(objectives, topology, k))
+    rows = sweep_k(config, out_dir=tmp_path)
     [trajs] = batches
+    assert solves == [0.0, 10.0, 1.0, 2.5]
     assert len(trajs) == len(gains) and np.isnan(rows[0]["diameter"])
+    assert [row["gain"] for row in rows] == grid
+    assert np.array(list(rows[1].values())).tobytes() == np.array(list(rows[3].values())).tobytes()
+    # the table's bytes from when each repeat was solved and integrated again
+    digest = hashlib.sha256((tmp_path / "pair_sweep.csv").read_bytes()).hexdigest()
+    assert digest == "e90d0c1a2019281d02c7c8ea9cd03868096175f708a80ec8f49ed67abe317067"
     for k, traj in zip(gains, trajs, strict=True):
         single = integrate(config.build_scenario(gain=k))
         assert traj.times.tobytes() == single.times.tobytes()

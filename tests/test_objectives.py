@@ -340,6 +340,23 @@ def test_grouped_grad_matches_public_grads(m):
             for obj in families:
                 assert obj.stacked_grad(x).tobytes() == _public_grads(obj, x).tobytes()
 
+    # the public grad is its kernel on validated points, for every kind alone,
+    # in a sum and in a nested sum, and it keeps the kernels' warnings to itself
+    kinds = [Quadratic(np.eye(m) + 0.5, rng.uniform(-2.0, 2.0, m)),
+             SquaredDistance(Point(rng.uniform(-2.0, 2.0, m))),
+             SquaredDistance(Ball(rng.uniform(-2.0, 2.0, m), 1.5)), unbounded]
+    kinds += [Sum(kinds), Sum([Sum(kinds[:2]), kinds[2], Sum([kinds[3], Sum(kinds[1:3])])])]
+    rows = np.stack([rng.uniform(-3.0, 3.0, m), rng.uniform(-3.0, 3.0, m), np.full(m, -0.0),
+                     np.full(m, np.nan), np.full(m, np.inf), np.full(m, -np.inf)])
+    rows[1, 0], rows[1, -1] = np.inf, np.nan
+    for f in kinds:
+        for x in (rows, rows[0], rows[2], rows[3], rows[4], rows.reshape(2, 3, m)):
+            with np.errstate(invalid="ignore"):
+                kernel = f._kernel(x.shape)(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert f.grad(x).tobytes() == kernel.tobytes()
+
 
 def _norm_projection(center, radius, x):
     # the ball projection written with np.linalg.norm and where(r > 0, r, 1)
@@ -418,7 +435,7 @@ def test_ball_projection_core_edges(m):
     inf_rows[2, :, 0] = np.inf
     expected, expected_seen = _warnings_of(
         lambda x: _norm_projection(stack.center, stack.radius, x), inf_rows)
-    core, seen = _warnings_of(stack._project, inf_rows)
+    core, seen = _warnings_of(stack._projector(inf_rows.shape), inf_rows)
     assert core.tobytes() == expected.tobytes()
     assert seen and set(seen) == {"invalid value encountered in multiply"}
     assert set(expected_seen) == set(seen)
@@ -535,7 +552,7 @@ def test_team_value_is_sum_bitwise(m, monkeypatch):
             for x in (pts[0], pts[len(probes) - 1], pts, pts[:(len(pts) // n) * n].reshape(-1, n, m)):
                 # inf - inf and inf * 0 on both paths alike
                 with np.errstate(invalid="ignore"):
-                    fast, slow = obj.team_value(x), obj.team.value(x)
+                    fast, slow = obj.team_value(x), Sum(obj.components).value(x)
                 assert np.shape(fast) == np.shape(slow) == x.shape[:-1]
                 assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
 
@@ -553,9 +570,9 @@ def _balls(obj):
 
 
 def _certified(obj, pts):
-    """The certificate's mask, after checking it against ``team.value``."""
+    """The certificate's mask, after checking it against the team's ``Sum``."""
     marked = _inside_every_ball(_balls(obj), pts)
-    slow = obj.team.value(pts)
+    slow = Sum(obj.components).value(pts)
     # a marked point is one the team value scores +0.0
     assert slow[marked].tobytes() == np.zeros(marked.sum()).tobytes()
     assert obj.team_value(pts).tobytes() == slow.tobytes()
@@ -586,8 +603,9 @@ def test_gap_certificate_is_bitwise_sound(m):
         assert (~marked).sum() > step  # the rest still takes more than one block
         # the last block holds a single point, which must not sum pairwise
         rest = pts[~marked][:step + 1]
-        assert obj.team_value(rest).tobytes() == obj.team.value(rest).tobytes()
-        assert obj.team_value(rest[-1]).tobytes() == obj.team.value(rest[-1]).tobytes()
+        team = Sum(obj.components)
+        assert obj.team_value(rest).tobytes() == team.value(rest).tobytes()
+        assert obj.team_value(rest[-1]).tobytes() == team.value(rest[-1]).tobytes()
         # a converged cloud near the origin is marked whole
         cloud = rng.uniform(-0.25, 0.25, (500, m))
         assert _certified(obj, cloud).all()
@@ -596,7 +614,7 @@ def test_gap_certificate_is_bitwise_sound(m):
 def test_gap_certificate_rounding_bound():
     # points within a few ulp of the certified radius rho about the anchor, on
     # the side of the shallowest ball; without the rounding bound some of
-    # them are marked although `team.value` scores them above 0
+    # them are marked although the team's `Sum` scores them above 0
     rng = np.random.default_rng(45)
     eps = np.finfo(float).eps
     for _ in range(300):
@@ -631,11 +649,13 @@ def test_gap_certificate_steps_aside():
 
 def test_total_value_and_grad():
     obj = ObjectiveSet([Quadratic([[1.0]], [0.0]), Quadratic([[1.0]], [3.0])])
-    assert obj.team.parts == obj.components
-    assert obj.team.value([1.5]) == 2.25
-    assert np.array_equal(obj.team.grad([1.5]), [0.0])
-    assert obj.team.gradient_lipschitz() == 2.0
-    assert np.array_equal(obj.team.value([[1.5], [0.0]]), [2.25, 4.5])
+    team = Sum(obj.components)
+    assert team.parts == obj.components
+    assert team.value([1.5]) == obj.team_value([1.5]) == 2.25
+    assert np.array_equal(team.grad([1.5]), [0.0])
+    assert team.gradient_lipschitz() == 2.0
+    assert np.array_equal(team.value([[1.5], [0.0]]), [2.25, 4.5])
+    assert np.array_equal(obj.team_value([[1.5], [0.0]]), [2.25, 4.5])
 
 
 def test_stacked_shape_errors():
@@ -929,6 +949,61 @@ def test_global_min_with_sum_components():
     res = global_min(obj)
     assert res.method == "numerical"
     assert abs(res.minimizer[0] - 2.0) <= 1e-8
+
+
+def _descent_families():
+    """Three families with no closed form: mixed kinds, sums, a nested sum."""
+    eye = np.eye(3)
+    return [
+        ObjectiveSet([Quadratic([[2.0, 0.5], [0.5, 1.0]], [1.0, 0.0]),
+                      SquaredDistance(Ball([3.0, 1.0], 0.5)),
+                      Quadratic(np.eye(2), [-1.0, 2.0]),
+                      SquaredDistance(Box([0.0, -1.0], [1.0, 0.0]))]),
+        ObjectiveSet([Sum([Quadratic([[1.0]], [0.0]), SquaredDistance(Point([2.5]))]),
+                      Sum([Quadratic([[0.5]], [4.0]), SquaredDistance(Box([-1.0], [-0.5]))]),
+                      Quadratic([[3.0]], [1.0])]),
+        ObjectiveSet([Quadratic(eye + 0.5, [1.0, 0.0, -1.0]),
+                      Sum([Quadratic(np.diag([1.0, 2.0, 3.0]), [0.0, 1.0, 0.0]),
+                           Sum([SquaredDistance(Ball([2.0, 2.0, 2.0], 1.0)),
+                                SquaredDistance(Point([0.0, 0.0, 3.0]))])]),
+                      SquaredDistance(Box([-np.inf, 0.0, 0.0], [0.0, 1.0, np.inf])),
+                      Sum([Sum([Quadratic(0.5 * eye, [-1.0, -1.0, -1.0]),
+                                SquaredDistance(Ball([0.0, 0.0, 0.0], 0.5))]),
+                           SquaredDistance(Point([1.0, 1.0, 1.0]))]),
+                      SquaredDistance(Ball([-2.0, 0.0, 1.0], 0.0))]),
+    ]
+
+
+def test_global_min_descent_is_pinned(monkeypatch):
+    # minimizer, value and tolerance of the fixed-step descent, as hex
+    pins = [
+        (["0x1.8f71a168d140ep-1", "0x1.874fbd7a48731p-1"], "0x1.1966c40731e57p+2",
+         "0x1.60e8bd157370cp-34"),
+        (["0x1.13b13b13b13b1p+0"], "0x1.3ec4ec4ec4ec6p+2", "0x1.0000000000000p-51"),
+        (["0x1.58a63ff98e5adp-5", "0x1.c9032a6f8e113p-2", "0x1.062b502c4e739p-1"],
+         "0x1.82cf7514c23bap+3", "0x1.5a2efff2053a8p-34"),
+    ]
+    for obj, (minimizer, value, tolerance) in zip(_descent_families(), pins, strict=True):
+        res = global_min(obj)
+        assert res.method == "numerical"
+        assert res.minimizer.tobytes() == np.array([float.fromhex(v) for v in minimizer]).tobytes()
+        assert (res.value, res.tolerance) == (float.fromhex(value), float.fromhex(tolerance))
+
+    # each descent gradient calls the quadratics' kernel once, for every
+    # quadratic node together, and so does the team value at the end
+    calls = []
+    grad = Quadratic._grad
+    monkeypatch.setattr(Quadratic, "_grad", lambda self, x: calls.append(x.shape) or grad(self, x))
+    monkeypatch.setattr(objectives, "_DESCENT_MAX_ITER", 25)
+    monkeypatch.setattr(objectives, "_DESCENT_GRAD_TOL", -1.0)  # never met
+    for obj in _descent_families():
+        quadratics = sum(type(objectives._summands(c)[0]) is Quadratic for c in obj.components)
+        assert quadratics > 1
+        calls.clear()
+        res = global_min(obj)
+        assert len(calls) == 25 + 1 + 1  # each step's gradient, the final one, the value
+        assert calls[0] == (quadratics, obj.m)
+        assert res.tolerance > 0.0
 
 
 def test_describe_payloads_are_json_like():
