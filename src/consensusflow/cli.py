@@ -120,14 +120,16 @@ def _cmd_oracle(args, config):
     if not grid:
         raise ConfigError("the oracle command needs analysis.k_grid", "analysis")
     config.require_oracle("the oracle command")
+    points = {k: stationary_quadratic(config.objectives, config.topology, k)
+              for k in dict.fromkeys(grid)}
     rows = []
-    for k in grid:
-        sp = stationary_quadratic(config.objectives, config.topology, k)
-        rows.append({"gain": sp.gain, "disagreement": sp.disagreement,
+    for k in grid:  # k, not sp.gain: -0.0 shares 0.0's solve but keeps its sign
+        sp = points[k]
+        rows.append({"gain": k, "disagreement": sp.disagreement,
                      "residual": sp.residual, "grad_norm": sp.grad_norm,
                      "max_abs": float(np.abs(sp.states).max()),
                      "states": sp.states.tolist()})
-        _emit(args, f"gain={sp.gain:g}  disagreement={sp.disagreement:.9e}  "
+        _emit(args, f"gain={k:g}  disagreement={sp.disagreement:.9e}  "
                     f"residual={sp.residual:.3e}")
     print(json.dumps(rows, indent=2))
     return 0

@@ -242,9 +242,9 @@ def _as_state(x, n_nodes) -> np.ndarray:
 
 
 def neighbor_info(graph: WeightedDigraph, x) -> np.ndarray:
-    """Weighted in-neighbor disagreement ``n_i = sum_j a_ij (x_j - x_i)``."""
+    """Weighted in-neighbor disagreement ``n_i = sum_j a_ij (x_j - x_i)``, by a fresh kernel."""
     x = _as_state(x, graph.n_nodes)
-    return graph.coupling(x.shape[1])(x)
+    return coupling_kernel([graph], x.shape[1])(x)
 
 
 def rhs(scenario: Scenario, t, x) -> np.ndarray:
@@ -275,22 +275,6 @@ def _check_batch(scenarios) -> None:
                                  f"from member 0 in {name}")
 
 
-def _union(graphs, m):
-    """The coupling kernel of the members' disjoint union: member b's arc
-    ``(j, i)`` is ``(j + b*n, i + b*n)``.  Each member's sorted arc arrays,
-    shifted by ``b*n`` and concatenated, are the union's sorted arrays, so
-    every node sums its in-arcs as in its own graph.  One graph uses its own
-    memoised kernel."""
-    if len(graphs) == 1:
-        return graphs[0].coupling(m)
-    n = graphs[0].n_nodes
-    src, dst, w = zip(*(g.arc_arrays() for g in graphs))
-    offsets = range(0, n * len(graphs), n)
-    return coupling_kernel(np.concatenate([a + o for a, o in zip(src, offsets)]),
-                           np.concatenate([a + o for a, o in zip(dst, offsets)]),
-                           np.concatenate(w), n * len(graphs), m)
-
-
 def _fields(scenarios):
     """``graphs -> (t, y) -> dy/dt`` for the members folded into the node axis.
 
@@ -298,11 +282,11 @@ def _fields(scenarios):
     states, the members' components are one family and ``graphs``, each
     member's graph on one stretch, couple on their union, so each kernel runs
     on a 2-D array as for one member; member b's forcing goes to its own rows.
-    The family's gradient kernel and its workspaces are built once per run,
-    and each stretch's field is one closure over them and the union's
-    coupling kernel.  Every call returns a fresh array, the coupling's, to
-    which each member's rule, ``gain * n - g``, is applied in place and which
-    the caller may keep or update in place.
+    The family's gradient kernel and its workspaces are built once per run;
+    each stretch builds its union's coupling kernel, held only by its field,
+    one closure over both.  Every call returns a fresh array, the coupling's,
+    to which each member's rule, ``gain * n - g``, is applied in place and
+    which the caller may keep or update in place.
     """
     n, m = scenarios[0].n_nodes, scenarios[0].m
     family = ObjectiveSet([c for s in scenarios for c in s.objectives.components])
@@ -316,7 +300,7 @@ def _fields(scenarios):
     grad = family._kernel((len(scenarios) * n, m))
 
     def make(graphs):
-        coupling = _union(graphs, m)
+        coupling = coupling_kernel(graphs, m)
 
         def field(t, y):
             u = coupling(y)

@@ -9,17 +9,26 @@ from types import MappingProxyType
 
 import numpy as np
 
-def coupling_kernel(src, dst, w, n_nodes, m):
-    """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` over the arcs
-    ``(src[k], dst[k])`` of weight ``w[k]``, sorted by arc, on ``n_nodes`` nodes.
+def coupling_kernel(graphs, m):
+    """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` on the disjoint
+    union of ``graphs``, which share a node count ``n``: graph b's arc
+    ``(j, i)`` is ``(j + b*n, i + b*n)`` and ``x`` stacks their states.
 
     Differences are formed per arc, so exact consensus states give exactly
     zero (no cancellation error).  They are scatter-added into their entering
     node by one ``bincount`` over the flattened ``(E, m)`` array, which sums
-    each node's in-arcs in arc order: O(N + E) memory, and deterministic.
-    One ``take`` gathers both ends of every arc into a fresh array, so the
-    kernel keeps no state between calls.  Each call returns a fresh array.
+    each node's in-arcs in arc order, as in its own graph: O(N + E) memory,
+    and deterministic.  One ``take`` gathers both ends of every arc into a
+    fresh array, so the kernel keeps no state between calls.  Each call
+    returns a fresh array.
     """
+    n = graphs[0].n_nodes
+    n_nodes = n * len(graphs)
+    offsets = range(0, n_nodes, n)
+    src, dst, w = zip(*(g.arc_arrays() for g in graphs))
+    src = np.concatenate([a + o for a, o in zip(src, offsets)])
+    dst = np.concatenate([a + o for a, o in zip(dst, offsets)])
+    w = np.concatenate(w)
     arcs = src.size
     ends_index = np.concatenate([dst, src])
     slot = (dst[:, None] * m + np.arange(m)).ravel()
@@ -100,7 +109,6 @@ class WeightedDigraph:
         self._src = np.array([a[0] for a in arcs], dtype=np.intp)
         self._dst = np.array([a[1] for a in arcs], dtype=np.intp)
         self._w = np.array([cleaned[a] for a in arcs], dtype=float)
-        self._couplings = {}  # m -> the coupling kernel
 
     @classmethod
     def from_arcs(cls, n_nodes, arcs):
@@ -142,14 +150,6 @@ class WeightedDigraph:
     def arc_arrays(self):
         """Return ``(src, dst, weight)`` arrays sorted by arc."""
         return self._src, self._dst, self._w
-
-    def coupling(self, m: int):
-        """Return ``x -> n`` with ``n_i = sum_j a_ij (x_j - x_i)`` for one graph:
-        :func:`coupling_kernel` on its arc arrays, built once per ``(graph, m)``
-        and kept on the (immutable) graph."""
-        if m not in self._couplings:
-            self._couplings[m] = coupling_kernel(self._src, self._dst, self._w, self._n, m)
-        return self._couplings[m]
 
     def segments(self, t1, t2) -> list:
         """A fixed graph is a one-stretch schedule: ``[(t1, t2, self)]``, or

@@ -409,9 +409,11 @@ class ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not UTF-8 text: {err}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:

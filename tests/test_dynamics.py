@@ -39,8 +39,8 @@ from consensusflow.dynamics import (
     StepStabilityError,
     _fields,
     _rk4_defect,
-    _union,
 )
+from consensusflow.graphs import coupling_kernel
 
 from conftest import (
     alternating_signal,
@@ -178,28 +178,44 @@ def test_neighbor_info_exactly_zero_on_consensus():
     assert n.tobytes() == np.zeros_like(n).tobytes()
 
 
-def test_coupling_kernel_is_built_once_per_graph_and_dimension():
-    g = cycle_with_chords()
-    assert g.coupling(2) is g.coupling(2)
-    assert g.coupling(3) is not g.coupling(2)
-    # an equal graph is another object with its own kernel, computing the same
-    twin = cycle_with_chords()
-    assert twin == g and twin.coupling(2) is not g.coupling(2)
-    x = np.arange(10.0).reshape(5, 2)
-    assert twin.coupling(2)(x).tobytes() == neighbor_info(g, x).tobytes()
-
-
 def test_batch_union_couples_each_member_on_its_own_graph():
     g = cycle_with_chords()
-    assert _union([g], 2) is g.coupling(2)  # one graph keeps its memoised kernel
     weighted = WeightedDigraph(5, {(j, (j + s) % 5): 0.5 + j + 0.25 * s
                                    for j in range(5) for s in (1, 3)})
     graphs = [g, WeightedDigraph(5), weighted, g]
     x = np.random.default_rng(33).normal(size=(20, 2))
-    n = _union(graphs, 2)(x)
+    n = coupling_kernel(graphs, 2)(x)
     for b, graph in enumerate(graphs):
         rows = slice(5 * b, 5 * b + 5)
-        assert n[rows].tobytes() == graph.coupling(2)(x[rows]).tobytes()
+        assert n[rows].tobytes() == neighbor_info(graph, x[rows]).tobytes()
+    # an equal graph, another object, couples to the same bytes
+    twin = cycle_with_chords()
+    assert twin == g and twin is not g
+    assert coupling_kernel([twin], 2)(x[:5]).tobytes() == neighbor_info(g, x[:5]).tobytes()
+
+
+def test_runs_leave_graphs_untouched():
+    """Runs, batches, couplings and field evaluations build their own kernels
+    and keep none on the graphs they read."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    scens = [load_config(configs / f"{name}.json").build_scenario()
+             for name in ("balls", "switching")]
+    scens = [Scenario(s.objectives, s.topology, s.x0, tf=2.0, gain=s.gain, step=s.step)
+             for s in scens]
+    graphs = list({id(g): g for s in scens for *_, g in s.segments}.values())
+    assert len(graphs) == 3
+
+    def held(g):
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(g).items()}
+
+    before = [held(g) for g in graphs]
+    for s in scens:
+        integrate(s)
+        integrate_batch([s, s])
+        rhs(s, 0.7, s.x0)
+    for g in graphs:
+        neighbor_info(g, np.ones((g.n_nodes, 2)))
+    assert [held(g) for g in graphs] == before
 
 
 def test_neighbor_info_shape_check():
@@ -708,9 +724,9 @@ def test_workspaces_alias_no_result():
 
 
 def test_threads_share_a_graph_and_a_family():
-    # the graph's memoised coupling kernel keeps no state between calls, and
-    # each run builds its own gradient kernel, so threads coupling on one
-    # graph and integrating one family get the results of one thread
+    # each call builds its own coupling kernel and each run its own gradient
+    # kernel, so threads coupling on one graph and integrating one family get
+    # the results of one thread
     rng = np.random.default_rng(81)
     n, workers = 400, 3
     arcs = {(k, (k + 1) % n) for k in range(n)}

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -1093,6 +1094,42 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                         ["sweep-k", "--config", sweep]):
             assert main(command + [flag, value, "--quiet"]) == 1
             assert f"config error: {flag}:" in capsys.readouterr().err
+
+
+def test_cli_config_must_be_utf8(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    assert main(["sim", "--config", str(latin), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not UTF-8 text: ") and err.count("\n") == 1
+    utf8 = tmp_path / "utf8.json"
+    utf8.write_bytes(json.dumps(quad_config(name="caf\xe9"), ensure_ascii=False).encode("utf-8"))
+    assert main(["sim", "--config", str(utf8), "--out-dir", str(tmp_path), "--quiet"]) == 0
+
+
+def test_oracle_solves_each_gain_once(tmp_path, capsys, monkeypatch):
+    from consensusflow import analysis
+
+    solve, gains = analysis.stationary_quadratic, []
+
+    def counted(objectives, topology, gain):
+        gains.append(gain)
+        return solve(objectives, topology, gain)
+
+    monkeypatch.setattr(analysis, "stationary_quadratic", counted)
+    path = _write(tmp_path, quad_config(analysis={"k_grid": [10, 10, 0, 10]}))
+    assert main(["oracle", "--config", path]) == 0
+    assert gains == [10.0, 0.0]
+    # one row per grid entry, in grid order, as when each entry was solved
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "e65e5ecbb3accdbd03efdebdf77d6f0175aa616ba074b462fb17f374cfe5f9a7")
+    # -0.0 equals 0.0, so it shares that solve, but its row keeps the sign
+    gains.clear()
+    path = _write(tmp_path, quad_config(analysis={"k_grid": [0.0, -0.0]}), "signed.json")
+    assert main(["oracle", "--config", path, "--quiet"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert gains == [0.0] and [math.copysign(1.0, r["gain"]) for r in rows] == [1.0, -1.0]
 
 
 def _with_k_grid(raw):
