@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all claims pass, 1 configuration, usage or output error, 2 numerical
-failure (divergence, a step refused by the stability certificate or a
-singular solve), 3 one or more claims failed.
+failure (divergence, a step refused by the stability certificate, a step
+count past any trajectory buffer or a singular solve), 3 one or more claims
+failed.
 """
 
 from __future__ import annotations

@@ -151,6 +151,10 @@ class Scenario:
             raise ValueError(f"x0 must have shape ({n}, {m})")
         if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
+        if not (np.abs(x0) <= DIVERGENCE_LIMIT).all():
+            # the divergence guard would report the first step as a divergence
+            raise ValueError(f"x0 must lie within the divergence limit: |x0| <= "
+                             f"{DIVERGENCE_LIMIT:.0e}")
         self.x0 = x0.copy()
         self.x0.flags.writeable = False
 
@@ -349,7 +353,8 @@ def integrate_batch(scenarios) -> list[Trajectory]:
     certificate (:class:`StepStabilityError`); its ``h * rho``, the largest
     over segments, is ``stats["h_rho"]``, and ``stats["rk4_defect"]`` is the
     largest ``|R(z) - e^z|`` over the certificate's disc at that ``h * rho``
-    (stable is not accurate: 0.91 at ``h * rho`` = 2.77).
+    (stable is not accurate: 0.91 at ``h * rho`` = 2.77).  Then a step count
+    past any trajectory buffer is an :class:`OverflowError`.
 
     Divergence is checked once per block of at most :data:`DIVERGENCE_BLOCK`
     stored rows, and at the end of every stretch; the steps after a failing
@@ -430,6 +435,21 @@ def _divergence(times, states, lo, hi, n):
                            states[row - 1, node:node + n])
 
 
+def _buffers(lead, steps, rows):
+    """The ``(1 + steps,)`` times and ``(1 + steps, rows, m)`` states buffers;
+    a step count that is not finite, or whose buffer numpy cannot allocate,
+    is an :class:`OverflowError` that names the count and the buffer's bytes."""
+    if steps < math.inf:
+        try:
+            return np.empty(1 + steps), np.empty((1 + steps, rows, lead.m))
+        except (ValueError, MemoryError):  # past numpy's dimension limit, or out of memory
+            pass
+    raise OverflowError(
+        f"step {lead.step!r} over [{lead.t0!r}, {lead.tf!r}] needs {float(steps):.6g} steps, "
+        f"a trajectory buffer of {8.0 * (1 + steps) * (1 + rows * lead.m):.6g} bytes, "
+        "which cannot be allocated")
+
+
 # the steps after a divergence, to the end of its block, run on and warn of nothing
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4(scenarios):
@@ -446,11 +466,10 @@ def _rk4(scenarios):
     t0, h = lead.t0, lead.step
     members, n, m = len(scenarios), lead.n_nodes, lead.m
     fields = _fields(scenarios)
-    subs = [max(1, int(math.ceil((b - a) / h - 1e-9))) for a, b, _ in lead.segments]
-    steps = sum(subs)
-
-    times = np.empty(1 + steps)
-    states = np.empty((1 + steps, members * n, m))
+    counts = [(b - a) / h - 1e-9 for a, b, _ in lead.segments]
+    subs = [max(1, math.ceil(c)) for c in counts] if math.isfinite(sum(counts)) else None
+    steps = sum(subs) if subs else math.inf
+    times, states = _buffers(lead, steps, members * n)
     times[0] = t0
     x = np.concatenate([s.x0 for s in scenarios], out=states[0])
     row = 0

@@ -31,6 +31,7 @@ from .analysis import (
     stationary_quadratic,
 )
 from .dynamics import (
+    DIVERGENCE_LIMIT,
     ExponentialDecayDisturbance,
     Scenario,
     integrate,
@@ -119,6 +120,15 @@ def _float_list(v, path, length=None, infinite=False):
     if length is not None and len(out) != length:
         raise ConfigError(f"expected {length} entries, got {len(out)}", path)
     return out
+
+
+def _start(v, path):
+    """An initial-state entry or bound, within the divergence guard's limit,
+    past which the first step would be reported as a divergence."""
+    if abs(v) > DIVERGENCE_LIMIT:
+        raise ConfigError(f"{v:.6g} is past the divergence limit |x| <= {DIVERGENCE_LIMIT:.0e}",
+                          path)
+    return v
 
 
 def _parse_set(d, m, path):
@@ -307,14 +317,16 @@ class ScenarioConfig:
         if isinstance(x0_spec, list):
             if len(x0_spec) != n:
                 raise ConfigError(f"expected {n} initial states", "x0")
-            x0_spec = [_float_list(row, f"x0[{i}]", m) for i, row in enumerate(x0_spec)]
+            rows = [_float_list(row, f"x0[{i}]", m) for i, row in enumerate(x0_spec)]
+            x0_spec = [[_start(v, f"x0[{i}][{k}]") for k, v in enumerate(row)]
+                       for i, row in enumerate(rows)]
         else:
             x0_spec = _require_mapping(x0_spec, "x0")
             _check_keys(x0_spec, {"kind", "low", "high"}, {"kind"}, "x0")
             if x0_spec.get("kind") != "uniform_box":
                 raise ConfigError(f"unknown x0 kind '{x0_spec.get('kind')}'", "x0.kind")
-            low = _number(x0_spec.get("low", -5.0), "x0.low")
-            high = _number(x0_spec.get("high", 5.0), "x0.high")
+            low = _start(_number(x0_spec.get("low", -5.0), "x0.low"), "x0.low")
+            high = _start(_number(x0_spec.get("high", 5.0), "x0.high"), "x0.high")
             if high <= low:
                 raise ConfigError("high must exceed low", "x0")
             x0_spec = {"kind": "uniform_box", "low": low, "high": high}

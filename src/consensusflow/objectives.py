@@ -432,51 +432,52 @@ def _inside_every_ball(balls: Ball, pts):
 
 
 _FIELDS = {Quadratic: ("matrix", "center"), Ball: ("center", "radius"),
-           Box: ("lower", "upper"), Point: ("c",), Sum: None}
+           Box: ("lower", "upper"), Point: ("c",)}
 
 
-def _stack(kind, objs):
-    """Objects of one kind as one with a node axis, stacking the arrays
-    ``_FIELDS`` names: a squared distance stacks its target, and sums nest
-    an :class:`ObjectiveSet`."""
-    if kind is Sum:
-        return ObjectiveSet(objs)
-    sqdist = type(objs[0]) is SquaredDistance
-    sets = [o.target for o in objs] if sqdist else objs
-    stack = kind(*(np.array([getattr(s, f) for s in sets]) for f in _FIELDS[kind]))
-    return SquaredDistance(stack) if sqdist else stack
+def _shape_key(o):
+    """What ``o`` stacks with: its kind (a squared distance's is its set's),
+    or for a sum ``(Sum, *keys of its parts)``."""
+    if type(o) is Sum:
+        return (Sum, *map(_shape_key, o.parts))
+    kind = type(o.target) if type(o) is SquaredDistance else type(o)
+    if kind not in _FIELDS:
+        what = "set" if isinstance(o, ConvexSet) else "objective"
+        raise TypeError(f"unsupported {what} kind: {kind.__name__}")
+    return kind
+
+
+def _stack(objs):
+    """Objects of one shape key as one with a node axis: a sum is the sum of
+    its stacked part positions, a squared distance stacks its target, and a
+    kind stacks the arrays ``_FIELDS`` names."""
+    o = objs[0]
+    if type(o) is Sum:
+        return Sum([_stack(parts) for parts in zip(*(s.parts for s in objs))])
+    if type(o) is SquaredDistance:
+        return SquaredDistance(_stack([s.target for s in objs]))
+    return type(o)(*(np.array([getattr(s, f) for s in objs]) for f in _FIELDS[type(o)]))
 
 
 def _grouped(objs, nodes):
-    """``[(stack, node indices)]``: the objects stacked by kind, in order of first appearance."""
+    """``[(stack, node indices)]``: the objects stacked by shape key, in
+    order of first appearance."""
     groups = {}
     for o, i in zip(objs, nodes):
-        kind = type(o.target) if type(o) is SquaredDistance else type(o)
-        if kind not in _FIELDS:
-            what = "set" if isinstance(o, ConvexSet) else "objective"
-            raise TypeError(f"unsupported {what} kind: {kind.__name__}")
-        groups.setdefault(kind, []).append((o, i))
-    return [(_stack(kind, [o for o, _ in g]), np.array([i for _, i in g]))
-            for kind, g in groups.items()]
-
-
-def _summands(c):
-    """``c``'s gradient layers: its parts, with a leading sum's parts in place
-    of that sum, or ``(c,)``."""
-    return _summands(c.parts[0]) + c.parts[1:] if type(c) is Sum else (c,)
+        groups.setdefault(_shape_key(o), []).append((o, i))
+    return [(_stack([o for o, _ in g]), np.array([i for _, i in g])) for g in groups.values()]
 
 
 class ObjectiveSet:
     """One convex component per node, all on a common R^m.
 
-    Stacked evaluators take states shaped ``(..., n_nodes, m)``.  Gradient
-    layer k stacks every node's k-th summand (a :class:`Sum`'s part, else the
-    component) into one component per kind, with its node indices; layer 0
-    writes and later layers add, as ``Sum`` does, so row i is
-    ``components[i].grad`` bit for bit.  A sum in first position joins the
-    outer layers, since ``Sum([Sum([a, b]), c])`` adds ``(a + b) + c`` as
-    ``Sum([a, b, c])`` does; a sum in a later position nests a set.  The team
-    value walks the same layers.
+    Stacked evaluators take states shaped ``(..., n_nodes, m)``.  The
+    components are grouped by shape (:func:`_shape_key`), each group one
+    component with a node axis and its node indices: components of one kind
+    stack, and sums whose parts stack position by position stack into the sum
+    of those stacks, which adds them in the order each node's own sum does.
+    So row i of the gradient is ``components[i].grad`` bit for bit, and each
+    node's value is its component's ``value``.
     """
 
     def __init__(self, components):
@@ -493,17 +494,13 @@ class ObjectiveSet:
         self.n_nodes = len(comps)
         self._shape = (self.n_nodes, self.m)
 
-        parts = [_summands(c) for c in comps]
-        self._layers = []  # a component with a node axis fails to stack
-        for k in range(max(map(len, parts))):
-            nodes = [i for i, p in enumerate(parts) if k < len(p)]
-            self._layers.append(_grouped([parts[i][k] for i in nodes], nodes))
-        single = len(self._layers) == len(self._layers[0]) == 1
-        first = self._layers[0][0][0]
+        self._groups = _grouped(comps, range(self.n_nodes))  # a node axis fails to stack
+        single = len(self._groups) == 1
+        first = self._groups[0][0]
         # the family's gradient kernel, built per state shape by stacked_grad
         # and once per run by the integrator, and a family of one ball group,
         # whose team value has a certificate
-        self._kernel = first._kernel if single else self._layered_kernel
+        self._kernel = first._kernel if single else self._grouped_kernel
         self._balls = first.target if single and type(getattr(first, "target", None)) is Ball else None
 
     def stacked_grad(self, x):
@@ -516,17 +513,16 @@ class ObjectiveSet:
             )
         return self._kernel(x.shape)(x)
 
-    def _layered_kernel(self, shape):
+    def _grouped_kernel(self, shape):
         """The gradient kernel (see :meth:`ConvexComponent._kernel`) of
         several groups, each with a kernel for its own rows."""
-        steps = [(k, idx, group._kernel(shape[:-2] + (idx.size, shape[-1])))
-                 for k, layer in enumerate(self._layers) for group, idx in layer]
+        steps = [(idx, group._kernel(shape[:-2] + (idx.size, shape[-1])))
+                 for group, idx in self._groups]
 
         def grad(x):
             out = np.empty(shape)
-            for k, idx, kernel in steps:
-                g = kernel(x.take(idx, axis=-2))
-                out[..., idx, :] = out[..., idx, :] + g if k else g
+            for idx, kernel in steps:
+                out[..., idx, :] = kernel(x.take(idx, axis=-2))
             return out
         return grad
 
@@ -554,17 +550,12 @@ class ObjectiveSet:
         return out.reshape(x.shape[:-1])[()]
 
     def _values(self, pts):
-        """Per-node values ``(n_nodes, P)`` at the points ``(P, m)``, each group's
-        from its ``value``: layer 0 writes and later layers add, as ``Sum`` adds
-        up to the sign of a zero, which the team's sum from ``+0.0`` drops."""
+        """Per-node values ``(n_nodes, P)`` at the points ``(P, m)``, each
+        group's from its ``value``."""
         out = np.empty((self.n_nodes, pts.shape[0]))
-        for k, layer in enumerate(self._layers):
-            for group, idx in layer:
-                v = (group._values(pts) if type(group) is ObjectiveSet
-                     else group.value(pts[:, None, :]).T)
-                # a group of every node holds them in node order: no scatter
-                rows = slice(None) if idx.size == self.n_nodes else idx
-                out[rows] = out[rows] + v if k else v
+        for group, idx in self._groups:
+            # a group of every node holds them in node order: no scatter
+            out[slice(None) if idx.size == self.n_nodes else idx] = group.value(pts[:, None, :]).T
         return out
 
     def argmin_sets(self):

@@ -1291,6 +1291,51 @@ def test_steps_past_the_stability_certificate_exit_2(tmp_path, capsys):
     assert main(["sweep-k", "--config", _write(tmp_path, cfg, "pair135.json"), "--quiet"]) == 0
 
 
+def test_step_counts_past_any_buffer_exit_2(tmp_path, capsys):
+    # balls.json (N = 3, m = 2) to tf = 60: at h = 1e-300 its 6e301 steps pass
+    # numpy's dimension limit, and at h = 5e-324, or to tf = 1e308, the count
+    # is infinite; each is refused after the certificate, before any step
+    balls = str(CONFIGS / "balls.json")
+    cfg = json.loads((CONFIGS / "balls.json").read_text())
+    cfg["integrator"]["tf"] = 1e308
+    endless = _write(tmp_path, cfg, "endless.json")
+    for argv, step, tf, steps, nbytes in (
+            (["--config", balls, "--h", "1e-300"], "1e-300", "60.0", "6e+301", "3.36e+303"),
+            (["--config", balls, "--h", "5e-324"], "5e-324", "60.0", "inf", "inf"),
+            (["--config", endless], "0.01", "1e+308", "inf", "inf")):
+        assert main(["sim", *argv, "--out-dir", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"numerical failure: step {step} over [0.0, {tf}] needs {steps} steps, a "
+            f"trajectory buffer of {nbytes} bytes, which cannot be allocated\n"))
+    assert not list(tmp_path.glob("*_simulate*"))
+    # a library caller gets the same error, an ArithmeticError
+    with pytest.raises(OverflowError, match="needs inf steps"):
+        integrate(dataclasses.replace(load_config(balls), step=5e-324).build_scenario())
+
+
+def test_initial_state_past_the_divergence_limit_exits_1(tmp_path, capsys):
+    # balls.json from x0[0] = (2e8, 0) shrinks, but the guard would report its
+    # first step as a divergence: the config refuses it, and a box bound alike
+    cfg = json.loads((CONFIGS / "balls.json").read_text())
+    for x0, path, shown in (([[2e8, 0], [0, 1], [1, 0]], "x0[0][0]", "2e+08"),
+                            ([[0, 1], [1, -1.5e8], [0, 0]], "x0[1][1]", "-1.5e+08"),
+                            ({"kind": "uniform_box", "low": -1e9}, "x0.low", "-1e+09"),
+                            ({"kind": "uniform_box", "high": 2e8}, "x0.high", "2e+08")):
+        cfg["x0"] = x0
+        config = _write(tmp_path, cfg, "far.json")
+        assert main(["sim", "--config", config, "--out-dir", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr() == (
+            "", f"config error: {path}: {shown} is past the divergence limit |x| <= 1e+08\n")
+    assert not list(tmp_path.glob("*_simulate*"))
+    # the limit itself is within it; a library caller past it gets a ValueError
+    cfg["x0"] = [[1e8, 0], [0, -1e8], [0, 0]]
+    config = ScenarioConfig.from_dict(cfg)
+    x0 = np.array(config.x0_spec)
+    x0[1, 1] = np.nextafter(-1e8, -np.inf)
+    with pytest.raises(ValueError, match="divergence limit"):
+        Scenario(config.objectives, config.topology, x0, tf=1.0)
+
+
 def test_cli_exit_code_claim_failure(tmp_path):
     cfg = quad_config(analysis={"tolerances": {"necessity_floor": 10.0}})
     path = _write(tmp_path, cfg)

@@ -989,20 +989,22 @@ def test_global_min_descent_is_pinned(monkeypatch):
         assert res.minimizer.tobytes() == np.array([float.fromhex(v) for v in minimizer]).tobytes()
         assert (res.value, res.tolerance) == (float.fromhex(value), float.fromhex(tolerance))
 
-    # each descent gradient calls the quadratics' kernel once, for every
-    # quadratic node together, and so does the team value at the end
+    # each descent gradient calls the quadratics' kernel once per group that
+    # holds a quadratic, on that group's nodes together, and so does the team
+    # value at the end, on its one point against those nodes
     calls = []
     grad = Quadratic._grad
     monkeypatch.setattr(Quadratic, "_grad", lambda self, x: calls.append(x.shape) or grad(self, x))
     monkeypatch.setattr(objectives, "_DESCENT_MAX_ITER", 25)
     monkeypatch.setattr(objectives, "_DESCENT_GRAD_TOL", -1.0)  # never met
-    for obj in _descent_families():
-        quadratics = sum(type(objectives._summands(c)[0]) is Quadratic for c in obj.components)
-        assert quadratics > 1
+    # the quadratic groups' (nodes, m): two quadratic nodes in one group, then
+    # a lone quadratic and two sum shapes, one node each, in either other family
+    groups = [[(2, 2)], [(1, 1)] * 3, [(1, 3)] * 3]
+    for obj, shapes in zip(_descent_families(), groups, strict=True):
         calls.clear()
         res = global_min(obj)
-        assert len(calls) == 25 + 1 + 1  # each step's gradient, the final one, the value
-        assert calls[0] == (quadratics, obj.m)
+        # each step's gradient and the final one, then the value's (P, 1, m) point
+        assert calls == shapes * (25 + 1) + [(1, 1, obj.m)] * len(shapes)
         assert res.tolerance > 0.0
 
 
