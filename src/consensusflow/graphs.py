@@ -96,7 +96,7 @@ class WeightedDigraph:
             if j == i:
                 raise ValueError(f"self-loop ({j}, {i}) is not allowed")
             w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
+            if not math.isfinite(w) or w <= 0.0:
                 raise ValueError(f"arc ({j}, {i}): weights must be positive, got {w}")
             if weight_bounds is not None and not (weight_bounds[0] <= w <= weight_bounds[1]):
                 raise ValueError(
@@ -105,10 +105,10 @@ class WeightedDigraph:
             cleaned[(j, i)] = w
         self._weights = cleaned
 
-        arcs = sorted(cleaned)
-        self._src = np.array([a[0] for a in arcs], dtype=np.intp)
-        self._dst = np.array([a[1] for a in arcs], dtype=np.intp)
-        self._w = np.array([cleaned[a] for a in arcs], dtype=float)
+        arcs = np.array(list(cleaned), dtype=np.intp).reshape(-1, 2)  # (E, 2): j, i
+        order = np.lexsort((arcs[:, 1], arcs[:, 0]))  # by j, then i: sorted()'s order
+        self._src, self._dst = arcs[order].T.copy()  # two contiguous rows
+        self._w = np.fromiter(cleaned.values(), float, len(cleaned))[order]
 
     @classmethod
     def from_arcs(cls, n_nodes, arcs):

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,8 +96,11 @@ def _check_keys(d, allowed, required, path):
 def _number(v, path, positive=False, nonnegative=False, infinite=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("expected a number", path)
-    v = float(v)
-    if not (np.isfinite(v) or (infinite and np.isinf(v))):
+    try:
+        v = float(v)
+    except OverflowError:  # an integer past the largest double
+        raise ConfigError("number is too large for a double", path) from None
+    if not (math.isfinite(v) or (infinite and math.isinf(v))):
         raise ConfigError("number must not be NaN" if infinite else "number must be finite", path)
     if positive and v <= 0.0:
         raise ConfigError("number must be positive", path)
@@ -188,7 +192,9 @@ def _parse_arcs(d, n, path):
     for i, a in enumerate(arcs):
         if not (isinstance(a, list) and len(a) == 2):
             raise ConfigError("each arc is a [from, to] pair", f"{path}.arcs[{i}]")
-        pair = (_int(a[0], f"{path}.arcs[{i}][0]"), _int(a[1], f"{path}.arcs[{i}][1]"))
+        pair = (a[0], a[1])
+        if type(pair[0]) is not int or type(pair[1]) is not int:  # paths only where _int may refuse
+            pair = (_int(a[0], f"{path}.arcs[{i}][0]"), _int(a[1], f"{path}.arcs[{i}][1]"))
         if pair in pairs:
             raise ConfigError(f"duplicate arc {list(pair)}, first given as arcs[{pairs[pair]}]",
                               f"{path}.arcs[{i}]")

@@ -139,44 +139,32 @@ class Ball(ConvexSet):
         radius.flags.writeable = False
         self.radius = radius[()]  # a float64 scalar for one ball
         self.dim = self.center.shape[-1]
-        # radius columns for the projection core; the floor is the radius, or
+        # radius columns for both kernels; the floor is the radius, or
         # the smallest subnormal for radius 0, so the divisor is never 0
         self._rcol = radius[..., None]
         self._floor = np.where(radius > 0.0, radius, np.finfo(float).smallest_subnormal)[..., None]
 
-    def _residual(self, shape):
-        return self._projector(shape, residual=True)
+    def _norms(self, shape):
+        """The prologue both ball kernels share, for validated points shaped
+        ``shape``: workspaces ``d`` and ``r`` of their own, and ``norm(x)``,
+        which writes ``d = x - c`` and ``r = |d|`` into them.
 
-    def _projector(self, shape, residual=False):
-        """The projection kernel (see :meth:`ConvexSet._projector`), or with
-        ``residual`` the residual kernel, whose last step turns the projection
-        into ``x - P(x)`` in place (see :meth:`ConvexSet._residual`).
-
-        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it.  The
-        divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is kept
-        (``r > radius``) and is never 0 elsewhere, so no lane warns.  A point
-        with a NaN coordinate projects to NaN in every coordinate; so does an
-        infinite one, whose shrink multiplies ``inf`` by 0, which numpy
-        reports as an invalid value here (the public :meth:`project` does not).
+        ``r`` is summed as ``np.linalg.norm(d, axis=-1)`` sums it: below 8
+        components ``add.reduce`` adds them in order, which one add per
+        strided column of the flat squares repeats (``s_0 + 0.0`` is ``s_0``).
         """
         rows = self.center.shape  # a state that ends in them is its own broadcast
         shape = shape if shape[-len(rows):] == rows else np.broadcast_shapes(shape, rows)
-        d, squares = np.empty(shape), np.empty(shape)
-        r, inside = np.empty(shape[:-1] + (1,)), np.empty(shape[:-1] + (1,), dtype=bool)
-        center, rcol, floor = self.center, self._rcol, self._floor
-        # below 8 components add.reduce adds them in order, which one add per
-        # strided column of the flat squares repeats; s_0 + 0.0 is s_0
+        d, squares, r = np.empty(shape), np.empty(shape), np.empty(shape[:-1] + (1,))
+        center = self.center
         m, flat = shape[-1], squares.reshape(-1)
         columns = [flat[k::m] for k in range(m)] + [0.0]
         first, second, rest, total = columns[0], columns[1], columns[2:m], r.reshape(-1)
+        # the kernels' ufuncs as locals: at N = 5 each global lookup is a
+        # measurable share of a kernel call, which an RK4 step makes four times
+        subtract, multiply, add, sqrt = np.subtract, np.multiply, np.add, np.sqrt
 
-        # the kernel's ufuncs as locals: at N = 5 each global lookup is a
-        # measurable share of a projection, which an RK4 step makes four times
-        subtract, multiply, add, sqrt, maximum, divide, less_equal, copyto = (
-            np.subtract, np.multiply, np.add, np.sqrt, np.maximum, np.divide, np.less_equal,
-            np.copyto)
-
-        def kernel(x):
+        def norm(x):
             subtract(x, center, d)
             multiply(d, d, squares)
             if m < 8:
@@ -186,16 +174,61 @@ class Ball(ConvexSet):
             else:
                 add.reduce(squares, axis=-1, keepdims=True, out=r)
             sqrt(r, r)
+        return d, r, norm
+
+    def _projector(self, shape):
+        """The projection kernel (see :meth:`ConvexSet._projector`) over the
+        norm prologue (:meth:`_norms`).
+
+        The divisor ``max(r, floor)`` is ``r`` wherever the shrunk point is
+        kept (``r > radius``) and is never 0 elsewhere, so no lane warns.  A
+        point with a NaN coordinate projects to NaN in every coordinate, and
+        an infinite coordinate to NaN: the shrink multiplies ``inf`` by 0,
+        which numpy reports as an invalid value here (the public
+        :meth:`project` does not).
+        """
+        d, r, norm = self._norms(shape)
+        inside = np.empty(r.shape, dtype=bool)
+        center, rcol, floor = self.center, self._rcol, self._floor
+        multiply, add, maximum, divide, less_equal, copyto = (
+            np.multiply, np.add, np.maximum, np.divide, np.less_equal, np.copyto)
+
+        def project(x):
+            norm(x)
             less_equal(r, rcol, inside)
             maximum(r, floor, out=r)  # r becomes the divisor, then the scale
             divide(rcol, r, r)
             multiply(d, r, d)
             out = add(d, center)
             copyto(out, x, where=inside)
-            if residual:
-                subtract(x, out, out)
             return out
-        return kernel
+        return project
+
+    def _residual(self, shape):
+        """The residual kernel (see :meth:`ConvexSet._residual`) over the norm
+        prologue (:meth:`_norms`): ``g = d - d * (radius / max(r, floor))``
+        with ``d = x - c``, into a fresh array.
+
+        Inside the ball the scale is ``radius / radius = 1``, so ``g = d - d``
+        is exactly ``+0.0``; a radius-0 ball's scale is 0, so ``g`` is ``x - c``
+        (a ``-0.0`` as ``+0.0``).  ``g`` never forms ``P(x) = c + d * s``, so it
+        does not cancel ``x`` against a rounded ``P(x)``: its error is within a
+        few ``u * |x - c|`` at any centre, where that of ``x - P(x)`` grows with
+        ``|c|``.  A point with a NaN coordinate gives NaN in every coordinate,
+        and an infinite coordinate gives NaN (``inf * 0``) with numpy's invalid
+        multiply warning, as in the projection.
+        """
+        d, r, norm = self._norms(shape)
+        rcol, floor = self._rcol, self._floor
+        subtract, multiply, maximum, divide = np.subtract, np.multiply, np.maximum, np.divide
+
+        def residual(x):
+            norm(x)
+            maximum(r, floor, out=r)  # r becomes the divisor, then the scale
+            divide(rcol, r, r)
+            g = multiply(d, r)
+            return subtract(d, g, g)
+        return residual
 
     def distance(self, x):
         return np.maximum(_length(_check_dim(x, self.dim), self.center) - self.radius, 0.0)

@@ -42,6 +42,7 @@ from consensusflow import (
 from consensusflow import harness
 from consensusflow.cli import main
 from consensusflow.harness import _g17, _gain_plan, _integrate
+from consensusflow.objectives import ConvexSet
 
 from conftest import traced_peak
 
@@ -759,11 +760,11 @@ def test_unknown_suite_rejected():
 
 COMMITTED_REPORTS = [
     ("balls.json", "exact",
-     "d9a1a9e74805e4d8dbce4e9b4f4fa3d40d3ebf966833ac3d308b2540523eecd8"),
+     "958b39246ba00a101d60e412e17db3ea7347c64c1cd0b40f1b8730cbdc0ac105"),
     ("balls.json", "simulate",
      "93b4b9144c725d7ce590852f32afcdbb4ed73a209435e420c89614d1f256efe6"),
     ("switching.json", "switching",
-     "4342b6c0e4470b45de4edf6b2a5a8c22c1b8e12c966cb7be3251e9aba3b060e7"),
+     "29c6c5dda8383dc5ad20a467e1f2ce3fd26d9259085122fb4470a974372f2780"),
     ("pair.json", "eps-optimal",
      "4a026ee88b0ea8162fbd285fb2184dc1b836d738a5b16c4f3fb5cfb21aad4126"),
 ]
@@ -814,6 +815,29 @@ def test_trace_rebuilds_committed_report(tmp_path, monkeypatch, config_file, sui
     assert rebuilt.report_hash == expected
 
 
+@pytest.mark.parametrize("config_file, suite", [("balls.json", "exact"),
+                                                ("switching.json", "switching")])
+def test_ball_gradient_kernel_agrees_with_x_minus_projection(monkeypatch, config_file, suite):
+    """The ball gradient ``d - d * s`` moves the committed ball runs by at
+    most 1e-15 from the ``x - P(x)`` they were first recorded with, and every
+    claim passes either way."""
+    config = load_config(CONFIGS / config_file)
+
+    def integrated():
+        plan = harness._SUITE_FUNCS[suite](config)
+        trajs = _integrate([scenario for scenario, _, _ in plan])
+        claims = [c for (_, _, judge), traj in zip(plan, trajs) for c in judge(traj)[0]]
+        return [traj.states for traj in trajs], claims
+
+    states, claims = integrated()
+    monkeypatch.setattr(Ball, "_residual", ConvexSet._residual)
+    projected_states, projected_claims = integrated()
+    assert claims and all(c.passed for c in claims)
+    assert projected_claims and all(c.passed for c in projected_claims)
+    assert max(abs(a - b).max() for a, b in zip(states, projected_states, strict=True)) <= 1e-15
+    assert any((a != b).any() for a, b in zip(states, projected_states))
+
+
 def test_committed_sweep_csv(tmp_path):
     """``sweep-k`` on configs/pair.json writes the same CSV bytes."""
     assert main(["sweep-k", "--config", str(CONFIGS / "pair.json"),
@@ -825,13 +849,13 @@ def test_committed_sweep_csv(tmp_path):
 @pytest.mark.parametrize("argv, report, overrides, expected", [
     (["verify", "exact", "--config", "balls.json", "--seed", "8", "--h", "0.02"],
      "balls_exact_report.json", {"seed": 8, "step": 0.02},
-     "b05c0c19186ca17eb52ff1c508f886acc09446e8bcdc07ee8d070c532aec1e19"),
+     "5420ed35a54646be2ec866accf69a28481ca1ab8442f23e0c3adfd315c879c80"),
     (["verify", "eps-optimal", "--config", "pair.json", "--seed", "3", "--h", "0.005"],
      "pair_eps-optimal_report.json", {"seed": 3, "step": 0.005},
      "c9b8ed8198bb6b6873940e75a286bc664a95685e55d72888c9c35737a71c2803"),
     (["verify", "switching", "--config", "switching.json", "--seed", "11"],
      "alt_switching_report.json", {"seed": 11},
-     "765b60bcb0eea429b6d819573fcf2d53a04027b3d4d34fbb6fbf1d6f99a8785b"),
+     "998750d054d648b4a6a677c9c4caaa1dc3a520bbffe67fed7a76003b4ffc0b50"),
 ], ids=["exact-balls", "eps-optimal-pair", "switching"])
 def test_overrides_keep_report_hashes(tmp_path, argv, report, overrides, expected):
     """``--seed`` and ``--h`` replace the config's fields; the report hashes
@@ -1334,6 +1358,20 @@ def test_initial_state_past_the_divergence_limit_exits_1(tmp_path, capsys):
     x0[1, 1] = np.nextafter(-1e8, -np.inf)
     with pytest.raises(ValueError, match="divergence limit"):
         Scenario(config.objectives, config.topology, x0, tf=1.0)
+
+
+def test_integers_past_a_double_exit_1(tmp_path, capsys):
+    # a JSON integer too large for a double is a config error at its key,
+    # not a numerical failure
+    for key, path in ((("integrator", "tf"), "integrator.tf"), (("x0", "low"), "x0.low")):
+        for huge in (10 ** 400, -10 ** 400):
+            cfg = json.loads((CONFIGS / "balls.json").read_text())
+            cfg[key[0]][key[1]] = huge
+            config = _write(tmp_path, cfg, "huge.json")
+            assert main(["sim", "--config", config, "--out-dir", str(tmp_path), "--quiet"]) == 1
+            assert capsys.readouterr() == (
+                "", f"config error: {path}: number is too large for a double\n")
+    assert not list(tmp_path.glob("*_simulate*"))
 
 
 def test_cli_exit_code_claim_failure(tmp_path):
