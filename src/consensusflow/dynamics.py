@@ -71,26 +71,24 @@ class StepStabilityError(ArithmeticError):
 
 
 class ExponentialDecayDisturbance:
-    """Per-node forcing ``w_i(t) = exp(-rate * (t - t_ref)) * v_i``."""
+    """Per-node forcing ``w_i(t) = exp(-rate * t) * v_i``."""
 
-    def __init__(self, vectors, rate=1.0, t_ref=0.0):
+    def __init__(self, vectors, rate=1.0):
         self.vectors = np.asarray(vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be shaped (n_nodes, m)")
         self.rate = float(rate)
-        self.t_ref = float(t_ref)
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValueError("rate must be a positive real")
 
     def __call__(self, t):
-        return math.exp(-self.rate * (t - self.t_ref)) * self.vectors
+        return math.exp(-self.rate * t) * self.vectors
 
     def describe(self) -> dict:
         return {
             "kind": "exponential",
             "vectors": self.vectors.tolist(),
             "rate": self.rate,
-            "t_ref": self.t_ref,
         }
 
 

@@ -410,14 +410,16 @@ class SwitchingSignal:
         interval's start, and strong connectivity only gains from more arcs.
         A periodic schedule takes one period's starts.  A finite-horizon one
         takes the starts whose window fits inside the horizon, falling back
-        to the whole-span union when none does.
+        to the whole-span union when none does.  A window too short to move a
+        start in floating point still holds the graph in force at that start.
         """
         window = float(window)
         if window <= 0.0:
             raise ValueError("window must be positive")
         base = self._starts[0]
         end = base + self._period if self._period is not None else self._horizon
-        windows = [(a, a + window) for a, _, _ in self.segments(base, end)
+        windows = [(a, max(a + window, math.nextafter(a, math.inf)))
+                   for a, _, _ in self.segments(base, end)
                    if self._period is not None or a + window <= end]
         return all(self.joint_graph(a, b).is_strongly_connected()
                    for a, b in windows or [(base, end)])

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import time
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,7 +56,7 @@ from .objectives import (
 
 SUITES = ("simulate", "exact", "eps-optimal", "switching")
 
-DEFAULT_TOLERANCES = {
+DEFAULT_TOLERANCES = types.MappingProxyType({
     "diameter": 1e-4,
     "residual": 1e-4,
     "gap": 1e-6,
@@ -67,7 +68,7 @@ DEFAULT_TOLERANCES = {
     "sphere_match": 1e-3,
     "bound_slack": 1e-12,
     "dini_slack_scale": 1e-6,
-}
+})
 
 
 class ConfigError(ValueError):
@@ -353,7 +354,7 @@ class ScenarioConfig:
                 vectors, _number(dist.get("rate", 1.0), "disturbance.rate", positive=True))
 
         ana = _require_mapping(raw.get("analysis", {}), "analysis")
-        _check_keys(ana, {"k_grid", "ujsc_window", "tolerances"}, set(), "analysis")
+        _check_keys(ana, {"k_grid", "ujsc_window"}, set(), "analysis")
         analysis = {}
         if "k_grid" in ana:
             grid = _float_list(ana["k_grid"], "analysis.k_grid")
@@ -363,13 +364,6 @@ class ScenarioConfig:
         if "ujsc_window" in ana:
             analysis["ujsc_window"] = _number(ana["ujsc_window"], "analysis.ujsc_window",
                                               positive=True)
-        tols = dict(DEFAULT_TOLERANCES)
-        if "tolerances" in ana:
-            over = _require_mapping(ana["tolerances"], "analysis.tolerances")
-            _check_keys(over, set(DEFAULT_TOLERANCES), set(), "analysis.tolerances")
-            for k, v in over.items():
-                tols[k] = _number(v, f"analysis.tolerances.{k}", positive=True)
-        analysis["tolerances"] = tols
 
         config = cls(raw, name, objectives, topology, gain, t0, tf, step, seed,
                      x0_spec, dist, analysis)
@@ -380,8 +374,9 @@ class ScenarioConfig:
         return config
 
     @property
-    def tolerances(self) -> dict:
-        return self.analysis["tolerances"]
+    def tolerances(self):
+        """The claims' tolerances: the read-only ``DEFAULT_TOLERANCES``."""
+        return DEFAULT_TOLERANCES
 
     @property
     def ujsc_window(self) -> float:
@@ -733,10 +728,10 @@ def _envelope(config, traj, z, residual_tol):
     claim and the terminal node-residual claim, and their trace columns."""
     v = lyapunov_trace(traj, z)
     res = node_optimum_residuals(traj, config.objectives)
-    claims = [_dini_claim(traj.times, v.max(axis=1), config.tolerances["dini_slack_scale"]),
+    claims = [_dini_claim(traj.times, v.max(axis=1), DEFAULT_TOLERANCES["dini_slack_scale"]),
               _threshold_claim("node-optimum-residuals",
                                "each node ends inside its own argmin set",
-                               res[-1].max(), config.tolerances[residual_tol])]
+                               res[-1].max(), DEFAULT_TOLERANCES[residual_tol])]
     return v, claims, {"v": v, "residual": res}
 
 
@@ -753,7 +748,7 @@ def _suite_simulate(config):
 def _suite_exact(config):
     if not isinstance(config.topology, WeightedDigraph):
         raise ConfigError("the exact suite needs a fixed topology", "topology")
-    tols = config.tolerances
+    tols = DEFAULT_TOLERANCES
     z, status, why = _witness(config)
     connected = ClaimResult(
         "fixed-graph-strongly-connected",
@@ -819,7 +814,7 @@ def _gain_plan(config, grid):
                   for k in grid}
         grad_sup = max(p.grad_norm for p in points.values())
         bounds = {k: check_disagreement_bound(sp, grad_sup, lam2,
-                                              slack=config.tolerances["bound_slack"])
+                                              slack=DEFAULT_TOLERANCES["bound_slack"])
                   for k, sp in points.items() if k > 0.0}
     gains = [k for k in grid if k > 0.0]
     return gains, [config.build_scenario(gain=k) for k in gains], points, bounds
@@ -846,7 +841,7 @@ def _suite_eps(config):
         return lambda traj: ([_threshold_claim(
             f"terminal-matches-stationary[k={k:g}]",
             "the run settles on the stationary point of the penalized objective",
-            _mismatch(traj, sp), config.tolerances["terminal_match"]), ClaimResult(
+            _mismatch(traj, sp), DEFAULT_TOLERANCES["terminal_match"]), ClaimResult(
             f"disagreement-bound[k={k:g}]",
             "stationary disagreement is at most grad_sup / (gain * lambda2)",
             bc.holds, bc.margin,
@@ -874,7 +869,7 @@ def _suite_switching(config):
         spread = _threshold_claim(
             "lyapunov-limits-agree",
             "per-node squared distances to the witness share one limit",
-            float(v[-1].max() - v[-1].min()), config.tolerances["vi_spread"])
+            float(v[-1].max() - v[-1].min()), DEFAULT_TOLERANCES["vi_spread"])
         return claims + [dini, spread, residuals, _reconstruction(config, traj, z)], extras
     return [(config.build_scenario(), "", judge)]
 
@@ -894,7 +889,7 @@ def _reconstruction(config, traj, z):
         dev = float(np.linalg.norm(traj.terminal_state - y, axis=1).max())
         inside = max(float(s.distance(y)) for s in sets)
         return _threshold_claim(
-            *claim, max(dev, inside), config.tolerances["sphere_match"],
+            *claim, max(dev, inside), DEFAULT_TOLERANCES["sphere_match"],
             detail=f"state-to-point {dev:.6e}, point-to-sets {inside:.6e}")
     except (ValueError, UnsupportedRepresentationError) as err:
         return ClaimResult(*claim, False, None, f"reconstruction unavailable: {err}")

@@ -256,6 +256,10 @@ class Box(ConvexSet):
             raise ValueError("box bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box needs lower <= upper componentwise")
+        empty = (self.lower == np.inf) | (self.upper == -np.inf)
+        if np.any(empty):
+            raise ValueError(f"box is empty along axis {int(np.nonzero(empty)[-1][0])}: "
+                             "no real number is at least +inf or at most -inf")
         self.lower.flags.writeable = False
         self.upper.flags.writeable = False
         self.dim = self.lower.shape[-1]

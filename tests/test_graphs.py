@@ -385,6 +385,14 @@ def test_ujsc_alternating_signal():
     assert _sampled_ujsc(sig, 0.4, starts) is False
 
 
+def test_ujsc_window_shorter_than_an_ulp_at_a_start():
+    # 0.5 + 1e-17 == 0.5: the window still holds the graph in force at 0.5
+    cycles = SwitchingSignal([(0.0, _G3), (0.5, _G3)], dwell=0.5, period=1.0)
+    assert cycles.check_ujsc(1e-17) is cycles.check_ujsc(1e-3) is True
+    sig = alternating_signal()
+    assert sig.check_ujsc(1e-17) is sig.check_ujsc(1e-3) is False
+
+
 def test_ujsc_constant_connected_signal():
     g = WeightedDigraph.directed_cycle(4)
     sig = SwitchingSignal([(0.0, g)], dwell=0.5, horizon=3.0)

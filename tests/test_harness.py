@@ -134,7 +134,11 @@ def test_minimal_config_defaults():
     assert cfg.t0 == 0.0 and cfg.tf == 25.0 and cfg.step == 0.01
     assert cfg.seed == 0
     assert cfg.gain == 1.0
-    assert cfg.tolerances == DEFAULT_TOLERANCES
+    # one fixed, read-only table for every config
+    assert cfg.tolerances is DEFAULT_TOLERANCES
+    assert cfg.tolerances["terminal_match"] == 1e-06
+    with pytest.raises(TypeError):
+        cfg.tolerances["gap"] = 1.0
 
 
 def test_config_name_defaults_to_file_stem(tmp_path):
@@ -310,15 +314,8 @@ def test_law_and_x0_validation():
 
 
 def test_analysis_validation():
-    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
-        ScenarioConfig.from_dict(quad_config(analysis={"tolerances": {"bogus": 1.0}}))
-    with pytest.raises(ConfigError, match="positive"):
-        ScenarioConfig.from_dict(quad_config(analysis={"tolerances": {"gap": 0.0}}))
     with pytest.raises(ConfigError, match="nonnegative"):
         ScenarioConfig.from_dict(quad_config(analysis={"k_grid": [-1.0]}))
-    cfg = ScenarioConfig.from_dict(quad_config(analysis={"tolerances": {"gap": 1e-3}}))
-    assert cfg.tolerances["gap"] == 1e-3
-    assert cfg.tolerances["diameter"] == DEFAULT_TOLERANCES["diameter"]
 
 
 def test_disturbance_validation():
@@ -348,14 +345,25 @@ def test_disturbance_validation():
      "topology.arcs", "arcs must be a list of [from, to] pairs"),
     ({"topology": {"kind": "fixed", "arcs": [[0, 1, 2]]}},
      "topology.arcs[0]", "each arc is a [from, to] pair"),
+    ({"topology": {"kind": "fixed", "arcs": [[0, 1.0], [1, 0]]}},
+     "topology.arcs[0][1]", "expected an integer"),
+    ({"topology": {"kind": "fixed", "arcs": [[True, 1], [1, 0]]}},
+     "topology.arcs[0][0]", "expected an integer"),
     ({"topology": {"kind": "switching", "dwell": 0.5, "intervals": []}},
      "topology.intervals", "intervals must be a nonempty list"),
     ({"topology": {"kind": "ring"}}, "topology", "unknown topology kind 'ring'"),
     ({"name": ""}, "name", "name must be a nonempty string"),
     ({"objectives": {"kind": "quadratic"}},
      "objectives", "expected a list with one objective per node"),
+    ({"objectives": [{"kind": "sqdist", "set": {
+        "kind": "box", "lower": [math.inf], "upper": [math.inf]}}] * 2},
+     "objectives[0].set", "box is empty along axis 0: no real number is at least +inf "
+                          "or at most -inf"),
+    ({"analysis": {"tolerances": {"diameter": 1e300, "residual": 1e300, "gap": 1e300}}},
+     "analysis", "unknown key 'tolerances'"),
 ], ids=["mapping", "radius", "number-list", "objective-kind", "arc-list", "arc-pair",
-        "intervals", "topology-kind", "name", "objective-list"])
+        "arc-float", "arc-bool", "intervals", "topology-kind", "name", "objective-list",
+        "empty-box", "tolerances"])
 def test_config_errors_name_their_path(extra, path, message):
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict(quad_config(**extra))
@@ -778,7 +786,11 @@ def _no_integration(monkeypatch):
     monkeypatch.setattr(harness, "integrate_batch", refuse)
 
 
-@pytest.mark.parametrize("config_file, suite, expected", COMMITTED_REPORTS)
+# ids name the config and suite alone, so a re-pinned hash keeps the test's name
+_REPORT_IDS = [f"{config_file}-{suite}" for config_file, suite, _ in COMMITTED_REPORTS]
+
+
+@pytest.mark.parametrize("config_file, suite, expected", COMMITTED_REPORTS, ids=_REPORT_IDS)
 def test_committed_config_report_hashes(tmp_path, config_file, suite, expected):
     """The committed configs pass their suites from the command line (exit 0)
     and keep their report hashes, the ones in perfbench/report_hashes.json.
@@ -795,7 +807,7 @@ def test_committed_config_report_hashes(tmp_path, config_file, suite, expected):
     assert json.loads(report.read_text())["report_hash"] == expected
 
 
-@pytest.mark.parametrize("config_file, suite, expected", COMMITTED_REPORTS)
+@pytest.mark.parametrize("config_file, suite, expected", COMMITTED_REPORTS, ids=_REPORT_IDS)
 def test_trace_rebuilds_committed_report(tmp_path, monkeypatch, config_file, suite, expected):
     """The traces are the evidence for their report: each run's judge,
     given only the trajectory read back from its trace, rebuilds the report
@@ -1374,10 +1386,19 @@ def test_integers_past_a_double_exit_1(tmp_path, capsys):
     assert not list(tmp_path.glob("*_simulate*"))
 
 
-def test_cli_exit_code_claim_failure(tmp_path):
-    cfg = quad_config(analysis={"tolerances": {"necessity_floor": 10.0}})
-    path = _write(tmp_path, cfg)
-    assert main(["verify", "exact", "--config", path, "--quiet"]) == 3
+def test_cli_exit_code_claim_failure(tmp_path, capsys):
+    # at tf 0.5 the balls have not agreed yet, and no config can loosen the
+    # tolerances their claims fail against
+    cfg = json.loads((CONFIGS / "balls.json").read_text())
+    cfg["integrator"]["tf"] = 0.5
+    command = ["verify", "exact", "--config", _write(tmp_path, cfg),
+               "--out-dir", str(tmp_path), "--quiet"]
+    assert main(command) == 3
+    cfg["analysis"] = {"tolerances": {"diameter": 1e300, "residual": 1e300, "gap": 1e300}}
+    _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(command) == 1
+    assert capsys.readouterr().err == "config error: analysis: unknown key 'tolerances'\n"
 
 
 def test_cli_check_graph_fixed(tmp_path, capsys):
@@ -1409,6 +1430,15 @@ def test_cli_check_graph_switching(tmp_path, capsys):
     assert info["window"] == 0.8
     assert info["uniformly_jointly_strongly_connected"] is True
     assert info["union_strongly_connected"] is True
+    # 0.5 + 1e-17 == 0.5: the window holds the cycle in force at 0.5
+    tiny = switching_config(analysis={"ujsc_window": 1e-17})
+    for interval in tiny["topology"]["intervals"]:
+        interval["arcs"] = [[0, 1], [1, 2], [2, 0]]
+    path = _write(tmp_path, tiny, "tiny.json")
+    assert main(["check-graph", "--config", path, "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["uniformly_jointly_strongly_connected"] is True
+    assert main(["verify", "switching", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
 
 
 def test_cli_oracle(tmp_path, capsys):

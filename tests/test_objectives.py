@@ -168,8 +168,14 @@ def test_component_validation_errors():
         Box([1.0], [0.0])
     with pytest.raises(ValueError):
         Box([np.nan], [1.0])
+    with pytest.raises(ValueError, match="^box is empty along axis 0: "):
+        Box([np.inf, 0.0], [np.inf, 1.0])
+    with pytest.raises(ValueError, match="^box is empty along axis 1: "):
+        Box([0.0, -np.inf], [1.0, -np.inf])
     with pytest.raises(ValueError):
         Sum([])
+    with pytest.raises(ValueError, match="share one dimension"):
+        Sum([Quadratic([[1.0]], [0.0]), Quadratic(np.eye(2), [0.0, 0.0])])
     with pytest.raises(TypeError):
         SquaredDistance("not a set")
     with pytest.raises(ValueError):
