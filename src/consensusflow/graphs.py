@@ -389,14 +389,16 @@ class SwitchingSignal:
         """Union of arcs active anywhere on ``[t1, t2)``.
 
         A repeated arc takes the weight of its latest activation inside the
-        window.
+        window.  A window at least one period long holds every interval, so
+        it is read as the period ``[t1, t1 + period)``: at the end of a long
+        window (``1e15`` periods, ``inf``) a period's instants are no longer
+        apart in floating point.
         """
         t1, t2 = float(t1), float(t2)
         if t2 <= t1:
             raise ValueError("joint graph needs t1 < t2")
-        self._check_inside(t1)  # before the clamp, which would hide an early t1
-        if self._period is not None:
-            t1 = max(t1, t2 - self._period)  # one period already covers every interval
+        if self._period is not None and t2 - t1 >= self._period:
+            t2 = t1 + self._period
         merged = {}
         for _, _, g in self.segments(t1, t2):
             merged.update(g.weights)

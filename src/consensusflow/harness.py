@@ -3,7 +3,8 @@
 Configs are JSON documents; unknown keys are rejected so typos fail loudly.
 A loaded :class:`ScenarioConfig` is the record of one run.  Suites turn it
 into a list of claim checks with explicit margins, written out as a JSON
-report plus CSV traces that round-trip exactly.
+report plus traces (``.npz`` arrays and a CSV text view) that round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -485,6 +486,8 @@ class RunReport:
 
 
 _TRACE_BLOCK = 1024  # trace rows per block, in whole samples (at least one)
+# the .npz's own arrays, and np.savez's parameters, which a keyword would replace
+_TRACE_RESERVED = frozenset({"times", "states", "file", "allow_pickle"})
 _G17 = 24  # bytes in the longest '%.17g' of a double, "-2.2250738585072014e-308"
 
 
@@ -638,23 +641,34 @@ def _trace_rows(times, nodes, columns):
 
 
 def write_trace(path, trajectory, extras=None) -> list:
-    """Write a trajectory CSV (one row per node per sample) plus a sidecar.
+    """Write a trajectory's arrays, its CSV text view and a sidecar; returns
+    ``[csv, npz, sidecar]``.
 
-    Floats are printed with 17 significant digits so re-reading reproduces
-    them bit for bit.  ``extras`` maps column names to (T, n_nodes) arrays.
-    The bytes are ``np.savetxt``'s; the rows are built a block of samples at
-    a time, as NUL-padded fields from :func:`_g17`, so the writer holds one
-    block beyond its inputs.
+    ``extras`` maps column names to (T, n_nodes) arrays.  ``<stem>.npz``
+    holds ``times``, ``states`` and each extra column under its own name,
+    stored uncompressed by ``np.savez``; :func:`read_trace` reads it.  The
+    CSV has one row per node per sample, in ``np.savetxt``'s bytes with 17
+    significant digits, so ``np.loadtxt`` also gives every value back bit
+    for bit; its rows are built a block of samples at a time, as NUL-padded
+    fields from :func:`_g17`, so the writer holds one block beyond its
+    inputs.  A bad extra column, or a path ending in ``.npz``, raises
+    ``ValueError`` before any file is written.
     """
     path = Path(path)
     extras = dict(extras or {})
+    arrays = path.with_suffix(".npz")
+    if arrays == path:
+        raise ValueError(f"trace path {path} would be overwritten by its .npz")
     n, m = trajectory.n_nodes, trajectory.m
     for key, arr in extras.items():
+        if key in _TRACE_RESERVED:
+            raise ValueError(f"extra column '{key}' has a reserved name")
         extras[key] = np.asarray(arr, dtype=float)
         if extras[key].shape != (trajectory.times.shape[0], n):
             raise ValueError(f"extra column '{key}' must be shaped (T, n_nodes)")
-    header = ["t", "node"] + [f"comp_{k}" for k in range(m)] + sorted(extras)
-    columns = [trajectory.states] + [extras[k][..., None] for k in sorted(extras)]
+    names = sorted(extras)
+    header = ["t", "node"] + [f"comp_{k}" for k in range(m)] + names
+    columns = [trajectory.states] + [extras[k][..., None] for k in names]
     nodes = np.arange(n).astype(f"S{len(str(n - 1))}").view(np.uint8).reshape(n, -1)
     per = max(1, _TRACE_BLOCK // n)
     text = io.StringIO()
@@ -665,6 +679,8 @@ def write_trace(path, trajectory, extras=None) -> list:
             rows = _trace_rows(trajectory.times[lo:lo + per], nodes,
                                [col[lo:lo + per] for col in columns])
             fh.write(rows[rows != 0])
+    np.savez(arrays, times=trajectory.times, states=trajectory.states,
+             **{k: extras[k] for k in names})
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps({
         "fingerprint": trajectory.fingerprint,
@@ -673,21 +689,26 @@ def write_trace(path, trajectory, extras=None) -> list:
         "m": m,
         "columns": header,
     }, indent=2) + "\n")
-    return [str(path), str(sidecar)]
+    return [str(path), str(arrays), str(sidecar)]
 
 
 def read_trace(path):
-    """Inverse of :func:`write_trace`; returns ``(times, states, extras)``."""
+    """Inverse of :func:`write_trace`; returns ``(times, states, extras)``.
+
+    ``path`` names the trace; its arrays are read from ``<stem>.npz`` with
+    ``np.load``, pickles refused.  A CSV without that file beside it raises
+    ``FileNotFoundError``.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh))
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    m = sum(c.startswith("comp_") for c in header)
-    times = table[table[:, 1] == 0, 0]
-    states = table[:, 2:2 + m].reshape(times.shape[0], -1, m)
-    extras = {k: table[:, 2 + m + j].reshape(times.shape[0], -1)
-              for j, k in enumerate(header[2 + m:])}
-    return times, states, extras
+    arrays = path.with_suffix(".npz")
+    try:
+        with np.load(arrays, allow_pickle=False) as npz:
+            columns = {k: npz[k] for k in npz.files}
+    except FileNotFoundError:
+        raise FileNotFoundError(
+            f"trace arrays {arrays} not found; the CSV text view {path} can be "
+            f'read with np.loadtxt(path, delimiter=",", skiprows=1)') from None
+    return columns.pop("times"), columns.pop("states"), columns
 
 
 def _threshold_claim(cid, ref, value, tol, detail=""):

@@ -393,6 +393,16 @@ def test_ujsc_window_shorter_than_an_ulp_at_a_start():
     assert sig.check_ujsc(1e-17) is sig.check_ujsc(1e-3) is False
 
 
+@pytest.mark.parametrize("window", [1e15, 1e17, 1e300, math.inf])
+def test_ujsc_window_past_float_resolution(window):
+    # 1e17 - 1.0 == 1e17: a window this long is read as one period from its start
+    cycles = SwitchingSignal([(0.0, _G3), (0.5, _G3)], dwell=0.5, period=1.0)
+    assert cycles.check_ujsc(window) is cycles.check_ujsc(1.0) is True
+    sig = alternating_signal()
+    assert sig.check_ujsc(window) is sig.check_ujsc(1.0) is True
+    assert sig.joint_graph(0.25, 0.25 + window) == sig.joint_graph(0.25, 1.25)
+
+
 def test_ujsc_constant_connected_signal():
     g = WeightedDigraph.directed_cycle(4)
     sig = SwitchingSignal([(0.0, g)], dwell=0.5, horizon=3.0)

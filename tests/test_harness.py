@@ -428,10 +428,57 @@ def test_trace_golden_bytes(tmp_path):
         b"0,1,-0,0.5\r\n"
         b"0.10000000000000001,0,4.9406564584124654e-324,-1\r\n"
         b"0.10000000000000001,1,-2.5,7\r\n")
+    assert paths == [str(tmp_path / f"run.{ext}") for ext in ("csv", "npz", "csv.json")]
+    with np.load(tmp_path / "run.npz", allow_pickle=False) as npz:
+        assert npz.files == ["times", "states", "v"]
+        assert [npz[k].tobytes() for k in npz.files] == [
+            traj.times.tobytes(), traj.states.tobytes(), extra.tobytes()]
+    # np.savez's zip entries carry a fixed date, so the bytes are stable
+    digest = hashlib.sha256((tmp_path / "run.npz").read_bytes()).hexdigest()
+    assert digest == "52313ac8993d861fbbd6291aa63132d3be8b099c3d311d7531261a701f9d2732"
     times, states, extras = read_trace(paths[0])
     assert times.tobytes() == traj.times.tobytes()
     assert states.tobytes() == traj.states.tobytes()
     assert extras["v"].tobytes() == extra.tobytes()
+
+
+def test_trace_npz_is_deterministic(tmp_path):
+    traj = Trajectory(np.array([0.0, 0.5]),
+                      np.array([[[np.nan, np.inf]], [[-np.inf, -0.0]]]))
+    extras = {"gap": np.array([[np.inf], [np.nan]]), "v": np.array([[-np.inf], [1.0]])}
+    digests = []
+    for name in ("a", "b"):
+        npz = write_trace(tmp_path / f"{name}.csv", traj, extras=extras)[1]
+        digests.append(hashlib.sha256(Path(npz).read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+    times, states, back = read_trace(tmp_path / "b.csv")
+    assert states.tobytes() == traj.states.tobytes()
+    assert {k: a.tobytes() for k, a in back.items()} == {
+        k: a.tobytes() for k, a in extras.items()}
+
+
+def test_trace_refusals_write_nothing(tmp_path):
+    traj = Trajectory(np.array([0.0]), np.zeros((1, 2, 1)))
+    for name in ("times", "states", "file", "allow_pickle"):
+        with pytest.raises(ValueError, match=f"extra column '{name}' has a reserved name"):
+            write_trace(tmp_path / "run.csv", traj, extras={name: np.zeros((1, 2))})
+    with pytest.raises(ValueError, match="overwritten by its .npz"):
+        write_trace(tmp_path / "run.npz", traj)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_read_without_npz_names_it(tmp_path):
+    traj = Trajectory(np.array([0.0, 0.1]), np.array([[[0.25]], [[-0.5]]]))
+    csv_path, npz_path, _ = write_trace(tmp_path / "run.csv", traj)
+    Path(npz_path).unlink()
+    with pytest.raises(FileNotFoundError) as err:
+        read_trace(csv_path)
+    message = str(err.value)
+    assert npz_path in message
+    assert 'np.loadtxt(path, delimiter=",", skiprows=1)' in message
+    # which reads the text view back
+    table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    assert table[:, 2].tobytes() == traj.states.reshape(-1).tobytes()
 
 
 @pytest.mark.parametrize("with_extra", [True, False], ids=["extra", "bare"])
@@ -459,6 +506,9 @@ def test_trace_blocks_match_savetxt(tmp_path, n, t, with_extra):
     np.savetxt(reference, table, fmt=["%.17g", "%d"] + ["%.17g"] * (table.shape[1] - 2),
                delimiter=",", newline="\r\n")
     assert (tmp_path / "run.csv").read_bytes() == reference.getvalue().encode()
+    # the text view round-trips too, though read_trace reads the .npz
+    text = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert text.tobytes() == table.tobytes()
     times, back, back_extras = read_trace(path)
     assert times.tobytes() == traj.times.tobytes()
     assert back.tobytes() == states.tobytes()
@@ -900,7 +950,10 @@ def test_run_writes_artifacts(tmp_path):
     cfg = ScenarioConfig.from_dict(quad_config(tf=1.0))
     report = run(cfg, "simulate", out_dir=tmp_path)
     assert (tmp_path / "pair_simulate.csv").exists()
+    assert (tmp_path / "pair_simulate.npz").exists()
     assert (tmp_path / "pair_simulate.csv.json").exists()
+    assert report.artifacts[:3] == [str(tmp_path / f"pair_simulate.{ext}")
+                                    for ext in ("csv", "npz", "csv.json")]
     assert (tmp_path / "pair_simulate_report.json").exists()
     assert str(tmp_path / "pair_simulate_report.json") in report.artifacts
 
@@ -1439,6 +1492,14 @@ def test_cli_check_graph_switching(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["uniformly_jointly_strongly_connected"] is True
     assert main(["verify", "switching", "--config", path, "--out-dir", str(tmp_path),
                  "--quiet"]) == 0
+    # 1e17 - 1.0 == 1e17: a window this long is read as one period from its start
+    huge = json.loads((CONFIGS / "switching.json").read_text())
+    huge["analysis"]["ujsc_window"] = 1e17
+    path = _write(tmp_path, huge, "huge.json")
+    assert main(["check-graph", "--config", path, "--quiet"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["window"] == 1e17
+    assert info["uniformly_jointly_strongly_connected"] is True
 
 
 def test_cli_oracle(tmp_path, capsys):
